@@ -11,16 +11,9 @@ first must reproduce the first pass's outputs exactly.
 
 With ``--trace 0`` the metrics are the end-to-end ones: ``wall_s``, the
 seconds of one pass, summing each operation's fastest repeat;
-``setup_s``, the median seconds to import bhl and draw the inputs, over
-this process and four fresh interpreters; and ``peak_rss_mb``, this
-process's peak resident memory.  Both times are given at a reference
-speed: fixed numpy/scipy work of the same kind (``workloads.reference``)
-is timed between the passes, or the set-up probes, and the times are
-scaled by its nominal seconds over its fastest repeat.  On the shared
-2-core VM the benchmark was built on, the speed of the same code
-drifted by up to 2.3x over minutes of other tenants' load (CPU time
-equal to wall time, no steal reported), and by different factors for
-interpreted, array and LAPACK work.
+``setup_s``, the median seconds to import bhl and draw the inputs in a
+fresh interpreter, over set-up probes spread evenly between the passes;
+and ``peak_rss_mb``, this process's peak resident memory.
 
 With ``--trace 1`` untraced and traced passes alternate and the metrics
 are the per-layer ones of ``spans.py``, averaged per traced pass, plus
@@ -50,7 +43,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORKLOADS = ("spectra", "geometry")
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 11
 
 
 def _setup(workload, seed):
@@ -71,23 +64,6 @@ def _setup_probe(workload, seed):
         capture_output=True, text=True, timeout=120, check=True,
     )
     return float(proc.stdout.split()[-1])
-
-
-def _setup_seconds(wl, workload, seed, first):
-    """Median set-up seconds over this process and fresh interpreters, at reference speed.
-
-    Importing is interpreter-bound work, so the QUADPACK reference,
-    timed between the probes, gauges the machine's speed for it.
-    """
-    reference, nominal = wl.reference("quadpack")
-    samples, refs = [first], [reference()]
-    for _ in range(SETUP_SAMPLES - 1):
-        samples.append(_setup_probe(workload, seed))
-        refs.append(reference())
-    speed = nominal / min(refs)
-    print(f"setup seconds: {', '.join(f'{s:.4f}' for s in samples)}; "
-          f"reference seconds: {', '.join(f'{r:.4f}' for r in refs)}; scale {speed:.4f}")
-    return statistics.median(samples) * speed
 
 
 def _environment(workload, seed):
@@ -153,28 +129,30 @@ def _report_failures(passes):
         print(f"failed: {name}: {error} in {layer} (x{n}): {detail}")
 
 
-def _end_to_end(wl, workload, ops, seconds, setup_s):
-    reference, nominal = wl.reference(wl.REFERENCE[workload])
-    walls, passes, refs = [], [], []
+def _end_to_end(wl, workload, seed, ops, seconds):
+    walls, passes, setups = [], [], []
     start = time.perf_counter()
     while True:
-        refs.append(reference())
         wall, outcomes = _timed_pass(wl, ops)
         walls.append(wall)
         passes.append(outcomes)
+        # spread the set-up probes over the run, so that their median
+        # samples the machine's speed over the same span as the passes
+        done = min(1.0, (time.perf_counter() - start) / seconds)
+        while len(setups) < SETUP_SAMPLES * done:
+            setups.append(_setup_probe(workload, seed))
         if time.perf_counter() - start + wall > seconds:
             break
-    refs.append(reference())
+    while len(setups) < SETUP_SAMPLES:
+        setups.append(_setup_probe(workload, seed))
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    speed = nominal / min(refs)
     metrics = {
-        "wall_s": {"value": _pass_seconds(passes) * speed, "unit": "s"},
-        "setup_s": {"value": setup_s, "unit": "s"},
+        "wall_s": {"value": _pass_seconds(passes), "unit": "s"},
+        "setup_s": {"value": statistics.median(setups), "unit": "s"},
         "peak_rss_mb": {"value": peak_mib, "unit": "MiB"},
     }
-    print(f"passes: {len(walls)}, pass seconds: {', '.join(f'{w:.4f}' for w in walls)}; "
-          f"fastest operations summed: {_pass_seconds(passes):.4f}")
-    print(f"reference seconds: {', '.join(f'{r:.4f}' for r in refs)}; scale {speed:.4f}")
+    print(f"passes: {len(walls)}, pass seconds: {', '.join(f'{w:.4f}' for w in walls)}")
+    print(f"setup seconds: {', '.join(f'{s:.4f}' for s in setups)}")
     return passes, metrics
 
 
@@ -237,7 +215,7 @@ def main(argv=None):
         print(_setup(args.workload, args.seed)[2])
         return 0
 
-    wl, inputs, first_setup = _setup(args.workload, args.seed)
+    wl, inputs, _ = _setup(args.workload, args.seed)
     import bhl
 
     if Path(bhl.__file__).resolve().parent != (SRC / "bhl").resolve():
@@ -250,8 +228,7 @@ def main(argv=None):
     if args.trace:
         passes, metrics = _per_layer(wl, ops, args.seconds)
     else:
-        passes, metrics = _end_to_end(wl, args.workload, ops, args.seconds,
-                                      _setup_seconds(wl, args.workload, args.seed, first_setup))
+        passes, metrics = _end_to_end(wl, args.workload, args.seed, ops, args.seconds)
     _mark_unreproduced(passes)
     _report_failures(passes)
     attempted = sum(len(p) for p in passes)

@@ -12,10 +12,10 @@ BENCHMARK.json names exactly the metrics run.py prints.
 
 The known-defect probes reproduce failures of the package found while
 the benchmark was built.  The timed workloads leave these inputs out,
-because the benchmark's operations must not fail.  Each probe asserts
-that its defect is still there; when a change fixes one, its probe
-fails, and the inputs it names may join a workload in a benchmark
-change of its own.
+because the benchmark's operations must not fail.  The probes are not
+tests: run as a script, this file prints after the tests whether each
+defect is still present, and a fixed defect fails nothing.  Its inputs
+may then join a workload in a benchmark change of its own.
 """
 
 from __future__ import annotations
@@ -49,21 +49,21 @@ def test_inputs_follow_the_seed():
 
 
 def test_bhl_error_is_counted_not_fatal():
-    # explog(6.23, 0.0596) at n = 3000 trips the panel/adaptive
-    # cross-check of compute_moments
+    # alpha <= -1 is rejected by the package's own validation, so the
+    # error comes from bhl/weights.py whatever the package fixes later
     def table():
-        weights.compute_moments(weights.RadialWeight.explog(6.23, 0.0596), 3000)
+        weights.compute_moments(weights.RadialWeight.standard(-2.0), 10)
 
-    ops = [wl.Op("explog(6.23,0.0596) n=3000", "weights", table), wl.Op("ok", "weights", lambda: (1.0,))]
+    ops = [wl.Op("bad weight", "spectrum", table), wl.Op("ok", "weights", lambda: (1.0,))]
     passes = [[wl.run_op(op) for op in ops]]
     bad, good = passes[0]
     assert bad.failed and not bad.wrong
-    assert (bad.error, bad.layer) == ("QuadratureError", "weights")
+    assert (bad.error, bad.layer) == ("WeightDomainError", "weights")
     assert not good.failed and good.digest == (1.0,)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         run._report_failures(passes)
-    assert out.getvalue().startswith("failed: explog(6.23,0.0596) n=3000: QuadratureError in weights")
+    assert out.getvalue().startswith("failed: bad weight: WeightDomainError in weights")
 
 
 def test_wrong_answer_is_counted():
@@ -111,21 +111,26 @@ def test_benchmark_json_matches_run():
 
 
 # ------------------------------------------------------- known defects
+# Each probe returns True while its defect is still present.
 
 
-def test_known_defect_explog_panel_cross_check():
-    # the panel rule under-resolves large beta, and the (10, 0.05) corner
+def probe_explog_panel_cross_check():
+    # the panel rule under-resolves large beta, and the (10, 0.05) corner;
+    # present while any of these tables raises at n = 3000
+    present = False
     for alpha, beta in ((6.23, 0.0596), (10.0, 0.05), (1e-3, 30.0), (0.1, 30.0), (10.0, 30.0)):
         try:
             weights.compute_moments(weights.RadialWeight.explog(alpha, beta), 3000)
-        except QuadratureError:
-            continue
-        raise AssertionError(f"explog({alpha}, {beta}) now builds at n = 3000")
+        except QuadratureError as exc:
+            print(f"     explog({alpha}, {beta}) n=3000: QuadratureError: {exc}")
+            present = True
+    return present
 
 
-def test_known_defect_custom_density_singular_at_the_boundary():
+def probe_custom_density_singular_at_the_boundary():
     # a custom density with an integrable singularity at r = 1 either
     # raises or returns moments far outside the requested tolerance
+    present = False
     for alpha in (-0.77, -0.4):
         c = (alpha + 1.0) / np.pi
         w = weights.RadialWeight.custom(
@@ -134,14 +139,19 @@ def test_known_defect_custom_density_singular_at_the_boundary():
         )
         try:
             mt = weights.compute_moments(w, 500)
-        except BhlError:
+        except BhlError as exc:
+            print(f"     custom alpha={alpha}: {type(exc).__name__}: {exc}")
+            present = True
             continue
         exact = weights.moment_closed_form_standard(alpha, np.arange(mt.n_max + 1))
         worst = float(np.max(np.abs(mt.values - exact) / exact))
-        assert worst > 1e-10, f"custom alpha={alpha} now accurate to 1e-10"
+        if worst > 1e-10:
+            print(f"     custom alpha={alpha}: moment rel err {worst:.2e} > 1e-10")
+            present = True
+    return present
 
 
-def test_known_defect_tau_profile_near_the_origin():
+def probe_tau_profile_near_the_origin():
     # the spline misses the 2e-6 of the package's tau_profile tests near
     # r = 0.0075 once alpha exceeds about 2
     alpha = 2.5
@@ -150,12 +160,13 @@ def test_known_defect_tau_profile_near_the_origin():
     r = np.linspace(0.0, 0.02, 81)
     exact = np.sqrt(np.pi / (alpha + 1.0)) * (1.0 - r * r)
     worst = float(np.max(np.abs(prof(r) / exact - 1.0)))
-    assert worst > 2e-6, "tau_profile now meets 2e-6 near the origin"
+    print(f"     tau_profile alpha={alpha}: worst rel err {worst:.2e} near r = 0 (2e-6 allowed)")
+    return worst > 2e-6
 
 
 def main():
-    tests = [(name, fn) for name, fn in globals().items() if name.startswith("test_")]
     failed = 0
+    tests = [(name, fn) for name, fn in globals().items() if name.startswith("test_")]
     for name, fn in tests:
         t0 = time.perf_counter()
         try:
@@ -166,6 +177,10 @@ def main():
             continue
         print(f"ok   {name} ({time.perf_counter() - t0:.1f}s)")
     print(f"{len(tests) - failed} passed, {failed} failed")
+    probes = [(name, fn) for name, fn in globals().items() if name.startswith("probe_")]
+    for name, fn in probes:
+        print(f"known defect {name.removeprefix('probe_')}:")
+        print(f"     {'present' if fn() else 'fixed'}")
     return 1 if failed else 0
 
 

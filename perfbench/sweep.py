@@ -85,7 +85,7 @@ def main(argv=None):
         for name, m in metrics.items():
             bound = bounds.get(name)
             flag = ""
-            if bound is not None and name != "setup_s" and m["spread"] is not None:
+            if bound is not None and m["spread"] is not None:
                 flag = "  ok" if m["spread"] < bound / 3 else "  WIDE (>= bound/3)"
             if bound is not None or args.trace:
                 spread = "n/a" if m["spread"] is None else f"{m['spread']:.4f}"

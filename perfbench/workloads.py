@@ -19,9 +19,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import scipy.linalg
-from scipy.integrate import quad
-from scipy.spatial import cKDTree
 
 from bhl import asymptotics, hankel, rearrangement, spectrum, weights
 from bhl.errors import BhlError
@@ -337,73 +334,6 @@ def geometry_ops(inp):
     ops += [_radial_op(t) for t in inp["radial_levels"]]
     ops += [_nonradial_op(c, inp["level_nonradial"]), _trace_op(c), _lattice_op(c)]
     return ops
-
-
-# ---------------------------------------------------------------- reference
-
-# the reference work whose speed scales each workload's times
-REFERENCE = {"spectra": "lapack", "geometry": "arrays"}
-
-
-def reference(kind):
-    """(callable, nominal seconds): fixed numpy/scipy work of one kind.
-
-    ``lapack`` is like the spectra's eigen residual check, ``arrays``
-    like the level-set fields and the lattice loop, and ``quadpack``,
-    QUADPACK over Python integrands, is interpreter-bound like
-    importing the package.  The
-    callable returns the seconds one run of the work took; the nominal
-    seconds are about its fastest time on an idle core of the 2-core VM
-    the benchmark was built on.  run.py scales times by nominal over
-    fastest, so a machine running slower for a while slows both alike.
-    Nothing here calls bhl: a change to the package moves the workload's
-    times and not its reference.
-    """
-    rng = np.random.default_rng(0)
-    if kind == "lapack":
-        band = rng.standard_normal((3, 900))
-        nominal = 0.17
-
-        def work():
-            for i in (100, 450, 800):
-                scipy.linalg.eig_banded(band, lower=False, select="i", select_range=(i, i))
-
-    elif kind == "quadpack":
-        opts = dict(epsabs=1e-300, epsrel=1e-13, limit=200)
-        nominal = 0.13
-
-        def work():
-            for k in range(1, 601):
-                quad(lambda x: np.exp(-(k * x + 0.5 / x)), 0.0, 1.0, **opts)
-                quad(lambda t: (1.0 - t) ** (10 * k), 0.0, 1.0, weight="alg", wvar=(0.3, 0.0), **opts)
-
-    elif kind == "arrays":
-        r = np.linspace(0.0, 0.99, 4097)
-        theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-        pts = rng.uniform(-1.0, 1.0, (2000, 2))
-        zs = pts[:, 0] + 1j * pts[:, 1]
-        tree = cKDTree(pts)
-        nominal = 0.11
-
-        def work():
-            z = r[None, :] * np.exp(1j * theta[:, None])
-            f = (1.0 - r * r)[None, :] * np.abs(1.0 - np.log(1.0 - 0.5 * z))
-            for t in (0.1, 0.3, 0.5):
-                np.trapezoid(np.where(f > t, f, 0.0), dx=r[1], axis=1)
-            for p, zp in zip(pts, zs):
-                for k in tree.query_ball_point(p, 0.1):
-                    if abs(zs[k] - zp) < 0.05:
-                        break
-
-    else:
-        raise ValueError(f"unknown reference {kind!r}")
-
-    def run():
-        t0 = time.perf_counter()
-        work()
-        return time.perf_counter() - t0
-
-    return run, nominal
 
 
 def build_ops(workload, inputs):
