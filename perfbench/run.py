@@ -1,6 +1,6 @@
 """Run one workload of the bhl benchmark and print its metrics.
 
-    python3 perfbench/run.py --workload spectra --seed 0 --seconds 55 --trace 0
+    python3 perfbench/run.py --workload spectra --seed 0 --seconds 50 --trace 0
 
 Run from the root of a source checkout; the package is imported from
 ``src/``.  The workload's inputs are drawn from the seed, then passes
@@ -195,7 +195,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", required=True, type=int)
-    parser.add_argument("--seconds", type=float, default=55.0)
+    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

@@ -112,7 +112,6 @@ def make_inputs(workload, seed):
         }
     if workload == "geometry":
         return {
-            "ce_levels": _stratified(rng, 1e-3, 1e-1, 9, log=True),
             "radial_levels": _stratified(rng, 0.05, 1.7, 60),
             "c": float(rng.uniform(0.1, 0.5)),
             "level_nonradial": float(rng.uniform(0.2, 1.0)),
@@ -236,6 +235,14 @@ def spectra_ops(inp):
 # ---------------------------------------------------------------- geometry
 
 
+# Criterion 10's levels, not drawn from the seed: the local log-log
+# slope of R(t) runs from -0.35 to -1.8 over [1e-3, 1e-1], so the fitted
+# slope lies in -1.2 +/- 0.06 only on the criterion's design.  Nine
+# log-stratified levels from the same range fit slopes from -1.30 to
+# -1.14, outside the window on about 6% of seeds.
+CE_LEVELS = tuple(float(t) for t in np.logspace(-3, -1, 13))
+
+
 def _ce_sweep_ops(levels):
     """``bhl rearrange`` on the Cauchy-type symbol, then criterion 10's slope.
 
@@ -330,7 +337,7 @@ def _lattice_op(c):
 
 def geometry_ops(inp):
     c = inp["c"]
-    ops = _ce_sweep_ops(inp["ce_levels"])
+    ops = _ce_sweep_ops(CE_LEVELS)
     ops += [_radial_op(t) for t in inp["radial_levels"]]
     ops += [_nonradial_op(c, inp["level_nonradial"]), _trace_op(c), _lattice_op(c)]
     return ops
