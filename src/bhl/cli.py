@@ -254,7 +254,10 @@ def cmd_spectrum(cfg, out):
         ("symbol", repr(sym)),
         ("law", repr(law)),
         ("doubling test", "passed" if spec.converged else "skipped"),
-        ("eig_tol", "1e-10"),
+        ("eig_tol", _fmt(spec.source["eig_tol"])),
+        ("eig_residual", _fmt(spec.source["eig_residual"])),
+        ("doubling_drift", _fmt(spec.source["doubling_drift"])),
+        ("bandwidth_used", str(spec.source["bandwidth_used"])),
     ])
     return 0
 

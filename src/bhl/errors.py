@@ -47,7 +47,8 @@ class DoublingTestError(BhlError):
     Attributes
     ----------
     index : int
-        First diverging 1-based singular-value index.
+        0-based position, in descending order, of the first offending
+        eigen- or singular value.
     """
 
     def __init__(self, message, index=None):

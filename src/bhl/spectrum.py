@@ -5,7 +5,8 @@ spectral work happens on the banded Gram sections.  Truncation is
 policed by a doubling test: a spectrum is accepted only when the first
 N/2 singular values of the size-N section agree with the size-2N
 section to a relative tolerance, since no finite-section convergence
-rate is available a priori.
+rate is available a priori.  The size-N section is the leading block
+of the size-2N one, so every eigenvalue must also interlace.
 """
 
 from __future__ import annotations
@@ -50,6 +51,24 @@ class SingularSpectrum:
         return f"SingularSpectrum([{head}, ...], M={len(self)}, converged={self.converged})"
 
 
+class Eigenvalues(np.ndarray):
+    """Descending eigenvalues of a banded section with their certificate.
+
+    ``residual`` is the worst sampled ||G v - lambda v|| / ||G||, and
+    ``bandwidth`` the bandwidth left once all-zero bands are dropped.
+    Arrays derived from it (slices, ufunc results) carry None.
+    """
+
+    residual = None
+    bandwidth = None
+
+    def __new__(cls, values, residual, bandwidth):
+        obj = np.asarray(values, dtype=float).view(cls)
+        obj.residual = float(residual)
+        obj.bandwidth = int(bandwidth)
+        return obj
+
+
 def _band_matvec(band, v):
     b = band.shape[0] - 1
     y = band[b] * v
@@ -59,45 +78,80 @@ def _band_matvec(band, v):
     return y
 
 
+def _general_band(band):
+    # LAPACK gbtrf storage of the full Hermitian band: b spare rows for
+    # the LU fill-in, the upper band and diagonal, then the lower band.
+    b, N = band.shape[0] - 1, band.shape[1]
+    ab = np.zeros((3 * b + 1, N), dtype=band.dtype)
+    ab[b : 2 * b + 1] = band
+    for off in range(1, b + 1):
+        ab[2 * b + off, : N - off] = np.conj(band[b - off, off:])
+    return ab
+
+
 def symmetric_eigenvalues(G, tol=1e-10):
     """All eigenvalues of a Hermitian BandedGram, sorted descending.
 
-    Backed by banded tridiagonalization + implicit shifts (LAPACK);
-    a sampled subset of eigenpairs is reconstructed and the residual
-    ||Gv - lambda v|| <= tol * ||G|| verified, so a silent LAPACK
-    breakdown cannot pass unnoticed.  Diagonal sections skip LAPACK.
+    Bands that are exactly zero are dropped first, so sections such as
+    those of the monomials z^k take the diagonal path with no LAPACK
+    call.  Otherwise the eigenvalues come from banded tridiagonalization
+    and implicit shifts (LAPACK), and five of them, spread over the
+    sorted order, are certified by banded inverse iteration: G - sigma I
+    is factored once at sigma = lambda plus a few ulps of ||G||, three
+    solves from a fixed-seed start give v, and ||G v - lambda v|| <=
+    tol * ||G|| must hold for the returned lambda.  For Hermitian G that
+    places a true eigenvalue within the residual of it, so neither a
+    LAPACK breakdown nor a wrong eigenvalue can pass unnoticed.
+
+    Returns an ``Eigenvalues`` array carrying the worst relative
+    residual and the bandwidth used.
     """
-    if G.bandwidth == 0:
-        return np.sort(G.band[0].real)[::-1]
+    band = G.band
+    while len(band) > 1 and not np.any(band[0]):
+        band = band[1:]  # the outermost band is exactly zero
+    b = len(band) - 1
+    if b == 0:
+        return Eigenvalues(np.sort(band[0].real)[::-1], 0.0, 0)
     try:
-        lam = scipy.linalg.eig_banded(G.band, lower=False, eigvals_only=True)
+        lam = scipy.linalg.eig_banded(band, lower=False, eigvals_only=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise EigenResidualError(f"banded eigensolver did not converge: {exc}") from exc
     lam = lam[::-1]
     scale = float(np.max(np.abs(lam))) if len(lam) else 0.0
+    worst = 0.0
     if scale > 0.0:
-        N = G.size
-        sample = sorted({0, N // 2, N - 1, N // 4, (3 * N) // 4})
-        for i in sample:
-            li = N - 1 - i  # ascending index of descending position i
-            vals, vecs = scipy.linalg.eig_banded(
-                G.band, lower=False, select="i", select_range=(li, li)
-            )
-            res = np.linalg.norm(_band_matvec(G.band, vecs[:, 0]) - vals[0] * vecs[:, 0])
-            if res > tol * scale:
+        N = len(lam)
+        gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
+        ab = _general_band(band)
+        start = np.random.default_rng(0).standard_normal(N).astype(band.dtype)
+        nudge = 8.0 * np.spacing(scale)  # keeps an exactly computed lambda off a singular shift
+        for i in sorted({0, N // 4, N // 2, (3 * N) // 4, N - 1}):
+            ab[2 * b] = band[b] - (lam[i] + nudge)
+            lu, piv, _ = gbtrf(ab, b, b)
+            v = start
+            for _ in range(3):
+                v, _ = gbtrs(lu, b, b, v, piv)
+                v = v / np.linalg.norm(v)
+            res = float(np.linalg.norm(_band_matvec(band, v) - lam[i] * v))
+            if not res <= tol * scale:
                 raise EigenResidualError(
                     f"eigenpair residual {res:.3e} exceeds {tol:.1e} * ||G|| "
                     f"at sorted index {i} (lambda = {lam[i]:.6e})"
                 )
-    return lam
+            worst = max(worst, res / scale)
+    return Eigenvalues(lam, worst, b)
 
 
 def singular_values(G, eig_tol=1e-10, doubling_rel_tol=1e-6, check_doubling=True):
     """s_n = sqrt(lambda_n(G)) descending, doubling-tested by default.
 
     The size-2N section is assembled from the same moment table and
-    symbol; its first N/2 singular values must match within
-    doubling_rel_tol or DoublingTestError reports the first offender.
+    symbol.  G_N is its leading block, so Cauchy interlacing
+    lambda_k(G_N) <= lambda_k(G_2N) must hold within eig_tol * ||G_N||
+    for every k < N, and the first N/2 singular values must match
+    within doubling_rel_tol; DoublingTestError reports the first
+    offender of either.  ``source`` records the worst eigen-residual,
+    the largest doubling drift and the bandwidth used.
     """
     lam = symmetric_eigenvalues(G, eig_tol)
     scale = float(np.max(np.abs(lam))) if len(lam) else 0.0
@@ -109,10 +163,21 @@ def singular_values(G, eig_tol=1e-10, doubling_rel_tol=1e-6, check_doubling=True
     s = np.sqrt(np.clip(lam, 0.0, None))
 
     converged = None
+    residual = lam.residual
+    drift = None
     if check_doubling:
         N = G.size
         G2 = polynomial_gram(G.mt, G.symbol, 2 * N)
         lam2 = symmetric_eigenvalues(G2, eig_tol)
+        bad = np.nonzero(lam > lam2[:N] + eig_tol * scale)[0]
+        if bad.size:
+            k = int(bad[0])
+            raise DoublingTestError(
+                f"eigenvalue {k} of section N={N} exceeds that of 2N={2 * N} "
+                f"by {lam[k] - lam2[k]:.3e} > {eig_tol:.1e} * {scale:.3e}, "
+                f"breaking Cauchy interlacing",
+                index=k,
+            )
         s2 = np.sqrt(np.clip(lam2, 0.0, None))
         half = N // 2
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -125,6 +190,8 @@ def singular_values(G, eig_tol=1e-10, doubling_rel_tol=1e-6, check_doubling=True
                 f"sections N={N} and 2N={2 * N} (tol {doubling_rel_tol:.1e})",
                 index=i,
             )
+        residual = max(residual, lam2.residual)
+        drift = float(np.max(rel, initial=0.0))
         converged = True
 
     source = {
@@ -134,6 +201,9 @@ def singular_values(G, eig_tol=1e-10, doubling_rel_tol=1e-6, check_doubling=True
         "eig_tol": eig_tol,
         "doubling_rel_tol": doubling_rel_tol if check_doubling else None,
         "moment_rel_tol": G.mt.rel_tol,
+        "eig_residual": residual,
+        "doubling_drift": drift,
+        "bandwidth_used": lam.bandwidth,
     }
     return SingularSpectrum(s, source=source, converged=converged)
 
@@ -165,7 +235,9 @@ def psi_functionals(spec, p, c, window):
         raise WindowError(
             f"no singular values inside window [{s_lo}, {s_hi}]"
         )
-    samples = np.array([c * s**p * counting(spec, s) for s in np.unique(inside)])
+    u = np.unique(inside)
+    n = len(v) - np.searchsorted(v[::-1], u, side="left")  # n(s) = #{s_n >= s}
+    samples = c * u**p * n
     return float(np.max(samples)), float(np.min(samples))
 
 

@@ -115,6 +115,20 @@ def test_spectrum_run(tmp_path):
     assert any("doubling test: passed" in l for l in lines)
 
 
+def test_spectrum_deterministic_bytes(tmp_path):
+    quadratic = SPECTRUM_STD0.replace("coeffs = 1.0", "coeffs = 1.0, 0.25")
+    _, out1 = run(tmp_path, quadratic, "spectrum", "a.csv")
+    _, out2 = run(tmp_path, quadratic, "spectrum", "b.csv")
+    assert out1.read_bytes() == out2.read_bytes()
+    footer = dict(
+        l[2:].split(": ", 1) for l in out1.read_text().splitlines() if l.startswith("#")
+    )
+    assert footer["eig_tol"] == "1e-10"
+    assert footer["bandwidth_used"] == "1"
+    assert 0.0 < float(footer["eig_residual"]) <= 1e-14
+    assert 0.0 <= float(footer["doubling_drift"]) <= 1e-6
+
+
 def test_spectrum_requires_polynomial(tmp_path):
     code, _ = run(tmp_path, SPECTRUM_STD0.replace("coeffs = 1.0", "ce_gamma = 1.5"),
                   "spectrum")

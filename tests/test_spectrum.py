@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +38,44 @@ def test_eigenvalues_diagonal_section():
 def test_eigenvalues_two_by_two():
     lam = symmetric_eigenvalues(fake_gram([[0.0, 1.0], [2.0, 2.0]]))
     np.testing.assert_allclose(lam, [3.0, 1.0], atol=1e-14)
+
+
+def test_exact_eigenvalues_certify_without_singular_shift():
+    # eigenvalues 3 and 1 are computed exactly, so the shift must be nudged
+    lam = symmetric_eigenvalues(fake_gram([[0.0, 1.0], [2.0, 2.0]]))
+    assert lam.residual <= 1e-14 and lam.bandwidth == 1
+    lam = symmetric_eigenvalues(fake_gram([[0.0, 0.0, 1.0], [5.0, 5.0, 5.0]]))
+    np.testing.assert_allclose(lam, [6.0, 5.0, 4.0], atol=1e-14)
+
+
+def test_residual_is_taken_at_the_returned_eigenvalues(std0, monkeypatch):
+    G = polynomial_gram(std0, PolynomialSymbol([1.0, 0.5, 0.25]), 200)
+    assert G.bandwidth == 2
+    symmetric_eigenvalues(G)
+    eig_banded = scipy.linalg.eig_banded
+
+    def shifted(*args, **kwargs):
+        out = eig_banded(*args, **kwargs)
+        if kwargs.get("eigvals_only"):
+            return out + 1e-7 * np.max(np.abs(out))
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", shifted)
+    with pytest.raises(EigenResidualError):
+        symmetric_eigenvalues(G)
+
+
+def test_zero_bands_are_dropped(std0, monkeypatch):
+    G = polynomial_gram(std0, PolynomialSymbol([0.0, 0.0, 1.0]), 300)
+    assert G.bandwidth == 2
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a diagonal section needs no LAPACK call")
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", forbidden)
+    lam = symmetric_eigenvalues(G)
+    assert lam.bandwidth == 0 and lam.residual == 0.0
+    np.testing.assert_array_equal(lam, np.sort(G.diagonal())[::-1])
 
 
 def test_eigenvalues_trace_identity():
@@ -75,6 +114,35 @@ def test_doubling_failure_reports_index(std0):
     assert spec.converged is True
 
 
+def test_doubling_checks_interlacing(monkeypatch):
+    # the first half agrees, but lambda_1 drops from 1.0 to 0.5 when the
+    # section doubles, which no leading block of a Hermitian matrix allows
+    G = fake_gram([[4.0, 1.0]])
+    monkeypatch.setattr(
+        "bhl.spectrum.polynomial_gram", lambda mt, sym, n: fake_gram([[4.0, 0.5, 0.1, 0.1]])
+    )
+    with pytest.raises(DoublingTestError) as exc:
+        singular_values(G)
+    assert exc.value.index == 1
+    monkeypatch.setattr(
+        "bhl.spectrum.polynomial_gram", lambda mt, sym, n: fake_gram([[4.0, 1.0, 0.1, 0.1]])
+    )
+    assert singular_values(G).converged is True
+
+
+def test_singular_values_record_diagnostics(std0):
+    G = polynomial_gram(std0, PolynomialSymbol([1.0, 0.5]), 200)
+    spec = singular_values(G)
+    src = spec.source
+    assert src["bandwidth_used"] == 1
+    assert 0.0 < src["eig_residual"] <= 1e-14
+    assert 0.0 <= src["doubling_drift"] <= src["doubling_rel_tol"]
+    src = singular_values(G, check_doubling=False).source
+    assert src["doubling_drift"] is None and src["eig_residual"] <= 1e-14
+    spec = singular_values(polynomial_gram(std0, PolynomialSymbol([0.0, 0.0, 1.0]), 200))
+    assert spec.source["bandwidth_used"] == 0 and spec.source["eig_residual"] == 0.0
+
+
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         SingularSpectrum([1.0, -0.5])
@@ -100,6 +168,15 @@ def test_psi_exact_on_inverse_sequence():
     spec = SingularSpectrum(1.0 / np.arange(1, 200.0))
     D, d = psi_functionals(spec, 1.0, 1.0, (1e-3, 1.0))
     assert abs(D - 1.0) < 1e-12 and abs(d - 1.0) < 1e-12
+
+
+def test_psi_matches_counting_loop_with_ties():
+    v = np.array([2.0, 1.5, 1.5, 1.5, 1.0, 0.75, 0.75, 0.5, 0.25, 0.25, 0.0])
+    spec = SingularSpectrum(v)
+    for p, c, window in ((1.0, 1.0, (0.2, 2.0)), (0.7, 2.5, (0.5, 1.5)), (3.0, 0.3, (0.25, 0.75))):
+        u = np.unique(v[(v >= window[0]) & (v <= window[1]) & (v > 0.0)])
+        loop = [c * s**p * counting(spec, s) for s in u]
+        assert psi_functionals(spec, p, c, window) == (max(loop), min(loop))
 
 
 def test_psi_recovers_power_law_constant():
