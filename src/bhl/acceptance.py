@@ -25,8 +25,8 @@ from .hankel import (
 )
 from .rearrangement import (
     SymbolDerivative,
-    _slice_integrals,
-    _u_grid,
+    _level_field,
+    _measure,
     bloch_norm,
     level_measure,
     rearrangement_plus,
@@ -233,15 +233,12 @@ def criterion_7(cache):
 
 def _rplus_batch(tau, deriv, xs, r_max, level):
     """rearrangement_plus at many x on one shared radial grid."""
-    u, r = _u_grid(r_max, level)
-    du = u[1] - u[0]
-    tau_vals = np.asarray(tau(r), dtype=float)
-    dens = r * (1.0 - r) / tau_vals**2
-    f = (tau_vals * deriv.radial_abs(r))[None, :]
+    du, dens, blocks = _level_field(tau, deriv, r_max, level)
+    field = list(blocks)
     T = bloch_norm(tau, deriv, r_max=r_max)
 
     def R(t):
-        return 2.0 * np.pi * float(_slice_integrals(f, dens, du, t)[0])
+        return _measure(field, dens, du, t)
 
     out = []
     for x in xs:

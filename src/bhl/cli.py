@@ -113,7 +113,7 @@ class ExperimentConfig:
                 / (1.0 - np.log1p(-np.asarray(r, float))) ** alpha
             )
         w = self.weight()
-        mt = compute_moments(w, self.n(), rel_tol=self.rel_tol(), workers=_workers())
+        mt = compute_moments(w, self.n(), rel_tol=self.rel_tol())
         return tau_profile(w, mt)
 
     def symbol_coeffs(self):
@@ -181,16 +181,6 @@ class ExperimentConfig:
         return self._get("verify", "suite", str, default="all").strip()
 
 
-def _workers():
-    raw = os.environ.get("BHL_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"BHL_THREADS: cannot parse {raw!r}")
-
-
 def _emit(path, header, rows, footer):
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
@@ -213,7 +203,7 @@ def _emit(path, header, rows, footer):
 
 def cmd_moments(cfg, out):
     w = cfg.weight()
-    mt = compute_moments(w, cfg.n(), rel_tol=cfg.rel_tol(), workers=_workers())
+    mt = compute_moments(w, cfg.n(), rel_tol=cfg.rel_tol())
     rows = []
     for n in range(len(mt.values)):
         ratio = "nan" if n == 0 else _fmt(np.exp(mt.log_values[n] - mt.log_values[n - 1]))
@@ -233,9 +223,7 @@ def cmd_spectrum(cfg, out):
     sym = cfg.polynomial_symbol()
     deriv = SymbolDerivative.from_symbol(sym)
     N = cfg.n()
-    mt = compute_moments(
-        w, 2 * N - 1 + 2 * sym.degree + 1, rel_tol=cfg.rel_tol(), workers=_workers()
-    )
+    mt = compute_moments(w, 2 * N - 1 + 2 * sym.degree + 1, rel_tol=cfg.rel_tol())
     spec = singular_values(polynomial_gram(mt, sym, N))
     if w.kind == "standard":
         law = predict_symbol(predict_standard(w.alpha), deriv, 1.0)

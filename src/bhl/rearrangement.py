@@ -27,6 +27,11 @@ from scipy.spatial import cKDTree
 from .errors import CoveringError, NonConvergedError, WeightDomainError
 
 
+# rearrangement_plus holds its level's field across all probes up to this
+# size; finer fields (0.5 GiB for phi = z + c z^2 at level 4) are rebuilt
+_FIELD_BYTES = 256 * 2**20
+
+
 class SymbolDerivative:
     """|phi'| evaluation for polynomial symbols or the Cauchy-type family.
 
@@ -86,9 +91,9 @@ class SymbolDerivative:
     def abs_grid(self, r, theta):
         """|phi'| on an outer(theta, r) polar grid, boundary-stable.
 
-        For the Cauchy-type family 1 - z is assembled as
-        (1-r) + 2 r sin^2(theta/2), exact near z = 1 where the naive
-        difference cancels.
+        For the Cauchy-type family w = 1 - z is assembled as
+        (1-r) + 2 r sin^2(theta/2) - i r sin(theta), exact near z = 1
+        where the naive difference cancels.
         """
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
@@ -98,8 +103,13 @@ class SymbolDerivative:
         s = 1.0 - r
         rew = s[None, :] + 2.0 * r[None, :] * np.sin(0.5 * theta[:, None]) ** 2
         imw = -r[None, :] * np.sin(theta)[:, None]
-        w = rew + 1j * imw
-        return 1.0 / (np.abs(w) * np.abs(1.0 - np.log(w)) ** self.gamma)
+        # log w = L + iA; hypot keeps a tiny |w| from underflowing, and the
+        # in-place steps keep block-sized temporaries, so peak memory, down
+        A = np.arctan2(imw, rew)
+        L = np.log(np.hypot(rew, imw, out=imw), out=imw)
+        A *= A
+        A += (1.0 - L) ** 2
+        return np.exp(-L - 0.5 * self.gamma * np.log(A, out=A), out=A)
 
     def __repr__(self):
         if self.kind == "poly":
@@ -109,20 +119,14 @@ class SymbolDerivative:
 
 
 class MeasureResult(float):
-    """A float carrying its grid-refinement and truncation diagnostics."""
+    """A float carrying its refinement delta and mesh level and its truncation delta."""
 
-    def __new__(cls, value, refine_error=0.0, r_max_delta=None):
+    def __new__(cls, value, refine_error=0.0, r_max_delta=None, level=None):
         obj = super().__new__(cls, value)
         obj.refine_error = refine_error
         obj.r_max_delta = r_max_delta
+        obj.level = level
         return obj
-
-
-def _u_grid(r_max, level):
-    u_max = -np.log1p(-r_max)
-    n = 1024 * 2**level + 1
-    u = np.linspace(0.0, u_max, n)
-    return u, -np.expm1(-u)
 
 
 def _theta_cells(deriv, r_max, level):
@@ -177,26 +181,41 @@ def _slice_integrals(f, dens, du, t):
     return I
 
 
-def _field_rows(tau_prof, deriv, r, theta_block):
-    tau_vals = np.asarray(tau_prof(r), dtype=float)
-    return tau_vals[None, :] * deriv.abs_grid(r, theta_block), tau_vals
+def _level_field(tau_prof, deriv, r_max, level):
+    """The polar grid of one mesh level as (du, dens, blocks).
 
-
-def _measure_at(tau_prof, deriv, t, r_max, level):
-    u, r = _u_grid(r_max, level)
+    dens is dA/tau^2 per du dtheta along the u axis; blocks yields
+    (weights, field) pairs of at most 256 angular rows, field being
+    tau|phi'| on those rows.  A radial modulus is one row of weight
+    2 pi.  The blocks are built lazily, so a caller that streams them
+    holds one block at a time.
+    """
+    u = np.linspace(0.0, -np.log1p(-r_max), 1024 * 2**level + 1)
     du = u[1] - u[0]
+    r = -np.expm1(-u)
     tau_vals = np.asarray(tau_prof(r), dtype=float)
     dens = r * (1.0 - r) / tau_vals**2
     if deriv.is_radial:
-        f = (tau_vals * deriv.radial_abs(r))[None, :]
-        return 2.0 * np.pi * float(_slice_integrals(f, dens, du, t)[0])
-    theta, wts = _theta_cells(deriv, r_max, level)
+        blocks = [(np.array([2.0 * np.pi]), (tau_vals * deriv.radial_abs(r))[None, :])]
+    else:
+        theta, wts = _theta_cells(deriv, r_max, level)
+        blocks = (
+            (wts[lo : lo + 256], tau_vals[None, :] * deriv.abs_grid(r, theta[lo : lo + 256]))
+            for lo in range(0, len(theta), 256)
+        )
+    return du, dens, blocks
+
+
+def _measure(blocks, dens, du, t):
     total = 0.0
-    for lo in range(0, len(theta), 256):
-        block = theta[lo : lo + 256]
-        f = tau_vals[None, :] * deriv.abs_grid(r, block)
-        total += float(wts[lo : lo + 256] @ _slice_integrals(f, dens, du, t))
+    for wts, f in blocks:
+        total += float(wts @ _slice_integrals(f, dens, du, t))
     return total
+
+
+def _measure_at(tau_prof, deriv, t, r_max, level):
+    du, dens, blocks = _level_field(tau_prof, deriv, r_max, level)
+    return _measure(blocks, dens, du, t)
 
 
 def _refined(fn, rel_tol, max_level):
@@ -236,15 +255,15 @@ def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, max_level=5, check_r_
             delta = abs(_measure_at(tau_prof, deriv, t, r_push, level) - val)
         else:
             delta = 0.0
-    return MeasureResult(val, refine_error=err, r_max_delta=delta)
+    return MeasureResult(val, refine_error=err, r_max_delta=delta, level=level)
 
 
 def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4, iters=48):
     """R+(x) = sup { t : R(t) >= x }, by monotone bisection in log t.
 
     One dyadic mesh level is fixed for the whole bisection, so R is
-    evaluated through the exact same grids at every t and the computed
-    R is genuinely monotone in t.  The returned value is the high end
+    evaluated on the exact same field at every t, built once, and the
+    computed R is genuinely monotone in t.  The returned value is the high end
     of the final bracket, which preserves R+(R(t)) >= t.  If even the
     smallest probed level has R < x the sup runs over an empty set and
     0 is returned.
@@ -257,7 +276,19 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4, iters=48):
     _, _, level = _refined(
         lambda lv: _measure_at(tau_prof, deriv, T / 8.0, r_max, lv), rel_tol, 5
     )
-    R = lambda t: _measure_at(tau_prof, deriv, t, r_max, level)
+    # the field does not depend on t: hold it for the whole bisection
+    # unless it outgrows _FIELD_BYTES, then rebuild it on every probe
+    du, dens, blocks = _level_field(tau_prof, deriv, r_max, level)
+    field, size = [], 0
+    for wts, f in blocks:
+        size += f.nbytes
+        if size > _FIELD_BYTES:
+            field.clear()
+            R = lambda t: _measure_at(tau_prof, deriv, t, r_max, level)
+            break
+        field.append((wts, f))
+    else:
+        R = lambda t: _measure(field, dens, du, t)
     t_hi = T * (1.0 + 1e-9)
     if R(t_hi) >= x:
         return t_hi
@@ -296,23 +327,14 @@ def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
         raise ValueError("h fails midpoint convexity on the spot-check grid")
 
     def at_level(level):
-        u, r = _u_grid(r_max, level)
-        du = u[1] - u[0]
-        tau_vals = np.asarray(tau_prof(r), dtype=float)
-        dens = r * (1.0 - r) / tau_vals**2
-        if deriv.is_radial:
-            f = tau_vals * deriv.radial_abs(r)
-            return 2.0 * np.pi * float(np.trapezoid(np.asarray(h(f)) * dens, dx=du))
-        theta, wts = _theta_cells(deriv, r_max, level)
+        du, dens, blocks = _level_field(tau_prof, deriv, r_max, level)
         total = 0.0
-        for lo in range(0, len(theta), 256):
-            f = tau_vals[None, :] * deriv.abs_grid(r, theta[lo : lo + 256])
-            rows = np.trapezoid(np.asarray(h(f)) * dens[None, :], dx=du, axis=1)
-            total += float(wts[lo : lo + 256] @ rows)
+        for wts, f in blocks:
+            total += float(wts @ np.trapezoid(np.asarray(h(f)) * dens, dx=du, axis=1))
         return total
 
-    val, err, _ = _refined(at_level, rel_tol, max_level)
-    return MeasureResult(val, refine_error=err, r_max_delta=None)
+    val, err, level = _refined(at_level, rel_tol, max_level)
+    return MeasureResult(val, refine_error=err, r_max_delta=None, level=level)
 
 
 def bloch_norm(tau_prof, deriv, r_max=None):
@@ -482,14 +504,7 @@ def build_lattice(tau_prof, delta, r_max, b=1.25):
         ring_idx += 1
     test = np.array(test_pts)
     test = test[np.abs(test) <= r_max]
-    ttree = cKDTree(np.column_stack([test.real, test.imag]))
-    counts = np.zeros(len(test), dtype=np.int32)
-    covered = np.zeros(len(test), dtype=bool)
-    for zc, tz in zip(centers, taus):
-        hit = ttree.query_ball_point([zc.real, zc.imag], b * delta * tz)
-        counts[hit] += 1
-        inner = [k for k in hit if abs(test[k] - zc) <= delta * tz]
-        covered[inner] = True
+    counts, covered = _cover_counts(test, centers, taus, delta, b)
     miss = np.nonzero(~covered)[0]
     if miss.size:
         # maximality only guarantees coverage by the dilated disks
@@ -503,6 +518,18 @@ def build_lattice(tau_prof, delta, r_max, b=1.25):
             )
     mult = int(counts.max()) if len(counts) else 0
     return Lattice(centers, delta * taus, delta, b, mult, C, r_max, tau_prof)
+
+
+def _cover_counts(test, centers, taus, delta, b):
+    """Per test point: how many b-dilated disks hold it, and whether an undilated one does."""
+    ttree = cKDTree(np.column_stack([test.real, test.imag]))
+    counts = np.zeros(len(test), dtype=np.int32)
+    covered = np.zeros(len(test), dtype=bool)
+    for zc, tz in zip(centers, taus):
+        hit = np.array(ttree.query_ball_point([zc.real, zc.imag], b * delta * tz), dtype=np.intp)
+        counts[hit] += 1
+        covered[hit[np.abs(test[hit] - zc) <= delta * tz]] = True
+    return counts, covered
 
 
 def besov_sum(lattice, deriv, p):

@@ -24,7 +24,6 @@ the exponentiated view and may underflow to zero in the deep tail.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.integrate import quad
@@ -308,7 +307,7 @@ def _moment_custom(w, n, rel_tol):
     return val
 
 
-def compute_moments(w, n_max, rel_tol=1e-12, workers=1):
+def compute_moments(w, n_max, rel_tol=1e-12):
     """Compute m[0..n_max] and return a MomentTable.
 
     Parameters
@@ -320,10 +319,6 @@ def compute_moments(w, n_max, rel_tol=1e-12, workers=1):
         Target relative tolerance per entry, in (1e-14, 1e-3).  Near
         n ~ 4000 the quadrature roundoff floor is about 5e-12; the
         table's rel_tol records the worse of request and estimate.
-    workers : int
-        Thread fan-out across n for the per-index adaptive routes.
-        Results land in a preallocated array indexed by n, so output is
-        identical for any schedule.
 
     The ExpLog family runs per-index adaptive quadrature only below a
     sharpness threshold and a vectorized panel rule above it; the two
@@ -343,10 +338,10 @@ def compute_moments(w, n_max, rel_tol=1e-12, workers=1):
     else:
         n_split = n_max + 1
 
-    def fill(n):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n in range(n_split):
+            try:
                 if w.kind == "standard":
                     val, err = _moment_standard(w, n, rel_tol)
                     log_values[n] = np.log(val)
@@ -355,15 +350,8 @@ def compute_moments(w, n_max, rel_tol=1e-12, workers=1):
                     log_values[n], errs[n] = _log_moment_explog_adaptive(w, n, rel_tol)
                 else:
                     log_values[n] = np.log(_moment_custom(w, n, rel_tol))
-        except Exception as exc:  # pragma: no cover - quadpack failures are rare
-            raise QuadratureError(f"moment quadrature failed at n={n}: {exc}") from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_split)))
-    else:
-        for n in range(n_split):
-            fill(n)
+            except Exception as exc:  # pragma: no cover - quadpack failures are rare
+                raise QuadratureError(f"moment quadrature failed at n={n}: {exc}") from exc
 
     est = float(np.max(errs[:n_split])) if n_split else 0.0
 

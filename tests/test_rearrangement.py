@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from bhl import rearrangement
 from bhl.errors import NonConvergedError, WeightDomainError
 from bhl.hankel import PolynomialSymbol
 from bhl.rearrangement import (
     MeasureResult,
     SymbolDerivative,
+    _cover_counts,
+    _measure_at,
+    _refined,
     besov_sum,
     bloch_norm,
     build_lattice,
@@ -61,11 +65,37 @@ def test_ce_family_domain_and_stability():
     assert abs(g[0, 0] - ce(0.7 * np.exp(0.5j))) < 1e-12
 
 
+@pytest.mark.parametrize("gamma", [1.1, 1.5, 3.0])
+def test_ce_abs_grid_matches_mpmath(gamma):
+    # the real-arithmetic kernel against 30-digit complex arithmetic,
+    # down to 1 - r = 1e-9 and theta = 1e-12 next to z = 1
+    mpmath = pytest.importorskip("mpmath")
+    r = 1.0 - np.array([0.5, 1e-3, 1e-6, 1e-9])
+    theta = np.array([0.0, 1e-12, 1e-6, 0.1, np.pi])
+    got = SymbolDerivative.ce_family(gamma).abs_grid(r, theta)
+    assert np.isfinite(got).all()
+    with mpmath.workdps(30):
+        for i, th in enumerate(theta):
+            for j, rj in enumerate(r):
+                w = 1 - mpmath.mpf(rj) * mpmath.expj(mpmath.mpf(th))
+                ref = float(1 / (abs(w) * abs(1 - mpmath.log(w)) ** mpmath.mpf(gamma)))
+                assert abs(got[i, j] - ref) <= 1e-13 * ref, (rj, th)
+
+
 def test_measure_result_is_float_with_metadata(tau0, dz):
     R = level_measure(tau0, dz, 0.5, 0.99)
     assert isinstance(R, float) and isinstance(R, MeasureResult)
     assert R.refine_error >= 0.0
     assert R.r_max_delta is not None
+
+
+def test_refinement_level_is_reported(tau0):
+    dmix = SymbolDerivative.polynomial([1.0, 0.6])
+    R = level_measure(tau0, dmix, 1.0, 0.99)
+    assert R.level in range(1, 6)
+    assert float(R) == _measure_at(tau0, dmix, 1.0, 0.99, R.level)
+    tr = trace_integral(tau0, dmix, lambda t: t**2, 0.99)
+    assert tr.level in range(1, 6)
 
 
 def test_level_measure_radial_closed_form(tau0, dz):
@@ -141,6 +171,43 @@ def test_rearrangement_plus_inverts_measure(tau0, dz):
         assert rp >= t * (1.0 - 1e-3)
 
 
+def _rplus_probe_by_probe(tau_prof, deriv, x, r_max, iters):
+    """rearrangement_plus as a plain bisection that rebuilds the field per probe."""
+    T = bloch_norm(tau_prof, deriv, r_max=r_max)
+    _, _, level = _refined(lambda lv: _measure_at(tau_prof, deriv, T / 8.0, r_max, lv), 1e-4, 5)
+    t_lo, t_hi = T * 2.0**-10, T * (1.0 + 1e-9)
+    assert _measure_at(tau_prof, deriv, t_hi, r_max, level) < x
+    while _measure_at(tau_prof, deriv, t_lo, r_max, level) < x:
+        t_lo *= 0.25
+    for _ in range(iters):
+        mid = np.sqrt(t_lo * t_hi)
+        if _measure_at(tau_prof, deriv, mid, r_max, level) >= x:
+            t_lo = mid
+        else:
+            t_hi = mid
+    return float(t_hi)
+
+
+@pytest.mark.parametrize(
+    "symbol, field_bytes",
+    [("poly", rearrangement._FIELD_BYTES), ("ce", rearrangement._FIELD_BYTES), ("poly", 0)],
+    ids=["poly-held", "ce-held", "poly-rebuilt"],
+)
+def test_rearrangement_plus_matches_probe_by_probe(tau0, symbol, field_bytes, monkeypatch):
+    # holding the field across probes must not change a single bit, and
+    # a field over the byte budget is rebuilt per probe instead
+    if symbol == "poly":
+        tau, deriv, x, r_max = tau0, SymbolDerivative.polynomial([1.0, 0.6]), 0.9, 0.99
+    else:
+        tau = TauProfile.user_supplied(
+            lambda r: (1.0 - np.asarray(r, float)) / (1.0 - np.log1p(-np.asarray(r, float)))
+        )
+        deriv, x, r_max = SymbolDerivative.ce_family(1.5), 30.0, 0.9
+    monkeypatch.setattr(rearrangement, "_FIELD_BYTES", field_bytes)
+    rp = rearrangement_plus(tau, deriv, x, r_max, iters=16)
+    assert rp == _rplus_probe_by_probe(tau, deriv, x, r_max, 16)
+
+
 def test_trace_integral_closed_forms(tau0, dz):
     tr = trace_integral(tau0, dz, lambda t: t**2, 0.999)
     assert abs(tr - np.pi * 0.999**2) / (np.pi * 0.999**2) < 2e-4
@@ -196,6 +263,24 @@ def test_build_lattice_standard_tau_invariants(lat01):
     d = np.abs(zc[pairs[:, 0]] - zc[pairs[:, 1]])
     bound = lat.delta * np.minimum(tz[pairs[:, 0]], tz[pairs[:, 1]]) / (2 * lat.comparability)
     assert np.all(d >= bound)
+
+
+def test_cover_counts_matches_brute_force():
+    rng = np.random.default_rng(3)
+    test = rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-1, 1, 4000)
+    centers = rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300)
+    taus = rng.uniform(0.0, 1.0, 300)
+    taus[:3] = [0.0, 1e-9, 30.0]  # an empty ball, a tiny one, one holding every point
+    delta, b = 0.1, 1.25
+    counts = np.zeros(len(test), dtype=int)
+    covered = np.zeros(len(test), dtype=bool)
+    for zc, tz in zip(centers, taus):
+        d = np.abs(test - zc)
+        counts += d <= b * delta * tz
+        covered |= d <= delta * tz
+    got_counts, got_covered = _cover_counts(test, centers, taus, delta, b)
+    np.testing.assert_array_equal(got_counts, counts)
+    np.testing.assert_array_equal(got_covered, covered)
 
 
 def test_build_lattice_rejects_infeasible_dilation(tau0):
