@@ -41,6 +41,7 @@ from .hankel import (
 )
 from .rearrangement import (
     Lattice,
+    LevelField,
     MeasureResult,
     SymbolDerivative,
     besov_sum,

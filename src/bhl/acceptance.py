@@ -24,9 +24,8 @@ from .hankel import (
     polynomial_gram,
 )
 from .rearrangement import (
+    LevelField,
     SymbolDerivative,
-    _level_field,
-    _measure,
     bloch_norm,
     level_measure,
     rearrangement_plus,
@@ -69,13 +68,18 @@ def _get_moments(cache, kind, n_max, alpha=None, beta=None, rel_tol=1e-12):
     return mt
 
 
+# largest symbol degree passed to _diag_spectrum: its moment tables are
+# sized for it, so each alpha's table is built once for every symbol
+_MAX_DEGREE = 3
+
+
 def _diag_spectrum(cache, alpha, coeffs, N):
     """Singular values for a standard-weight polynomial symbol."""
     key = ("spectrum", alpha, tuple(coeffs), N)
     spec = cache.get(key)
     if spec is None:
-        d = len(coeffs)
-        mt = _get_moments(cache, "standard", 2 * N - 1 + 2 * d + 1, alpha=alpha)
+        # the doubling check reads G_2N, which needs moments up to 2N - 1 + d
+        mt = _get_moments(cache, "standard", 2 * N - 1 + _MAX_DEGREE, alpha=alpha)
         G = polynomial_gram(mt, PolynomialSymbol(coeffs), N)
         spec = singular_values(G)
         cache[key] = spec
@@ -193,19 +197,9 @@ def criterion_6(cache):
     )
 
 
-_TAU0 = None
-
-
-def _tau_standard0():
-    global _TAU0
-    if _TAU0 is None:
-        _TAU0 = TauProfile.user_supplied(lambda r: np.sqrt(np.pi) * (1.0 - np.asarray(r) ** 2))
-    return _TAU0
-
-
 def criterion_7(cache):
     t0 = time.perf_counter()
-    tau = _tau_standard0()
+    tau = TauProfile.standard(0.0)
     dz = SymbolDerivative.polynomial([1.0])
     r_max = 1.0 - 1e-5
     ts = np.linspace(0.05, 1.7, 20)
@@ -231,46 +225,19 @@ def criterion_7(cache):
     )
 
 
-def _rplus_batch(tau, deriv, xs, r_max, level):
-    """rearrangement_plus at many x on one shared radial grid."""
-    du, dens, blocks = _level_field(tau, deriv, r_max, level)
-    field = list(blocks)
-    T = bloch_norm(tau, deriv, r_max=r_max)
-
-    def R(t):
-        return _measure(field, dens, du, t)
-
-    out = []
-    for x in xs:
-        t_hi = T * (1.0 + 1e-9)
-        t_lo = T * 2.0**-10
-        while R(t_lo) < x:
-            t_lo *= 0.25
-            if t_lo < T * 1e-15:
-                out.append(0.0)
-                break
-        else:
-            for _ in range(48):
-                mid = np.sqrt(t_lo * t_hi)
-                if R(mid) >= x:
-                    t_lo = mid
-                else:
-                    t_hi = mid
-            out.append(float(t_hi))
-    return np.array(out)
-
-
 def criterion_8(cache):
     t0 = time.perf_counter()
-    tau = _tau_standard0()
+    tau = TauProfile.standard(0.0)
     dz = SymbolDerivative.polynomial([1.0])
     r_max = 1.0 - 1e-5
     ns = np.arange(10, 1001)
     spec = _diag_spectrum(cache, 0.0, [1.0], 1100)
     s_n = spec.values[ns - 1]
+    T = bloch_norm(tau, dz, r_max=r_max)
     intervals = []
     for level in (3, 4):  # doubled quadrature resolution
-        rp = _rplus_batch(tau, dz, ns.astype(float), r_max, level)
+        field = LevelField(tau, dz, r_max, level)
+        rp = np.array([field.rplus(float(x), T) for x in ns])
         ratio = rp / s_n
         intervals.append((float(ratio.min()), float(ratio.max())))
     (lo1, hi1), (lo2, hi2) = intervals
@@ -305,9 +272,7 @@ def criterion_9(cache):
 
 def criterion_10(cache):
     t0 = time.perf_counter()
-    tau_ce = TauProfile.user_supplied(
-        lambda r: (1.0 - np.asarray(r, float)) / (1.0 - np.log1p(-np.asarray(r, float)))
-    )
+    tau_ce = TauProfile.ce(1.0)
     ce = SymbolDerivative.ce_family(1.5)
     ts = np.logspace(-3, -1, 13)
     Rs = [float(level_measure(tau_ce, ce, float(t), 0.99, check_r_max=False)) for t in ts]

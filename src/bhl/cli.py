@@ -103,15 +103,11 @@ class ExperimentConfig:
         if kind == "tau_standard":
             if alpha is None or not alpha > -1.0:
                 raise ConfigError(f"[weight] alpha: tau_standard needs alpha > -1")
-            c = np.sqrt(np.pi / (alpha + 1.0))
-            return TauProfile.user_supplied(lambda r: c * (1.0 - np.asarray(r, float) ** 2))
+            return TauProfile.standard(alpha)
         if kind == "tau_ce":
             if alpha is None or alpha <= 0.0:
                 raise ConfigError(f"[weight] alpha: tau_ce needs alpha > 0")
-            return TauProfile.user_supplied(
-                lambda r: (1.0 - np.asarray(r, float))
-                / (1.0 - np.log1p(-np.asarray(r, float))) ** alpha
-            )
+            return TauProfile.ce(alpha)
         w = self.weight()
         mt = compute_moments(w, self.n(), rel_tol=self.rel_tol())
         return tau_profile(w, mt)

@@ -114,25 +114,18 @@ def hz_squared_sequence(mt, n_max):
     """m_w(n)^2 for n = 0..n_max: the squared singular values of H_zbar.
 
     m_w(n)^2 = m[n+1]/m[n] - m[n]/m[n-1] for n >= 1 and m[1]/m[0] at
-    n = 0, evaluated as exp(D_{n-1}) * expm1(D_n - D_{n-1}) with
-    D_n = log m[n+1] - log m[n].
+    n = 0: the diagonal of the phi = z Gram section on e_0..e_{n_max}.
     """
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    mt.require(n_max + 1)
-    idx = np.arange(n_max + 2)
-    delta = _delta_log(mt, idx[1:], idx[:-1])
-    out = np.empty(n_max + 1)
-    out[0] = np.exp(delta[0])
-    if n_max >= 1:
-        out[1:] = np.exp(delta[:-1][: n_max]) * np.expm1(delta[1 : n_max + 1] - delta[: n_max])
-        bad = np.nonzero(out < -1e-13)[0]
-        if bad.size:
-            raise LogConvexityError(
-                f"m_w(n)^2 negative at n={int(bad[0])} ({out[bad[0]]:.3e}); "
-                "the moment table is not accurate enough for ratio differences"
-            )
+    out = polynomial_gram(mt, PolynomialSymbol([1.0]), n_max + 1).diagonal()
+    bad = np.nonzero(out < -1e-13)[0]
+    if bad.size:
+        raise LogConvexityError(
+            f"m_w(n)^2 negative at n={int(bad[0])} ({out[bad[0]]:.3e}); "
+            "the moment table is not accurate enough for ratio differences"
+        )
     return out
 
 
@@ -148,19 +141,12 @@ def monomial_gram_diagonal(mt, k, N):
         raise ValueError(f"k must be >= 1, got {k}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    mt.require(N - 1 + k)
-    m = np.arange(N)
-    A = _delta_log(mt, m + k, m)
-    out = np.exp(A)
-    if N > k:
-        tail = m[k:]
-        B = _delta_log(mt, tail, tail - k)
-        out[k:] = np.exp(B) * np.expm1(A[k:] - B)
-        bad = np.nonzero(out < -1e-13)[0]
-        if bad.size:
-            raise LogConvexityError(
-                f"monomial diagonal negative at m={int(bad[0])} ({out[bad[0]]:.3e})"
-            )
+    out = polynomial_gram(mt, PolynomialSymbol([0.0] * (k - 1) + [1.0]), N).diagonal()
+    bad = np.nonzero(out < -1e-13)[0]
+    if bad.size:
+        raise LogConvexityError(
+            f"monomial diagonal negative at m={int(bad[0])} ({out[bad[0]]:.3e})"
+        )
     return out
 
 
@@ -174,7 +160,7 @@ def polynomial_gram(mt, symbol, N):
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     d = symbol.degree
-    mt.require(N - 1 + 2 * d)
+    mt.require(N - 1 + d)  # the largest index read is m + j + off <= N - 1 + d
     c = symbol.coeffs
     dtype = float if symbol.is_real else complex
     band = np.zeros((d, N), dtype=dtype)

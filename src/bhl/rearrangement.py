@@ -27,8 +27,8 @@ from scipy.spatial import cKDTree
 from .errors import CoveringError, NonConvergedError, WeightDomainError
 
 
-# rearrangement_plus holds its level's field across all probes up to this
-# size; finer fields (0.5 GiB for phi = z + c z^2 at level 4) are rebuilt
+# LevelField.rplus holds its field across all probes up to this size;
+# finer fields (0.5 GiB for phi = z + c z^2 at level 4) are rebuilt per probe
 _FIELD_BYTES = 256 * 2**20
 
 
@@ -75,8 +75,10 @@ class SymbolDerivative:
         z = np.asarray(z, dtype=complex)
         if self.kind == "poly":
             return np.abs(np.polyval(self.coeffs[::-1], z))
-        w = 1.0 - z
-        return 1.0 / (np.abs(w) * np.abs(1.0 - np.log(w)) ** self.gamma)
+        # w = 1 - z by parts (1 - Re z is exact near z = 1); [()] gives a
+        # scalar for a scalar z, as the poly branch does
+        zz = np.atleast_1d(z)
+        return self._ce_abs(1.0 - zz.real, -zz.imag).reshape(z.shape)[()]
 
     def radial_abs(self, r):
         """|phi'| on a radius for radial moduli (single-term phi')."""
@@ -103,8 +105,15 @@ class SymbolDerivative:
         s = 1.0 - r
         rew = s[None, :] + 2.0 * r[None, :] * np.sin(0.5 * theta[:, None]) ** 2
         imw = -r[None, :] * np.sin(theta)[:, None]
-        # log w = L + iA; hypot keeps a tiny |w| from underflowing, and the
-        # in-place steps keep block-sized temporaries, so peak memory, down
+        return self._ce_abs(rew, imw)
+
+    def _ce_abs(self, rew, imw):
+        """1/(|w| |1 - log w|^gamma) from w's real and imaginary parts.
+
+        Real arithmetic only.  log w = L + iA; hypot keeps a tiny |w|
+        from underflowing, and the in-place steps (imw is overwritten)
+        keep block-sized temporaries, so peak memory, down.
+        """
         A = np.arctan2(imw, rew)
         L = np.log(np.hypot(rew, imw, out=imw), out=imw)
         A *= A
@@ -181,41 +190,88 @@ def _slice_integrals(f, dens, du, t):
     return I
 
 
-def _level_field(tau_prof, deriv, r_max, level):
-    """The polar grid of one mesh level as (du, dens, blocks).
+class LevelField:
+    """tau|phi'| on the polar grid of one dyadic mesh level.
 
-    dens is dA/tau^2 per du dtheta along the u axis; blocks yields
-    (weights, field) pairs of at most 256 angular rows, field being
-    tau|phi'| on those rows.  A radial modulus is one row of weight
-    2 pi.  The blocks are built lazily, so a caller that streams them
-    holds one block at a time.
+    ``dens`` is dA/tau^2 per du dtheta along the u axis and ``blocks()``
+    yields (weights, field) pairs of at most 256 angular rows, field
+    being tau|phi'| on those rows.  A radial modulus is one row of
+    weight 2 pi.  The blocks are built lazily, so ``measure`` and
+    ``trace`` hold one block at a time; ``rplus`` holds the whole field
+    across its probes while it fits in _FIELD_BYTES.
     """
-    u = np.linspace(0.0, -np.log1p(-r_max), 1024 * 2**level + 1)
-    du = u[1] - u[0]
-    r = -np.expm1(-u)
-    tau_vals = np.asarray(tau_prof(r), dtype=float)
-    dens = r * (1.0 - r) / tau_vals**2
-    if deriv.is_radial:
-        blocks = [(np.array([2.0 * np.pi]), (tau_vals * deriv.radial_abs(r))[None, :])]
-    else:
-        theta, wts = _theta_cells(deriv, r_max, level)
-        blocks = (
-            (wts[lo : lo + 256], tau_vals[None, :] * deriv.abs_grid(r, theta[lo : lo + 256]))
-            for lo in range(0, len(theta), 256)
-        )
-    return du, dens, blocks
 
+    def __init__(self, tau_prof, deriv, r_max, level):
+        u = np.linspace(0.0, -np.log1p(-r_max), 1024 * 2**level + 1)
+        self.du = u[1] - u[0]
+        self._r = -np.expm1(-u)
+        self._tau = np.asarray(tau_prof(self._r), dtype=float)
+        self.dens = self._r * (1.0 - self._r) / self._tau**2
+        self._deriv = deriv
+        if deriv.is_radial:
+            self._theta, self._wts = None, np.array([2.0 * np.pi])
+        else:
+            self._theta, self._wts = _theta_cells(deriv, r_max, level)
 
-def _measure(blocks, dens, du, t):
-    total = 0.0
-    for wts, f in blocks:
-        total += float(wts @ _slice_integrals(f, dens, du, t))
-    return total
+    def blocks(self):
+        if self._theta is None:
+            yield self._wts, (self._tau * self._deriv.radial_abs(self._r))[None, :]
+            return
+        for lo in range(0, len(self._theta), 256):
+            f = self._deriv.abs_grid(self._r, self._theta[lo : lo + 256])
+            yield self._wts[lo : lo + 256], self._tau[None, :] * f
 
+    def _mass(self, blocks, t):
+        total = 0.0
+        for wts, f in blocks:
+            total += float(wts @ _slice_integrals(f, self.dens, self.du, t))
+        return total
 
-def _measure_at(tau_prof, deriv, t, r_max, level):
-    du, dens, blocks = _level_field(tau_prof, deriv, r_max, level)
-    return _measure(blocks, dens, du, t)
+    def measure(self, t):
+        """R(t) on this level: the dA/tau^2 mass of {tau|phi'| > t}."""
+        return self._mass(self.blocks(), t)
+
+    def trace(self, h):
+        """int h(tau|phi'|) dA/tau^2 on this level."""
+        total = 0.0
+        for wts, f in self.blocks():
+            total += float(wts @ np.trapezoid(np.asarray(h(f)) * self.dens, dx=self.du, axis=1))
+        return total
+
+    def rplus(self, x, t_max, iters=48):
+        """R+(x) = sup { t : R(t) >= x } on this level, by bisection in log t.
+
+        t_max is the sup of tau|phi'| (bloch_norm).  R is evaluated on
+        the same field at every probe, so it is monotone in t.  The
+        returned value is the high end of the final bracket, which
+        preserves R+(R(t)) >= t.  If even the smallest probed level has
+        R < x the sup runs over an empty set and 0 is returned.
+        """
+        if not x > 0.0:
+            raise ValueError(f"rplus needs x > 0, got {x}")
+        if t_max == 0.0:
+            return 0.0
+        # the field is rows x columns float64; hold it only if it fits
+        if len(self._wts) * len(self.dens) * 8 <= _FIELD_BYTES:
+            held = list(self.blocks())
+            R = lambda t: self._mass(held, t)
+        else:
+            R = self.measure
+        t_hi = t_max * (1.0 + 1e-9)
+        if R(t_hi) >= x:
+            return t_hi
+        t_lo = t_max * 2.0**-10
+        while R(t_lo) < x:
+            t_lo *= 0.25
+            if t_lo < t_max * 1e-15:
+                return 0.0
+        for _ in range(iters):
+            mid = np.sqrt(t_lo * t_hi)
+            if R(mid) >= x:
+                t_lo = mid
+            else:
+                t_hi = mid
+        return float(t_hi)
 
 
 def _refined(fn, rel_tol, max_level):
@@ -246,13 +302,13 @@ def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, max_level=5, check_r_
     if not 0.0 < r_max < 1.0:
         raise WeightDomainError(f"r_max must lie in (0, 1), got {r_max}")
     val, err, level = _refined(
-        lambda lv: _measure_at(tau_prof, deriv, t, r_max, lv), rel_tol, max_level
+        lambda lv: LevelField(tau_prof, deriv, r_max, lv).measure(t), rel_tol, max_level
     )
     delta = None
     if check_r_max:
         r_push = min(0.5 * (1.0 + r_max), tau_prof.r_hi)
         if r_push > r_max:
-            delta = abs(_measure_at(tau_prof, deriv, t, r_push, level) - val)
+            delta = abs(LevelField(tau_prof, deriv, r_push, level).measure(t) - val)
         else:
             delta = 0.0
     return MeasureResult(val, refine_error=err, r_max_delta=delta, level=level)
@@ -261,49 +317,17 @@ def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, max_level=5, check_r_
 def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4, iters=48):
     """R+(x) = sup { t : R(t) >= x }, by monotone bisection in log t.
 
-    One dyadic mesh level is fixed for the whole bisection, so R is
-    evaluated on the exact same field at every t, built once, and the
-    computed R is genuinely monotone in t.  The returned value is the high end
-    of the final bracket, which preserves R+(R(t)) >= t.  If even the
-    smallest probed level has R < x the sup runs over an empty set and
-    0 is returned.
+    The mesh level is the first one on which R(T/8) converges to
+    rel_tol, T the sup of tau|phi'|; LevelField.rplus then bisects on
+    that one level.
     """
     if not x > 0.0:
         raise ValueError(f"rearrangement_plus needs x > 0, got {x}")
     T = bloch_norm(tau_prof, deriv, r_max=r_max)
-    if T == 0.0:
-        return 0.0
     _, _, level = _refined(
-        lambda lv: _measure_at(tau_prof, deriv, T / 8.0, r_max, lv), rel_tol, 5
+        lambda lv: LevelField(tau_prof, deriv, r_max, lv).measure(T / 8.0), rel_tol, 5
     )
-    # the field does not depend on t: hold it for the whole bisection
-    # unless it outgrows _FIELD_BYTES, then rebuild it on every probe
-    du, dens, blocks = _level_field(tau_prof, deriv, r_max, level)
-    field, size = [], 0
-    for wts, f in blocks:
-        size += f.nbytes
-        if size > _FIELD_BYTES:
-            field.clear()
-            R = lambda t: _measure_at(tau_prof, deriv, t, r_max, level)
-            break
-        field.append((wts, f))
-    else:
-        R = lambda t: _measure(field, dens, du, t)
-    t_hi = T * (1.0 + 1e-9)
-    if R(t_hi) >= x:
-        return t_hi
-    t_lo = T * 2.0**-10
-    while R(t_lo) < x:
-        t_lo *= 0.25
-        if t_lo < T * 1e-15:
-            return 0.0
-    for _ in range(iters):
-        mid = np.sqrt(t_lo * t_hi)
-        if R(mid) >= x:
-            t_lo = mid
-        else:
-            t_hi = mid
-    return float(t_hi)
+    return LevelField(tau_prof, deriv, r_max, level).rplus(x, T, iters)
 
 
 def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
@@ -325,15 +349,9 @@ def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
     mids = np.asarray(h(0.5 * (probe[:-1] + probe[1:])), dtype=float)
     if np.any(mids > 0.5 * (hp[:-1] + hp[1:]) + 1e-9 * max(1.0, float(hp[-1]))):
         raise ValueError("h fails midpoint convexity on the spot-check grid")
-
-    def at_level(level):
-        du, dens, blocks = _level_field(tau_prof, deriv, r_max, level)
-        total = 0.0
-        for wts, f in blocks:
-            total += float(wts @ np.trapezoid(np.asarray(h(f)) * dens, dx=du, axis=1))
-        return total
-
-    val, err, level = _refined(at_level, rel_tol, max_level)
+    val, err, level = _refined(
+        lambda lv: LevelField(tau_prof, deriv, r_max, lv).trace(h), rel_tol, max_level
+    )
     return MeasureResult(val, refine_error=err, r_max_delta=None, level=level)
 
 

@@ -508,6 +508,20 @@ class TauProfile:
         """Wrap an explicit radial callable; no weight needed."""
         return cls(lambda r: np.asarray(fn(r), dtype=float), "UserSupplied", r_hi)
 
+    @classmethod
+    def standard(cls, alpha):
+        """Closed-form tau of the standard weight: sqrt(pi/(alpha+1)) (1 - r^2)."""
+        c = np.sqrt(np.pi / (alpha + 1.0))
+        return cls.user_supplied(lambda r: c * (1.0 - np.asarray(r, float) ** 2))
+
+    @classmethod
+    def ce(cls, alpha):
+        """tau(r) = (1-r) / log^alpha(e/(1-r)), the Cauchy-type family's profile."""
+        return cls.user_supplied(
+            lambda r: (1.0 - np.asarray(r, float))
+            / (1.0 - np.log1p(-np.asarray(r, float))) ** alpha
+        )
+
     def _growth_check(self):
         # tau(r) = O(1-r) near 1, spot-checked: the ratio tau/(1-r) on the
         # outer grid must not blow past its inner-grid scale.

@@ -152,6 +152,18 @@ def test_gram_insufficient_moments():
         polynomial_gram(mt, PolynomialSymbol([0.0, 1.0]), 30)
 
 
+def test_gram_reads_moments_up_to_n_minus_1_plus_d(std0):
+    # the largest index polynomial_gram reads is N - 1 + d
+    sym = PolynomialSymbol([1.0, 0.5, 0.25])
+    N = 40
+    exact = MomentTable(std0.weight, std0.log_values[: N + 3], std0.rel_tol)
+    G = polynomial_gram(exact, sym, N)
+    np.testing.assert_array_equal(G.band, polynomial_gram(std0, sym, N).band)
+    short = MomentTable(std0.weight, std0.log_values[: N + 2], std0.rel_tol)
+    with pytest.raises(InsufficientMomentsError):
+        polynomial_gram(short, sym, N)
+
+
 def test_oracle_zero_symbol():
     Gz, _ = dense_gram_oracle(RadialWeight.standard(0.0), PolynomialSymbol([0.0]), 6)
     assert np.abs(Gz).max() < 1e-14

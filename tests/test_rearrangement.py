@@ -5,10 +5,10 @@ from bhl import rearrangement
 from bhl.errors import NonConvergedError, WeightDomainError
 from bhl.hankel import PolynomialSymbol
 from bhl.rearrangement import (
+    LevelField,
     MeasureResult,
     SymbolDerivative,
     _cover_counts,
-    _measure_at,
     _refined,
     besov_sum,
     bloch_norm,
@@ -82,6 +82,25 @@ def test_ce_abs_grid_matches_mpmath(gamma):
                 assert abs(got[i, j] - ref) <= 1e-13 * ref, (rj, th)
 
 
+@pytest.mark.parametrize("gamma", [1.1, 1.5, 3.0])
+def test_ce_call_matches_mpmath(gamma):
+    # pointwise evaluation against 40-digit complex arithmetic at the
+    # same double-precision z, down to 1 - |z| = 1e-9 next to z = 1
+    mpmath = pytest.importorskip("mpmath")
+    r = 1.0 - np.array([0.5, 1e-3, 1e-6, 1e-9])
+    theta = np.array([0.0, 1e-12, 1e-6, 0.1, np.pi])
+    z = (r[None, :] * np.exp(1j * theta[:, None])).ravel()
+    ce = SymbolDerivative.ce_family(gamma)
+    got = ce(z)
+    assert got.shape == z.shape
+    assert float(ce(z[7])) == got[7]
+    with mpmath.workdps(40):
+        for zi, gi in zip(z, got):
+            w = 1 - mpmath.mpc(zi.real, zi.imag)
+            ref = float(1 / (abs(w) * abs(1 - mpmath.log(w)) ** mpmath.mpf(gamma)))
+            assert abs(gi - ref) <= 1e-13 * ref, zi
+
+
 def test_measure_result_is_float_with_metadata(tau0, dz):
     R = level_measure(tau0, dz, 0.5, 0.99)
     assert isinstance(R, float) and isinstance(R, MeasureResult)
@@ -93,7 +112,7 @@ def test_refinement_level_is_reported(tau0):
     dmix = SymbolDerivative.polynomial([1.0, 0.6])
     R = level_measure(tau0, dmix, 1.0, 0.99)
     assert R.level in range(1, 6)
-    assert float(R) == _measure_at(tau0, dmix, 1.0, 0.99, R.level)
+    assert float(R) == LevelField(tau0, dmix, 0.99, R.level).measure(1.0)
     tr = trace_integral(tau0, dmix, lambda t: t**2, 0.99)
     assert tr.level in range(1, 6)
 
@@ -174,14 +193,16 @@ def test_rearrangement_plus_inverts_measure(tau0, dz):
 def _rplus_probe_by_probe(tau_prof, deriv, x, r_max, iters):
     """rearrangement_plus as a plain bisection that rebuilds the field per probe."""
     T = bloch_norm(tau_prof, deriv, r_max=r_max)
-    _, _, level = _refined(lambda lv: _measure_at(tau_prof, deriv, T / 8.0, r_max, lv), 1e-4, 5)
+    _, _, level = _refined(
+        lambda lv: LevelField(tau_prof, deriv, r_max, lv).measure(T / 8.0), 1e-4, 5
+    )
     t_lo, t_hi = T * 2.0**-10, T * (1.0 + 1e-9)
-    assert _measure_at(tau_prof, deriv, t_hi, r_max, level) < x
-    while _measure_at(tau_prof, deriv, t_lo, r_max, level) < x:
+    assert LevelField(tau_prof, deriv, r_max, level).measure(t_hi) < x
+    while LevelField(tau_prof, deriv, r_max, level).measure(t_lo) < x:
         t_lo *= 0.25
     for _ in range(iters):
         mid = np.sqrt(t_lo * t_hi)
-        if _measure_at(tau_prof, deriv, mid, r_max, level) >= x:
+        if LevelField(tau_prof, deriv, r_max, level).measure(mid) >= x:
             t_lo = mid
         else:
             t_hi = mid
@@ -206,6 +227,16 @@ def test_rearrangement_plus_matches_probe_by_probe(tau0, symbol, field_bytes, mo
     monkeypatch.setattr(rearrangement, "_FIELD_BYTES", field_bytes)
     rp = rearrangement_plus(tau, deriv, x, r_max, iters=16)
     assert rp == _rplus_probe_by_probe(tau, deriv, x, r_max, 16)
+
+
+def test_level_field_rplus_edges(tau0, dz):
+    field = LevelField(tau0, dz, 0.99, 1)
+    with pytest.raises(ValueError):
+        field.rplus(0.0, SP)
+    assert field.rplus(1.0, 0.0) == 0.0  # a zero symbol: R+ is 0, no endless search
+    # a t_max below the sup: R >= x already at the top of the bracket
+    assert field.rplus(0.5, 1.0) == 1.0 + 1e-9
+    assert field.rplus(1e30, SP) == 0.0  # no t has R(t) that large
 
 
 def test_trace_integral_closed_forms(tau0, dz):

@@ -139,6 +139,21 @@ def test_user_profile_domain_enforced():
         prof(1.0)
 
 
+def test_closed_form_tau_profiles(std0):
+    # TauProfile.standard is the weight's own tau, computed from moments
+    std = TauProfile.standard(0.0)
+    for r in (0.0, 0.3, 0.7, 0.9):
+        assert abs(std(r) / tau(RadialWeight.standard(0.0), std0, r) - 1.0) < 1e-10
+    rr = np.linspace(0.0, 0.999, 11)
+    np.testing.assert_allclose(
+        TauProfile.standard(2.5)(rr), np.sqrt(np.pi / 3.5) * (1.0 - rr * rr), rtol=1e-15
+    )
+    ce = TauProfile.ce(1.5)
+    np.testing.assert_allclose(ce(rr), (1.0 - rr) / np.log(np.e / (1.0 - rr)) ** 1.5, rtol=1e-14)
+    # the provenance string is part of the bhl rearrange CSV footer
+    assert std.provenance == ce.provenance == "UserSupplied"
+
+
 def test_growth_check_rejects_non_vanishing_tau():
     # constant tau is not O(1-r); allowed only when r_hi keeps it away
     # from the boundary
