@@ -27,6 +27,9 @@ from .errors import (
 )
 from .rearrangement import _theta_cells
 
+# radii 1 - 2^-j tried by hardy_norm for the Cauchy-type family
+_MAX_DOUBLINGS = 48
+
 
 class AsymptoticLaw:
     """s_n ~ gamma * symbol_factor / (n + offset)^exponent."""
@@ -55,14 +58,14 @@ class AsymptoticLaw:
         )
 
 
-def hardy_norm(deriv, p, rel_tol=1e-6, max_doublings=48):
+def hardy_norm(deriv, p, rel_tol=1e-6):
     """||phi'||_{H^p} = (sup_r circle mean of |phi'|^p)^(1/p), p >= 1."""
     if not p >= 1.0:
         raise ValueError(f"hardy_norm needs p >= 1, got {p}")
     if deriv.kind == "poly":
         M = 1 << 16
         th = 2.0 * np.pi * (np.arange(M) + 0.5) / M
-        vals = np.abs(np.polyval(deriv.coeffs[::-1], np.exp(1j * th)))
+        vals = deriv(np.exp(1j * th))
         return float(np.mean(vals**p)) ** (1.0 / p)
     if p == 1.0 and deriv.gamma <= 1.0:
         raise DivergenceError(
@@ -73,7 +76,7 @@ def hardy_norm(deriv, p, rel_tol=1e-6, max_doublings=48):
     # doublings, convergence as shrinking increments
     norms = []
     last_change = np.inf
-    for j in range(1, max_doublings + 1):
+    for j in range(1, _MAX_DOUBLINGS + 1):
         r_j = -np.expm1(j * np.log(0.5))  # 1 - 2^-j without rounding to 1
         theta, wts = _theta_cells(deriv, r_j, 2)
         vals = deriv.abs_grid(np.array([r_j]), theta)[:, 0]
@@ -89,7 +92,7 @@ def hardy_norm(deriv, p, rel_tol=1e-6, max_doublings=48):
                 f"(gamma={deriv.gamma}): {norm:.3e} at radius 1-2^-{j}"
             )
     raise NonConvergedError(
-        f"H^{p} circle means still moving after {max_doublings} radius "
+        f"H^{p} circle means still moving after {_MAX_DOUBLINGS} radius "
         f"doublings (last relative change {last_change:.2e})"
     )
 

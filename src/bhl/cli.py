@@ -219,7 +219,8 @@ def cmd_spectrum(cfg, out):
     sym = cfg.polynomial_symbol()
     deriv = SymbolDerivative.from_symbol(sym)
     N = cfg.n()
-    mt = compute_moments(w, 2 * N - 1 + 2 * sym.degree + 1, rel_tol=cfg.rel_tol())
+    # the doubling check reads G_2N, which needs moments up to 2N - 1 + d
+    mt = compute_moments(w, 2 * N - 1 + sym.degree, rel_tol=cfg.rel_tol())
     spec = singular_values(polynomial_gram(mt, sym, N))
     if w.kind == "standard":
         law = predict_symbol(predict_standard(w.alpha), deriv, 1.0)

@@ -187,7 +187,7 @@ def polynomial_gram(mt, symbol, N):
     return BandedGram(band, symbol, mt)
 
 
-def dense_gram_oracle(w, symbol, N, n_r=None, n_theta=None):
+def dense_gram_oracle(w, symbol, N):
     """Independent dense Gram section by two-dimensional polar quadrature.
 
     Builds A[m,n] = <phibar e_m, phibar e_n> and the analytic projection
@@ -205,10 +205,8 @@ def dense_gram_oracle(w, symbol, N, n_r=None, n_theta=None):
     if N < 1 or N > 64:
         raise WeightDomainError(f"oracle is for small sections, N in [1, 64]; got {N}")
     d = symbol.degree
-    if n_theta is None:
-        n_theta = 2 * (N + 2 * d) + 7
-    if n_r is None:
-        n_r = max(160, N + 2 * d + 40)
+    n_theta = 2 * (N + 2 * d) + 7
+    n_r = max(160, N + 2 * d + 40)
 
     def assemble(n_r, n_theta):
         x, wx = np.polynomial.legendre.leggauss(n_r)

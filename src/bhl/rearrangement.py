@@ -427,6 +427,33 @@ class Lattice:
         )
 
 
+def _rings(tau_prof, delta, r_start, r_max, phase):
+    """Yield (tau(r), points) of the lattice scan rings from r_start out to r_max.
+
+    Rings are delta*tau(r)/8 apart and hold max(8, ceil(2 pi r / step))
+    points at angles 2 pi (j + phase)/M; every other ring is turned half
+    a cell.  A ring at r = 0 is the single point 0.
+    """
+    r = r_start
+    ring_idx = 0
+    while r <= r_max:
+        tau_r = float(tau_prof(r))
+        step = delta * tau_r / 8.0
+        if r == 0.0:
+            pts = np.array([0.0 + 0.0j])
+        else:
+            M = max(8, int(np.ceil(2.0 * np.pi * r / step)))
+            th = 2.0 * np.pi * (np.arange(M) + phase + 0.5 * (ring_idx % 2)) / M
+            pts = r * np.exp(1j * th)
+        yield tau_r, pts
+        r += step
+        ring_idx += 1
+
+
+def _tree(z):
+    return cKDTree(np.column_stack([z.real, z.imag]))
+
+
 def build_lattice(tau_prof, delta, r_max, b=1.25):
     """Greedy (tau, delta)-lattice on {|z| <= r_max}, covering-verified.
 
@@ -451,39 +478,16 @@ def build_lattice(tau_prof, delta, r_max, b=1.25):
             f"needs b >= {1.0 + C / 8.0:.3f}"
         )
 
-    centers = []
-    taus = []
-    tree = None
-    pending = 0
-    r = 0.0
-    ring_idx = 0
-    while r <= r_max:
-        tau_r = float(tau_prof(r))
-        step = delta * tau_r / 8.0
-        if r == 0.0:
-            cand = np.array([0.0 + 0.0j])
-        else:
-            M = max(8, int(np.ceil(2.0 * np.pi * r / step)))
-            th = 2.0 * np.pi * (np.arange(M) + 0.5 * (ring_idx % 2)) / M
-            cand = r * np.exp(1j * th)
+    centers = np.empty(0, dtype=complex)
+    taus = np.empty(0)
+    for tau_r, cand in _rings(tau_prof, delta, 0.0, r_max, 0.0):
+        # the KD distances only select the pairs within reach of the ring;
+        # the strict disk test on them is exact
+        reach = delta * C * tau_r * 1.0001 + 1e-15
+        pairs = _tree(cand).sparse_distance_matrix(_tree(centers), reach, output_type="ndarray")
+        ic, kc = pairs["i"], pairs["j"]
         keep = np.ones(len(cand), dtype=bool)
-        if centers:
-            pts = np.column_stack([cand.real, cand.imag])
-            if tree is not None and len(centers) - pending > 0:
-                radius = delta * C * tau_r * 1.0001 + 1e-15
-                hits = tree.query_ball_point(pts, radius)
-                base = np.array(centers[: len(centers) - pending])
-                base_tau = np.array(taus[: len(centers) - pending])
-                for i, hit in enumerate(hits):
-                    for k in hit:
-                        if abs(cand[i] - base[k]) < delta * base_tau[k]:
-                            keep[i] = False
-                            break
-            if pending:
-                tail = np.array(centers[-pending:])
-                tail_tau = np.array(taus[-pending:])
-                d = np.abs(cand[:, None] - tail[None, :])
-                keep &= ~np.any(d < delta * tail_tau[None, :], axis=1)
+        keep[ic[np.abs(cand[ic] - centers[kc]) < delta * taus[kc]]] = False
         # sequential intra-ring acceptance
         accepted_here = []
         for i in np.nonzero(keep)[0]:
@@ -495,32 +499,16 @@ def build_lattice(tau_prof, delta, r_max, b=1.25):
             if ok:
                 tz = float(tau_prof(abs(cand[i])))
                 accepted_here.append((cand[i], tz))
-        for zc, tz in accepted_here:
-            centers.append(zc)
-            taus.append(tz)
-        pending += len(accepted_here)
-        if pending > 512:
-            pts_all = np.array(centers)
-            tree = cKDTree(np.column_stack([pts_all.real, pts_all.imag]))
-            pending = 0
-        r += step
-        ring_idx += 1
-
-    centers = np.array(centers)
-    taus = np.array(taus)
+        if accepted_here:
+            zs, ts = zip(*accepted_here)
+            centers = np.concatenate([centers, zs])
+            taus = np.concatenate([taus, ts])
 
     # verification grid: rings offset by half a step, angles offset too
-    test_pts = [0.5 * delta * float(tau_prof(0.0)) / 8.0 + 0.0j]
-    r = float(abs(test_pts[0]))
-    ring_idx = 0
-    while r <= r_max:
-        step = delta * float(tau_prof(r)) / 8.0
-        M = max(8, int(np.ceil(2.0 * np.pi * r / step)))
-        th = 2.0 * np.pi * (np.arange(M) + 0.25 + 0.5 * (ring_idx % 2)) / M
-        test_pts.extend(r * np.exp(1j * th))
-        r += step
-        ring_idx += 1
-    test = np.array(test_pts)
+    r0 = 0.5 * delta * float(tau_prof(0.0)) / 8.0
+    test = np.concatenate(
+        [[r0 + 0.0j]] + [pts for _, pts in _rings(tau_prof, delta, r0, r_max, 0.25)]
+    )
     test = test[np.abs(test) <= r_max]
     counts, covered = _cover_counts(test, centers, taus, delta, b)
     miss = np.nonzero(~covered)[0]
@@ -540,7 +528,7 @@ def build_lattice(tau_prof, delta, r_max, b=1.25):
 
 def _cover_counts(test, centers, taus, delta, b):
     """Per test point: how many b-dilated disks hold it, and whether an undilated one does."""
-    ttree = cKDTree(np.column_stack([test.real, test.imag]))
+    ttree = _tree(test)
     counts = np.zeros(len(test), dtype=np.int32)
     covered = np.zeros(len(test), dtype=bool)
     for zc, tz in zip(centers, taus):

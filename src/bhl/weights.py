@@ -554,16 +554,21 @@ class TauProfile:
         return C
 
 
-def tau_profile(w, mt, tail_tol=1e-12, grid_step=0.005, validate_tol=1e-6):
+# tau_profile's u-grid spacing and its validation tolerance
+_TAU_GRID_STEP = 0.005
+_TAU_VALIDATE_TOL = 1e-6
+
+
+def tau_profile(w, mt, tail_tol=1e-12):
     """Memoized tau with monotone-spline evaluation between grid nodes.
 
     Caches log ||K_r||^2 against u = log(1/(1-r)) on a uniform u-grid out
     to the largest radius the kernel series supports at the table's
     n_max, then validates against direct tau() at 100 random radii to
-    ``validate_tol`` relative error.  Only the kernel factor is
-    interpolated: the density factor of tau is closed-form per family
-    and can carry unbounded u-derivatives near r = 0 (ExpLog), which no
-    fixed grid would resolve.
+    1e-6 relative error.  Only the kernel factor is interpolated: the
+    density factor of tau is closed-form per family and can carry
+    unbounded u-derivatives near r = 0 (ExpLog), which no fixed grid
+    would resolve.
     """
     # probe outward until the series runs out of moments; the probe walks
     # the same u-lattice the grid is built on so no grid node lands past
@@ -571,14 +576,14 @@ def tau_profile(w, mt, tail_tol=1e-12, grid_step=0.005, validate_tol=1e-6):
     u_hi = 0.0
     while u_hi < 40.0:
         try:
-            _log_kernel_norm_sq(mt, 1.0 - np.exp(-(u_hi + grid_step)), tail_tol)
+            _log_kernel_norm_sq(mt, 1.0 - np.exp(-(u_hi + _TAU_GRID_STEP)), tail_tol)
         except InsufficientMomentsError:
             break
-        u_hi += grid_step
-    u = np.arange(0.0, u_hi + 0.5 * grid_step, grid_step)
+        u_hi += _TAU_GRID_STEP
+    u = np.arange(0.0, u_hi + 0.5 * _TAU_GRID_STEP, _TAU_GRID_STEP)
     # the monotone spline estimates edge derivatives one-sidedly with h^2
     # error, so refine the first and last interval
-    edge = grid_step * np.array([0.125, 0.25, 0.5, 0.75])
+    edge = _TAU_GRID_STEP * np.array([0.125, 0.25, 0.5, 0.75])
     u = np.unique(np.concatenate([u, edge, u[-1] - edge]))
     r_grid = 1.0 - np.exp(-u)
     log_k = np.array(
@@ -603,8 +608,8 @@ def tau_profile(w, mt, tail_tol=1e-12, grid_step=0.005, validate_tol=1e-6):
     sample = rng.uniform(0.0, r_hi, 100)
     direct = np.array([tau(w, mt, ri, tail_tol) for ri in sample])
     rel = np.abs(prof(sample) / direct - 1.0)
-    if np.max(rel) > validate_tol:
+    if np.max(rel) > _TAU_VALIDATE_TOL:
         raise QuadratureError(
-            f"tau profile interpolation error {np.max(rel):.2e} exceeds {validate_tol}"
+            f"tau profile interpolation error {np.max(rel):.2e} exceeds {_TAU_VALIDATE_TOL}"
         )
     return prof

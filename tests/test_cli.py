@@ -129,6 +129,22 @@ def test_spectrum_deterministic_bytes(tmp_path):
     assert 0.0 <= float(footer["doubling_drift"]) <= 1e-6
 
 
+def test_spectrum_moment_table_ends_where_the_doubled_section_reads(tmp_path, monkeypatch):
+    # the doubling check reads G_2N, whose band needs moments up to 2N - 1 + d
+    requested = []
+    real = cli.compute_moments
+
+    def recording(w, n_max, **kw):
+        requested.append(n_max)
+        return real(w, n_max, **kw)
+
+    monkeypatch.setattr(cli, "compute_moments", recording)
+    quadratic = SPECTRUM_STD0.replace("coeffs = 1.0", "coeffs = 1.0, 0.25")
+    code, _ = run(tmp_path, quadratic, "spectrum", "s.csv")
+    assert code == 0
+    assert requested == [2 * 60 - 1 + 2]
+
+
 def test_spectrum_requires_polynomial(tmp_path):
     code, _ = run(tmp_path, SPECTRUM_STD0.replace("coeffs = 1.0", "ce_gamma = 1.5"),
                   "spectrum")

@@ -296,6 +296,47 @@ def test_build_lattice_standard_tau_invariants(lat01):
     assert np.all(d >= bound)
 
 
+def _greedy_lattice_reference(tau_prof, delta, r_max):
+    """Scan points in ring order; accept one iff no accepted disk holds it."""
+    rings = []
+    r, ring = 0.0, 0
+    while r <= r_max:
+        step = delta * float(tau_prof(r)) / 8.0
+        if r == 0.0:
+            rings.append(np.array([0.0 + 0.0j]))
+        else:
+            M = max(8, int(np.ceil(2.0 * np.pi * r / step)))
+            th = 2.0 * np.pi * (np.arange(M) + 0.5 * (ring % 2)) / M
+            rings.append(r * np.exp(1j * th))
+        r += step
+        ring += 1
+    pts = np.concatenate(rings)
+    zc = np.empty(len(pts), dtype=complex)
+    rad = np.empty(len(pts))
+    n = 0
+    for z in pts:
+        if not np.any(np.abs(z - zc[:n]) < rad[:n]):
+            zc[n] = z
+            rad[n] = delta * float(tau_prof(abs(z)))
+            n += 1
+    return zc[:n]
+
+
+@pytest.mark.parametrize(
+    "tau_prof, delta, r_max, b",
+    [
+        (TauProfile.standard(0.0), 0.25, 0.8, 1.5),
+        (TauProfile.standard(0.0), 0.2, 0.99, 1.5),
+        (TauProfile.user_supplied(lambda r: np.full_like(np.asarray(r, float), 0.15), r_hi=0.9),
+         0.3, 0.6, 1.25),
+    ],
+    ids=["standard-0.25-0.8", "standard-0.2-0.99", "constant-0.3-0.6"],
+)
+def test_build_lattice_matches_brute_force_greedy(tau_prof, delta, r_max, b):
+    lat = build_lattice(tau_prof, delta, r_max, b=b)
+    np.testing.assert_array_equal(lat.centers, _greedy_lattice_reference(tau_prof, delta, r_max))
+
+
 def test_cover_counts_matches_brute_force():
     rng = np.random.default_rng(3)
     test = rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-1, 1, 4000)
