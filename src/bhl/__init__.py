@@ -35,9 +35,7 @@ from .hankel import (
     PolynomialSymbol,
     dense_gram_oracle,
     hz_squared_sequence,
-    monomial_gram_diagonal,
     polynomial_gram,
-    toeplitz_radial_eigs,
 )
 from .rearrangement import (
     Lattice,

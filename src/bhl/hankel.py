@@ -19,11 +19,8 @@ G = A - C C* from inner products against the grid's own normalization.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import LogConvexityError, WeightDomainError
-
-_QUAD_OPTS = dict(epsabs=1e-300, limit=200)
 
 
 class PolynomialSymbol:
@@ -129,27 +126,6 @@ def hz_squared_sequence(mt, n_max):
     return out
 
 
-def monomial_gram_diagonal(mt, k, N):
-    """Diagonal of H_{zbar^k}* H_{zbar^k} on e_0..e_{N-1}.
-
-    For radial weights the operator is diagonal in the monomial basis:
-    lambda_m = m[m+k]/m[m] - [m >= k] m[m]/m[m-k].
-    """
-    k = int(k)
-    N = int(N)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    out = polynomial_gram(mt, PolynomialSymbol([0.0] * (k - 1) + [1.0]), N).diagonal()
-    bad = np.nonzero(out < -1e-13)[0]
-    if bad.size:
-        raise LogConvexityError(
-            f"monomial diagonal negative at m={int(bad[0])} ({out[bad[0]]:.3e})"
-        )
-    return out
-
-
 def polynomial_gram(mt, symbol, N):
     """Exact banded finite section G[0..N-1][0..N-1] for a polynomial symbol.
 
@@ -237,40 +213,3 @@ def dense_gram_oracle(w, symbol, N):
     G_lo = assemble(max(24, (2 * n_r) // 3), n_theta + 4)
     err = float(np.max(np.abs(G - G_lo)))
     return G, err
-
-
-def toeplitz_radial_eigs(mt, density, N):
-    """Eigenvalues of the Toeplitz operator with radial density g.
-
-    For dmu = g(r) dA the operator is diagonal on monomials with
-    eigenvalue_n = (2 pi int_0^1 r^(2n+1) g(r) w(r) dr) / m[n].
-    """
-    N = int(N)
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    mt.require(N - 1)
-    w = mt.weight
-    out = np.empty(N)
-    for n in range(N):
-        if w.kind == "standard":
-            # t = r^2; QAWS handles the (1-t)^alpha endpoint factor
-            val, _ = quad(
-                lambda t: (w.alpha + 1.0) * t**n * float(density(np.sqrt(t))),
-                0.0,
-                1.0,
-                weight="alg",
-                wvar=(0.0, w.alpha),
-                epsrel=1e-12,
-                **_QUAD_OPTS,
-            )
-        else:
-            val, _ = quad(
-                lambda r: 2.0 * np.pi * r ** (2 * n + 1) * float(density(r)) * float(w.density(r)),
-                0.0,
-                1.0,
-                epsrel=1e-12,
-                points=[1.0 - 1.0 / (n + 2.0)] if n >= 8 else None,
-                **_QUAD_OPTS,
-            )
-        out[n] = val / mt.values[n]
-    return out

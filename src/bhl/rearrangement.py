@@ -31,6 +31,15 @@ from .errors import CoveringError, NonConvergedError, WeightDomainError
 # finer fields (0.5 GiB for phi = z + c z^2 at level 4) are rebuilt per probe
 _FIELD_BYTES = 256 * 2**20
 
+# |w|^2 of the Cauchy-type kernel is a normal, finite double while
+# |log |w|| stays below this (|w|^2 within 1e-295 and 1e295)
+_LOG_W_MAX = 340.0
+
+# LevelField.rplus probes a held field whole for this many bisection
+# steps, then only the cells that straddle its bracket; on the first
+# 10-octave bracket nearly every cell straddles
+_HELD_STEPS = 6
+
 
 class SymbolDerivative:
     """|phi'| evaluation for polynomial symbols or the Cauchy-type family.
@@ -110,12 +119,20 @@ class SymbolDerivative:
     def _ce_abs(self, rew, imw):
         """1/(|w| |1 - log w|^gamma) from w's real and imaginary parts.
 
-        Real arithmetic only.  log w = L + iA; hypot keeps a tiny |w|
-        from underflowing, and the in-place steps (imw is overwritten)
-        keep block-sized temporaries, so peak memory, down.
+        Real arithmetic only.  log w = L + iA with L = log(|w|^2)/2,
+        which skips hypot; where |L| > _LOG_W_MAX, |w|^2 may have
+        under- or overflowed and L is log hypot instead.  The in-place
+        steps keep block-sized temporaries, so peak memory, down.
         """
         A = np.arctan2(imw, rew)
-        L = np.log(np.hypot(rew, imw, out=imw), out=imw)
+        with np.errstate(over="ignore", divide="ignore"):
+            L = np.square(rew)
+            L += np.square(imw)
+            L = np.log(L, out=L)
+        L *= 0.5
+        if L.size and not -_LOG_W_MAX <= L.min() <= L.max() <= _LOG_W_MAX:
+            off = np.abs(L) > _LOG_W_MAX
+            L[off] = np.log(np.hypot(rew[off], imw[off]))
         A *= A
         A += (1.0 - L) ** 2
         return np.exp(-L - 0.5 * self.gamma * np.log(A, out=A), out=A)
@@ -164,30 +181,16 @@ def _theta_cells(deriv, r_max, level):
     return theta, 2.0 * wts
 
 
-def _slice_integrals(f, dens, du, t):
-    """Per-row integral of dens over {f > t} along the u axis.
+def _crossing_mass(f0, f1, d0, d1, du, t):
+    """du-integral over {f > t} of a cell where f crosses t, both linear in u.
 
-    Trapezoid on the indicator-masked integrand plus a linear-crossing
-    correction in each cell where f - t changes sign.
+    f0, d0 and f1, d1 are the field and dens at the cell's two nodes.
     """
-    ind = f > t
-    base = np.where(ind, dens[None, :], 0.0)
-    I = np.trapezoid(base, dx=du, axis=1)
-    flips = ind[:, :-1] != ind[:, 1:]
-    ii, jj = np.nonzero(flips)
-    if ii.size:
-        f0 = f[ii, jj]
-        f1 = f[ii, jj + 1]
-        frac = (t - f0) / (f1 - f0)
-        d0 = dens[jj]
-        d1 = dens[jj + 1]
-        dm = d0 + (d1 - d0) * frac
-        left = du * 0.5 * (d0 + dm) * frac
-        right = du * 0.5 * (dm + d1) * (1.0 - frac)
-        counted = np.where(f0 > t, du * 0.5 * d0, 0.0) + np.where(f1 > t, du * 0.5 * d1, 0.0)
-        corr = np.where(f0 > t, left, right) - counted
-        np.add.at(I, ii, corr)
-    return I
+    frac = (t - f0) / (f1 - f0)
+    dm = d0 + (d1 - d0) * frac
+    left = du * 0.5 * (d0 + dm) * frac
+    right = du * 0.5 * (dm + d1) * (1.0 - frac)
+    return np.where(f0 > t, left, right)
 
 
 class LevelField:
@@ -207,6 +210,9 @@ class LevelField:
         self._r = -np.expm1(-u)
         self._tau = np.asarray(tau_prof(self._r), dtype=float)
         self.dens = self._r * (1.0 - self._r) / self._tau**2
+        # the trapezoid rule along u: weights du*dens, halved at both ends
+        self._wu = self.du * self.dens
+        self._wu[[0, -1]] *= 0.5
         self._deriv = deriv
         if deriv.is_radial:
             self._theta, self._wts = None, np.array([2.0 * np.pi])
@@ -221,10 +227,28 @@ class LevelField:
             f = self._deriv.abs_grid(self._r, self._theta[lo : lo + 256])
             yield self._wts[lo : lo + 256], self._tau[None, :] * f
 
+    def _slice_integrals(self, f, t):
+        """Per-row integral of dens over {f > t} along the u axis.
+
+        The trapezoid rule on the indicator-masked integrand plus a
+        linear-crossing correction in each cell where f - t changes sign.
+        """
+        ind = f > t
+        I = (ind * self._wu).sum(axis=1)
+        ii, jj = np.nonzero(ind[:, :-1] != ind[:, 1:])
+        if ii.size:
+            f0 = f[ii, jj]
+            d0 = self.dens[jj]
+            d1 = self.dens[jj + 1]
+            # the masked sum gave the cell the half weight of its one node above t
+            counted = np.where(f0 > t, d0, d1) * (self.du * 0.5)
+            np.add.at(I, ii, _crossing_mass(f0, f[ii, jj + 1], d0, d1, self.du, t) - counted)
+        return I
+
     def _mass(self, blocks, t):
         total = 0.0
         for wts, f in blocks:
-            total += float(wts @ _slice_integrals(f, self.dens, self.du, t))
+            total += float(wts @ self._slice_integrals(f, t))
         return total
 
     def measure(self, t):
@@ -235,8 +259,28 @@ class LevelField:
         """int h(tau|phi'|) dA/tau^2 on this level."""
         total = 0.0
         for wts, f in self.blocks():
-            total += float(wts @ np.trapezoid(np.asarray(h(f)) * self.dens, dx=self.du, axis=1))
+            total += float(wts @ (np.asarray(h(f)) * self._wu).sum(axis=1))
         return total
+
+    def _straddling(self, held, cell, t_lo, t_hi):
+        """Split the held field's cells by the bracket (t_lo, t_hi].
+
+        ``cell`` is each u cell's whole mass.  Returns the mass of the
+        cells above the bracket (both nodes > t_hi), which is whole at
+        every t in it, and the node values, left node index and row
+        weight of the cells whose range meets it; cells with both nodes
+        <= t_lo have no mass there.
+        """
+        full = 0.0
+        parts = []
+        for wts, f in held:
+            low = np.minimum(f[:, :-1], f[:, 1:])
+            full += float(wts @ ((low > t_hi) * cell).sum(axis=1))
+            meets = low <= t_hi
+            meets &= np.maximum(f[:, :-1], f[:, 1:]) > t_lo
+            ii, jj = np.nonzero(meets)
+            parts.append((f[ii, jj], f[ii, jj + 1], jj, wts[ii]))
+        return (full,) + tuple(np.concatenate(p) for p in zip(*parts))
 
     def rplus(self, x, t_max, iters=48):
         """R+(x) = sup { t : R(t) >= x } on this level, by bisection in log t.
@@ -246,12 +290,17 @@ class LevelField:
         returned value is the high end of the final bracket, which
         preserves R+(R(t)) >= t.  If even the smallest probed level has
         R < x the sup runs over an empty set and 0 is returned.
+
+        A held field is probed whole for the first _HELD_STEPS
+        bisection steps only; after that only the cells whose range
+        meets the bracket are kept, and they drop out as it shrinks.
         """
         if not x > 0.0:
             raise ValueError(f"rplus needs x > 0, got {x}")
         if t_max == 0.0:
             return 0.0
         # the field is rows x columns float64; hold it only if it fits
+        held = None
         if len(self._wts) * len(self.dens) * 8 <= _FIELD_BYTES:
             held = list(self.blocks())
             R = lambda t: self._mass(held, t)
@@ -265,12 +314,35 @@ class LevelField:
             t_lo *= 0.25
             if t_lo < t_max * 1e-15:
                 return 0.0
-        for _ in range(iters):
+        whole = iters if held is None else min(iters, _HELD_STEPS)
+        for _ in range(whole):
             mid = np.sqrt(t_lo * t_hi)
             if R(mid) >= x:
                 t_lo = mid
             else:
                 t_hi = mid
+        if whole == iters:
+            return float(t_hi)
+        cell = 0.5 * self.du * (self.dens[:-1] + self.dens[1:])
+        full, f0, f1, jj, wr = self._straddling(held, cell, t_lo, t_hi)
+        del held, R  # release the whole field; only the gathered cells are probed
+        for _ in range(iters - whole):
+            mid = np.sqrt(t_lo * t_hi)
+            a0 = f0 > mid
+            a1 = f1 > mid
+            both = a0 & a1
+            inside = float(wr[both] @ cell[jj[both]])
+            c = np.nonzero(a0 != a1)[0]
+            j = jj[c]
+            cut = _crossing_mass(f0[c], f1[c], self.dens[j], self.dens[j + 1], self.du, mid)
+            if full + inside + float(wr[c] @ cut) >= x:
+                t_lo = mid
+                keep = a0 | a1  # cells at or below mid are empty from here on
+            else:
+                t_hi = mid
+                full += inside  # cells above mid are whole from here on
+                keep = ~both
+            f0, f1, jj, wr = f0[keep], f1[keep], jj[keep], wr[keep]
         return float(t_hi)
 
 

@@ -6,9 +6,7 @@ from bhl.hankel import (
     PolynomialSymbol,
     dense_gram_oracle,
     hz_squared_sequence,
-    monomial_gram_diagonal,
     polynomial_gram,
-    toeplitz_radial_eigs,
 )
 from bhl.weights import MomentTable, RadialWeight, compute_moments
 
@@ -62,7 +60,7 @@ def test_hz_squared_rejects_log_concave_table(std0):
 
 def test_monomial_diagonal_closed_form(std0):
     for k in (1, 2, 5):
-        d = monomial_gram_diagonal(std0, k, 400)
+        d = polynomial_gram(std0, PolynomialSymbol([0.0] * (k - 1) + [1.0]), 400).diagonal()
         m = np.arange(400)
         sel = m >= k
         cf = k * k / ((m[sel] + 1.0) * (m[sel] + k + 1.0))
@@ -70,7 +68,7 @@ def test_monomial_diagonal_closed_form(std0):
         # below the band head the operator reduces to a moment ratio
         head = std0.values[m[~sel] + k] / std0.values[m[~sel]]
         np.testing.assert_allclose(d[~sel], head, rtol=1e-12)
-    d2 = monomial_gram_diagonal(std0, 2, 2)
+    d2 = polynomial_gram(std0, PolynomialSymbol([0.0, 1.0]), 2).diagonal()
     assert abs(d2[1] - 0.5) < 1e-14
 
 
@@ -167,10 +165,3 @@ def test_gram_reads_moments_up_to_n_minus_1_plus_d(std0):
 def test_oracle_zero_symbol():
     Gz, _ = dense_gram_oracle(RadialWeight.standard(0.0), PolynomialSymbol([0.0]), 6)
     assert np.abs(Gz).max() < 1e-14
-
-
-def test_toeplitz_radial_eigs(std0):
-    te1 = toeplitz_radial_eigs(std0, lambda r: np.ones_like(r), 20)
-    np.testing.assert_allclose(te1, 1.0, rtol=1e-13)
-    te2 = toeplitz_radial_eigs(std0, lambda r: 1.0 - r * r, 20)
-    np.testing.assert_allclose(te2, 1.0 / (np.arange(20) + 2.0), rtol=1e-12)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,15 +92,20 @@ def test_ce_call_matches_mpmath(gamma):
     r = 1.0 - np.array([0.5, 1e-3, 1e-6, 1e-9])
     theta = np.array([0.0, 1e-12, 1e-6, 0.1, np.pi])
     z = (r[None, :] * np.exp(1j * theta[:, None])).ravel()
+    # |w|^2 underflows at w = 1e-200 i and loses digits at 1e-160 i, and
+    # overflows at z = -1e200
+    z = np.concatenate([z, [1 - 1e-200j, 1 - 1e-160j, -1e200]])
     ce = SymbolDerivative.ce_family(gamma)
     got = ce(z)
     assert got.shape == z.shape
     assert float(ce(z[7])) == got[7]
+    # w = 1e-200 is no double's 1 - z, so it enters the kernel as w's parts
+    w_real = ce._ce_abs(np.array([1e-200]), np.array([0.0]))
     with mpmath.workdps(40):
-        for zi, gi in zip(z, got):
-            w = 1 - mpmath.mpc(zi.real, zi.imag)
-            ref = float(1 / (abs(w) * abs(1 - mpmath.log(w)) ** mpmath.mpf(gamma)))
-            assert abs(gi - ref) <= 1e-13 * ref, zi
+        for wi, gi in zip([1 - mpmath.mpc(zi.real, zi.imag) for zi in z] + [mpmath.mpf(1e-200)],
+                          list(got) + list(w_real)):
+            ref = float(1 / (abs(wi) * abs(1 - mpmath.log(wi)) ** mpmath.mpf(gamma)))
+            assert abs(gi - ref) <= 1e-13 * ref, wi
 
 
 def test_measure_result_is_float_with_metadata(tau0, dz):
@@ -190,19 +197,27 @@ def test_rearrangement_plus_inverts_measure(tau0, dz):
         assert rp >= t * (1.0 - 1e-3)
 
 
-def _rplus_probe_by_probe(tau_prof, deriv, x, r_max, iters):
-    """rearrangement_plus as a plain bisection that rebuilds the field per probe."""
+def _rplus_probe_by_probe(tau_prof, deriv, x, r_max, iters, hold=False):
+    """rearrangement_plus as a plain bisection that measures the whole field at every probe.
+
+    The field is rebuilt per probe, or with hold=True built once and
+    rescanned.
+    """
     T = bloch_norm(tau_prof, deriv, r_max=r_max)
     _, _, level = _refined(
         lambda lv: LevelField(tau_prof, deriv, r_max, lv).measure(T / 8.0), 1e-4, 5
     )
+    field = LevelField(tau_prof, deriv, r_max, level)
+    if hold:
+        held = list(field.blocks())
+        field.blocks = lambda: iter(held)
     t_lo, t_hi = T * 2.0**-10, T * (1.0 + 1e-9)
-    assert LevelField(tau_prof, deriv, r_max, level).measure(t_hi) < x
-    while LevelField(tau_prof, deriv, r_max, level).measure(t_lo) < x:
+    assert field.measure(t_hi) < x
+    while field.measure(t_lo) < x:
         t_lo *= 0.25
     for _ in range(iters):
         mid = np.sqrt(t_lo * t_hi)
-        if LevelField(tau_prof, deriv, r_max, level).measure(mid) >= x:
+        if field.measure(mid) >= x:
             t_lo = mid
         else:
             t_hi = mid
@@ -227,6 +242,50 @@ def test_rearrangement_plus_matches_probe_by_probe(tau0, symbol, field_bytes, mo
     monkeypatch.setattr(rearrangement, "_FIELD_BYTES", field_bytes)
     rp = rearrangement_plus(tau, deriv, x, r_max, iters=16)
     assert rp == _rplus_probe_by_probe(tau, deriv, x, r_max, 16)
+
+
+@pytest.mark.parametrize("case", ["c=0.1", "c=0.3", "c=0.5", "ce", "radial"])
+def test_rearrangement_plus_sweep_matches_whole_field_bisection(tau0, case):
+    # past its first steps rplus probes only the cells that straddle its
+    # bracket; over 48 steps it must stay within 1e-12 of probing all cells
+    if case == "ce":
+        tau = TauProfile.user_supplied(
+            lambda r: (1.0 - np.asarray(r, float)) / (1.0 - np.log1p(-np.asarray(r, float)))
+        )
+        deriv, xs, r_max = SymbolDerivative.ce_family(1.5), (3.0, 30.0, 300.0), 0.9
+    elif case == "radial":
+        tau, deriv, xs, r_max = tau0, SymbolDerivative.polynomial([1.0]), (0.5, 5.0, 50.0), 1.0 - 1e-5
+    else:
+        c = float(case[2:])
+        tau, deriv, xs, r_max = tau0, SymbolDerivative.polynomial([1.0, 2.0 * c]), (0.3, 3.0, 30.0), 0.99
+    for x in xs:
+        rp = rearrangement_plus(tau, deriv, x, r_max, iters=48)
+        ref = _rplus_probe_by_probe(tau, deriv, x, r_max, 48, hold=True)
+        assert abs(rp - ref) <= 1e-12 * ref, (x, rp, ref)
+
+
+def test_rearrangement_plus_peak_memory():
+    # the straddling cells are gathered only once the bracket is narrow;
+    # on the first 10-octave bracket nearly every cell straddles, and the
+    # gathered copies would outgrow the held field several times over
+    tau, deriv, x, r_max = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.9, 0.99
+    T = bloch_norm(tau, deriv, r_max=r_max)
+    _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4, 5)
+    field = LevelField(tau, deriv, r_max, level)
+    tracemalloc.start()
+    try:
+        held = list(field.blocks())
+        field_bytes = sum(f.nbytes for _, f in held)
+        hold_peak = tracemalloc.get_traced_memory()[1]
+        del held
+        tracemalloc.reset_peak()
+        rearrangement_plus(tau, deriv, x, r_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # building and holding the field peaks well above its own bytes (the
+    # polar grid's complex temporaries); R+ may add a quarter of it
+    assert peak - hold_peak <= 0.25 * field_bytes, (peak, hold_peak, field_bytes)
 
 
 def test_level_field_rplus_edges(tau0, dz):
