@@ -31,12 +31,7 @@ from .rearrangement import (
     rearrangement_plus,
 )
 from .spectrum import SingularSpectrum, psi_functionals, singular_values
-from .weights import (
-    RadialWeight,
-    TauProfile,
-    compute_moments,
-    moment_closed_form_standard,
-)
+from .weights import RadialWeight, TauProfile, compute_moments
 
 
 class CriterionResult:
@@ -87,17 +82,24 @@ def _diag_spectrum(cache, alpha, coeffs, N):
 
 
 def criterion_1(cache):
+    import mpmath  # only this criterion needs the 40-digit reference
+
     t0 = time.perf_counter()
     worst = 0.0
-    for alpha in (0.0, 1.0, 2.5):
-        mt = _get_moments(cache, "standard", 500, alpha=alpha)
-        n = np.arange(501)
-        exact = moment_closed_form_standard(alpha, n)
-        worst = max(worst, float(np.max(np.abs(mt.values[:501] - exact) / exact)))
+    with mpmath.workdps(40):
+        for alpha in (0.0, 1.0, 2.5):
+            mt = _get_moments(cache, "standard", 500, alpha=alpha)
+            # n + alpha + 2 is formed in mpmath: as a double sum it would
+            # already shift Gamma by about 1e-11 for non-dyadic alpha
+            a = mpmath.mpf(alpha)
+            lg = mpmath.loggamma(a + 2)
+            for n in range(501):
+                exact = mpmath.exp(mpmath.loggamma(n + 1) + lg - mpmath.loggamma(n + a + 2))
+                worst = max(worst, float(abs(mpmath.mpf(mt.values[n]) / exact - 1)))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-10 and dt <= 5.0
     return CriterionResult(
-        1, "moment closed form, alpha in {0, 1, 2.5}, n <= 500",
+        1, "moments vs 40-digit closed form, alpha in {0, 1, 2.5}, n <= 500",
         ok, f"worst rel err {worst:.2e} (<= 1e-10), runtime {dt:.2f}s (<= 5s)", dt,
     )
 

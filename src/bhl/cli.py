@@ -200,6 +200,7 @@ def _emit(path, header, rows, footer):
 def cmd_moments(cfg, out):
     w = cfg.weight()
     mt = compute_moments(w, cfg.n(), rel_tol=cfg.rel_tol())
+    src = mt.source
     rows = []
     for n in range(len(mt.values)):
         ratio = "nan" if n == 0 else _fmt(np.exp(mt.log_values[n] - mt.log_values[n - 1]))
@@ -210,6 +211,10 @@ def cmd_moments(cfg, out):
         ("convention", "m[n] = 2*pi*int_0^1 r^(2n+1) omega(r) dr"),
         ("ratio column", "m[n]/m[n-1], nan at n=0"),
         ("rel_tol achieved", _fmt(mt.rel_tol)),
+        ("moment route", src["route"]),
+        ("n_split", "none" if src["n_split"] is None else str(src["n_split"])),
+        ("check indices", " ".join(map(str, src["check_indices"])) or "none"),
+        ("check rel diff", "none" if src["check_diff"] is None else _fmt(src["check_diff"])),
     ])
     return 0
 

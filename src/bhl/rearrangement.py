@@ -121,21 +121,28 @@ class SymbolDerivative:
 
         Real arithmetic only.  log w = L + iA with L = log(|w|^2)/2,
         which skips hypot; where |L| > _LOG_W_MAX, |w|^2 may have
-        under- or overflowed and L is log hypot instead.  The in-place
-        steps keep block-sized temporaries, so peak memory, down.
+        under- or overflowed and L is log hypot instead.  At w = 0, the
+        pole, 1/|w| outgrows log^gamma and the value is +inf.  The
+        in-place steps keep block-sized temporaries, so peak memory, down.
         """
         A = np.arctan2(imw, rew)
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
             L = np.square(rew)
             L += np.square(imw)
             L = np.log(L, out=L)
         L *= 0.5
+        pole = None
         if L.size and not -_LOG_W_MAX <= L.min() <= L.max() <= _LOG_W_MAX:
             off = np.abs(L) > _LOG_W_MAX
-            L[off] = np.log(np.hypot(rew[off], imw[off]))
+            pole = (rew == 0.0) & (imw == 0.0)
+            # log 1 stands in at the pole until its +inf is set below
+            L[off] = np.log(np.where(pole[off], 1.0, np.hypot(rew[off], imw[off])))
         A *= A
         A += (1.0 - L) ** 2
-        return np.exp(-L - 0.5 * self.gamma * np.log(A, out=A), out=A)
+        out = np.exp(-L - 0.5 * self.gamma * np.log(A, out=A), out=A)
+        if pole is not None:
+            out[pole] = np.inf
+        return out
 
     def __repr__(self):
         if self.kind == "poly":

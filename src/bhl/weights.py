@@ -142,14 +142,22 @@ class MomentTable:
         family may underflow to 0.0 and ratio consumers must fall back
         to log_values there.
     rel_tol : float
-        Requested relative quadrature tolerance, raised to the maximum
-        per-entry error estimate the quadrature reported if that came
-        out worse.
+        Requested relative tolerance, raised to the worst per-entry
+        quadrature error estimate or sampled cross-check difference if
+        that came out worse.
+    source : dict
+        How the table was built: ``route`` (``product``, ``adaptive``,
+        ``panel`` or ``custom``), the explog ``n_split`` (the first
+        index of the panel rule, past n_max on the adaptive route; None
+        for other families), and ``check_indices`` /
+        ``check_diff``, the indices the table was cross-checked at
+        against an independent quadrature and the worst relative
+        difference found there (empty / None when nothing was sampled).
     convention : str
         The dA / moment normalization marker.
     """
 
-    def __init__(self, weight, log_values, rel_tol):
+    def __init__(self, weight, log_values, rel_tol, source=None):
         log_values = np.asarray(log_values, dtype=float)
         if not np.all(np.isfinite(log_values)):
             raise QuadratureError("moment table contains non-finite log entries")
@@ -157,6 +165,7 @@ class MomentTable:
         self.log_values = log_values
         self.values = np.exp(log_values)
         self.rel_tol = rel_tol
+        self.source = dict(source) if source else {}
         self.convention = MOMENT_CONVENTION
         self._validate()
 
@@ -193,7 +202,13 @@ class MomentTable:
 
 
 def moment_closed_form_standard(alpha, n):
-    """Gamma(n+1)*Gamma(alpha+2)/Gamma(n+alpha+2), via log-Gamma."""
+    """Gamma(n+1)*Gamma(alpha+2)/Gamma(n+alpha+2), via log-Gamma.
+
+    This is the gammaln reference, not the table: the difference of
+    large log-Gammas loses digits, about 1e-11 relative by n ~ 4000.
+    It stays independent of ``compute_moments`` on purpose, so checks
+    that compare the two compare two routes, not a formula with itself.
+    """
     if not alpha > -1.0:
         raise WeightDomainError(f"closed form needs alpha > -1, got {alpha}")
     n = np.asarray(n, dtype=float)
@@ -202,17 +217,34 @@ def moment_closed_form_standard(alpha, n):
 
 def _moment_standard(w, n, rel_tol):
     # m[n] = (alpha+1) * int_0^1 t^alpha (1-t)^n dt after t = r^2.  QAWS
-    # integrates the algebraic endpoint factor t^alpha analytically.
+    # integrates the algebraic endpoint factor t^alpha analytically.  Over
+    # all of [0, 1] it misses the narrow peak near t ~ alpha/n once alpha
+    # and n are large (1e4 relative off at alpha = 10, n = 4000), so it
+    # runs on [0, c], where (1-t)^n has dropped 60 e-folds past the peak,
+    # and plain quadrature adds the tail beyond c.  (1-t)^n taken as
+    # exp(n log1p(-t)) keeps the n-fold rounding of 1 - t out of it.
+    a1 = w.alpha + 1.0
+    c = min(1.0, (a1 + 12.0 * np.sqrt(a1) + 60.0) / (n + 1.0))
     val, err = quad(
-        lambda t: (1.0 - t) ** n,
+        lambda t: np.exp(n * np.log1p(-t)),
         0.0,
-        1.0,
+        c,
         weight="alg",
         wvar=(w.alpha, 0.0),
         epsrel=0.1 * rel_tol,
         **_QUAD_OPTS,
     )
-    return (w.alpha + 1.0) * val, (w.alpha + 1.0) * err
+    if c < 1.0:
+        tail, tail_err = quad(
+            lambda t: t**w.alpha * np.exp(n * np.log1p(-t)),
+            c,
+            1.0,
+            epsabs=0.1 * rel_tol * val,
+            epsrel=0.1 * rel_tol,
+            limit=200,
+        )
+        val, err = val + tail, err + tail_err
+    return a1 * val, a1 * err
 
 
 def _explog_saddle(w, n):
@@ -307,6 +339,23 @@ def _moment_custom(w, n, rel_tol):
     return val
 
 
+def _cross_check(log_values, log_ref, lo, hi, rel_tol, what):
+    """Compare the table with log_ref(n) at 6 geometric indices in [lo, hi].
+
+    Raises QuadratureError naming n where the relative difference
+    exceeds 200 * rel_tol; returns the sampled indices and the worst
+    difference.
+    """
+    ns = [int(n) for n in np.unique(np.geomspace(lo, hi, 6).astype(int))]
+    worst = 0.0
+    for n in ns:
+        diff = abs(float(np.expm1(log_values[n] - log_ref(n))))
+        if not diff <= 200.0 * rel_tol:  # a nan reference fails too
+            raise QuadratureError(f"{what} at n={n}: rel diff {diff:.2e}")
+        worst = max(worst, diff)
+    return ns, worst
+
+
 def compute_moments(w, n_max, rel_tol=1e-12):
     """Compute m[0..n_max] and return a MomentTable.
 
@@ -316,13 +365,18 @@ def compute_moments(w, n_max, rel_tol=1e-12):
     n_max : int
         Highest moment index, >= 1.
     rel_tol : float
-        Target relative tolerance per entry, in (1e-14, 1e-3).  Near
-        n ~ 4000 the quadrature roundoff floor is about 5e-12; the
+        Target relative tolerance per entry, in (1e-14, 1e-3); the
         table's rel_tol records the worse of request and estimate.
 
-    The ExpLog family runs per-index adaptive quadrature only below a
-    sharpness threshold and a vectorized panel rule above it; the two
-    routes are cross-checked on sample indices of every table built.
+    The Standard family needs no quadrature: m[n] is the cumulative
+    product of 1/(1 + (alpha+1)/k) over k = 1..n, within about 4e-14 of
+    the true value up to n = 20000 for alpha in [-0.999, 10] (closer to
+    -1 the roundings of factors near 1 add up to about 2e-13), and QAWS
+    quadrature cross-checks it at sampled indices.  The ExpLog family runs
+    per-index adaptive quadrature only below a sharpness threshold and a
+    vectorized panel rule above it; the two routes are cross-checked on
+    sample indices of every table built.  Custom weights run per-index
+    quadrature.  ``MomentTable.source`` records the route and the check.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -330,46 +384,44 @@ def compute_moments(w, n_max, rel_tol=1e-12):
     if not (1e-14 < rel_tol < 1e-3):
         raise WeightDomainError(f"rel_tol must lie in (1e-14, 1e-3), got {rel_tol}")
 
-    log_values = np.empty(n_max + 1)
-    errs = np.zeros(n_max + 1)
-
-    if w.kind == "explog":
-        n_split = min(_explog_panel_threshold(w), n_max + 1)
-    else:
-        n_split = n_max + 1
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        if w.kind == "standard":
+            m = np.ones(n_max + 1)
+            m[1:] = np.cumprod(1.0 / (1.0 + (w.alpha + 1.0) / np.arange(1.0, n_max + 1)))
+            log_values = np.log(m)
+            ns, est = _cross_check(
+                log_values, lambda n: np.log(_moment_standard(w, n, rel_tol)[0]),
+                1, n_max, rel_tol, "standard moment product disagrees with QAWS quadrature",
+            )
+            source = dict(route="product", n_split=None, check_indices=ns, check_diff=est)
+            return MomentTable(w, log_values, max(rel_tol, est), source)
+
+        log_values = np.empty(n_max + 1)
+        errs = np.zeros(n_max + 1)
+        threshold = _explog_panel_threshold(w) if w.kind == "explog" else None
+        n_split = n_max + 1 if threshold is None else min(threshold, n_max + 1)
         for n in range(n_split):
             try:
-                if w.kind == "standard":
-                    val, err = _moment_standard(w, n, rel_tol)
-                    log_values[n] = np.log(val)
-                    errs[n] = err / val
-                elif w.kind == "explog":
+                if w.kind == "explog":
                     log_values[n], errs[n] = _log_moment_explog_adaptive(w, n, rel_tol)
                 else:
                     log_values[n] = np.log(_moment_custom(w, n, rel_tol))
             except Exception as exc:  # pragma: no cover - quadpack failures are rare
                 raise QuadratureError(f"moment quadrature failed at n={n}: {exc}") from exc
+        est = float(np.max(errs[:n_split]))
+        route, ns, diff = "custom" if w.kind == "custom" else "adaptive", [], None
 
-    est = float(np.max(errs[:n_split])) if n_split else 0.0
+        if n_split <= n_max:
+            log_values[n_split:] = _log_moments_explog_panels(w, np.arange(n_split, n_max + 1))
+            ns, diff = _cross_check(
+                log_values, lambda n: _log_moment_explog_adaptive(w, n, rel_tol)[0],
+                n_split, n_max, rel_tol, "explog panel quadrature disagrees with adaptive route",
+            )
+            route, est = "panel", max(est, diff)
 
-    if n_split <= n_max:
-        ns = np.arange(n_split, n_max + 1)
-        log_values[n_split:] = _log_moments_explog_panels(w, ns)
-        # cross-check the panel rule against the adaptive route
-        for n in np.unique(np.geomspace(n_split, n_max, 6).astype(int)):
-            ref, _ = _log_moment_explog_adaptive(w, int(n), rel_tol)
-            diff = abs(np.expm1(log_values[n] - ref))
-            if diff > 200.0 * rel_tol:
-                raise QuadratureError(
-                    f"explog panel quadrature disagrees with adaptive route "
-                    f"at n={n}: rel diff {diff:.2e}"
-                )
-            est = max(est, diff)
-
-    return MomentTable(w, log_values, rel_tol=max(rel_tol, est))
+    source = dict(route=route, n_split=threshold, check_indices=ns, check_diff=diff)
+    return MomentTable(w, log_values, max(rel_tol, est), source)
 
 
 def _log_kernel_norm_sq(mt, r, tail_tol):

@@ -46,6 +46,25 @@ def test_moments_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_moments_footer_records_route(tmp_path):
+    explog = "[weight]\nkind = explog\nalpha = 1.0\nbeta = 1.0\n\n[truncation]\nn = 300\n"
+    for text, route in ((MOMENTS_STD0.replace("n = 5", "n = 500"), "product"), (explog, "panel")):
+        _, out1 = run(tmp_path, text, "moments", "a.csv")
+        _, out2 = run(tmp_path, text, "moments", "b.csv")
+        assert out1.read_bytes() == out2.read_bytes()
+        footer = dict(
+            l[2:].split(": ", 1) for l in out1.read_text().splitlines() if l.startswith("#")
+        )
+        assert footer["moment route"] == route
+        idx = [int(n) for n in footer["check indices"].split()]
+        assert len(idx) == 6 and idx[-1] == (500 if route == "product" else 300)
+        assert 0.0 <= float(footer["check rel diff"]) <= 1e-12
+        if route == "product":
+            assert footer["n_split"] == "none" and idx[0] == 1
+        else:
+            assert int(footer["n_split"]) == idx[0]
+
+
 def test_output_section_fallback(tmp_path):
     target = tmp_path / "fromcfg.csv"
     text = MOMENTS_STD0 + f"\n[output]\npath = {target}\n"

@@ -108,6 +108,21 @@ def test_ce_call_matches_mpmath(gamma):
             assert abs(gi - ref) <= 1e-13 * ref, wi
 
 
+@pytest.mark.parametrize("gamma", [1.1, 1.5, 3.0])
+def test_ce_pole_is_infinite(gamma):
+    # at z = 1, 1/|w| outgrows log^gamma(e/|w|): |phi'| is +inf, with no
+    # floating-point warning on the way
+    ce = SymbolDerivative.ce_family(gamma)
+    with np.errstate(all="raise"):
+        assert ce(1.0 + 0j) == np.inf
+        assert ce.abs_grid(np.array([1.0]), np.array([0.0]))[0, 0] == np.inf
+        mixed = ce(np.array([1.0 + 0j, 0.5, 1.0 - 1e-9j]))
+        grid = ce.abs_grid(np.array([0.5, 1.0]), np.array([0.0, 0.1]))
+    assert mixed[0] == np.inf and np.isfinite(mixed[1:]).all()
+    assert mixed[2] == ce(1.0 - 1e-9j)
+    assert grid[0, 1] == np.inf and np.isfinite(np.delete(grid.ravel(), 1)).all()
+
+
 def test_measure_result_is_float_with_metadata(tau0, dz):
     R = level_measure(tau0, dz, 0.5, 0.99)
     assert isinstance(R, float) and isinstance(R, MeasureResult)

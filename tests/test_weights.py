@@ -1,14 +1,18 @@
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bhl import weights
 from bhl.errors import (
     InsufficientMomentsError,
     LogConvexityError,
     QuadratureError,
     WeightDomainError,
 )
+from bhl.hankel import PolynomialSymbol, polynomial_gram
+from bhl.spectrum import singular_values
 from bhl.weights import (
     MomentTable,
     RadialWeight,
@@ -34,6 +38,89 @@ def test_standard_moments_match_closed_form(alpha):
     mt = compute_moments(w, 240)
     cf = moment_closed_form_standard(alpha, np.arange(241))
     np.testing.assert_allclose(mt.values, cf, rtol=1e-10)
+
+
+def _mp_moment(alpha, n):
+    # 40-digit Gamma(n+1) Gamma(alpha+2) / Gamma(n+alpha+2), with n + alpha + 2
+    # formed in mpmath: as a double sum it alone shifts Gamma by ~1e-11
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        return mpmath.exp(mpmath.loggamma(n + 1) + mpmath.loggamma(a + 2) - mpmath.loggamma(n + a + 2))
+
+
+_SWEEP_N = [int(n) for n in np.unique(np.geomspace(1, 20000, 25).astype(int))]
+
+
+# Closer to -1 the factors 1/(1 + (alpha+1)/k) sit within ~1e-8 of 1 and
+# their roundings add up (1.5e-13 at alpha = -0.9999, n = 20000); from
+# alpha = -1 + 1e-12 on, m[n-1]/m[n] = 1 + (alpha+1)/n is within an ulp
+# of 1 by n ~ 1e4 and no double table is strictly decreasing.
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.floats(min_value=-0.999, max_value=10.0))
+@example(alpha=-0.999)
+@example(alpha=10.0)
+def test_standard_product_table_matches_mpmath(alpha):
+    mt = compute_moments(RadialWeight.standard(alpha), 20000)
+    assert mt.source["route"] == "product"
+    for n in _SWEEP_N:
+        rel = abs(mpmath.mpf(mt.values[n]) / _mp_moment(alpha, n) - 1)
+        assert rel <= 1e-13, (n, float(rel))
+    lv = mt.log_values
+    assert np.all(np.diff(lv) < 0.0)
+    assert np.all(lv[:-2] + lv[2:] - 2.0 * lv[1:-1] > 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("alpha", [-0.9, 0.0, 5.0, 10.0])
+def test_standard_quadrature_reference_matches_mpmath(alpha):
+    # the QAWS route that cross-checks the product, out where a single
+    # QAWS pass over [0, 1] misses the mass near t ~ alpha/n
+    w = RadialWeight.standard(alpha)
+    for n in (1, 60, 4000, 20000, 100000):
+        val, _ = weights._moment_standard(w, n, 1e-12)
+        assert abs(mpmath.mpf(val) / _mp_moment(alpha, n) - 1) <= 1e-13, n
+
+
+def test_standard_cross_check_is_live(monkeypatch):
+    real = weights._moment_standard
+
+    def off(w, n, rel_tol):
+        val, err = real(w, n, rel_tol)
+        return val * (1.0 + 1e-8), err
+
+    monkeypatch.setattr(weights, "_moment_standard", off)
+    with pytest.raises(QuadratureError, match=r"at n=1: rel diff 1\.0\de-08"):
+        compute_moments(RadialWeight.standard(0.3), 500)
+
+
+def test_moment_table_source_records_route():
+    std = compute_moments(RadialWeight.standard(0.3), 500)
+    assert std.source == dict(
+        route="product", n_split=None, check_indices=[1, 3, 12, 41, 144, 500],
+        check_diff=std.source["check_diff"],
+    )
+    assert 0.0 <= std.source["check_diff"] <= 1e-14
+    panel = compute_moments(RadialWeight.explog(1.0, 1.0), 300)
+    assert panel.source["route"] == "panel"
+    assert panel.source["check_indices"][0] == panel.source["n_split"] > 8
+    assert panel.source["check_indices"][-1] == 300
+    adaptive = compute_moments(RadialWeight.explog(1.0, 1.0), 20)
+    assert adaptive.source == dict(
+        route="adaptive", n_split=panel.source["n_split"], check_indices=[], check_diff=None
+    )
+
+
+def test_standard_spectrum_matches_mpmath_moments():
+    # the Gram assembly amplifies moment error by about n^2, so the
+    # spectrum shows it: per-index QAWS moments put this one 1.7e-7 off
+    N = 2005
+    sym = PolynomialSymbol([1.0])
+    w = RadialWeight.standard(0.0)
+    with mpmath.workdps(40):
+        exact = np.array([float(-mpmath.log(n + 1)) for n in range(2 * N + 1)])
+    got = singular_values(polynomial_gram(compute_moments(w, 2 * N), sym, N)).values
+    ref = singular_values(polynomial_gram(MomentTable(w, exact, rel_tol=1e-15), sym, N)).values
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-8
 
 
 def test_standard_mass_normalized():
@@ -185,6 +272,7 @@ def test_custom_weight_route():
         integrable_certified=True,
     )
     mt = compute_moments(w, 40)
+    assert mt.source["route"] == "custom"
     cf = moment_closed_form_standard(0.0, np.arange(41))
     np.testing.assert_allclose(mt.values, cf, rtol=1e-9)
 
