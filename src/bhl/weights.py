@@ -372,11 +372,14 @@ def compute_moments(w, n_max, rel_tol=1e-12):
     product of 1/(1 + (alpha+1)/k) over k = 1..n, within about 4e-14 of
     the true value up to n = 20000 for alpha in [-0.999, 10] (closer to
     -1 the roundings of factors near 1 add up to about 2e-13), and QAWS
-    quadrature cross-checks it at sampled indices.  The ExpLog family runs
-    per-index adaptive quadrature only below a sharpness threshold and a
-    vectorized panel rule above it; the two routes are cross-checked on
-    sample indices of every table built.  Custom weights run per-index
-    quadrature.  ``MomentTable.source`` records the route and the check.
+    quadrature cross-checks it at sampled indices.  Where a factor rounds
+    to 1 before n_max (alpha = -1 + 1e-12 at n ~ 9000), no double table
+    is strictly decreasing and WeightDomainError names alpha.  The
+    ExpLog family runs per-index adaptive quadrature only below a
+    sharpness threshold and a vectorized panel rule above it; the two
+    routes are cross-checked on sample indices of every table built.
+    Custom weights run per-index quadrature.  ``MomentTable.source``
+    records the route and the check.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -390,6 +393,13 @@ def compute_moments(w, n_max, rel_tol=1e-12):
             m = np.ones(n_max + 1)
             m[1:] = np.cumprod(1.0 / (1.0 + (w.alpha + 1.0) / np.arange(1.0, n_max + 1)))
             log_values = np.log(m)
+            flat = np.nonzero(np.diff(log_values) >= 0.0)[0]
+            if flat.size:
+                raise WeightDomainError(
+                    f"standard weight alpha={w.alpha!r} is too close to -1 for n_max={n_max}: "
+                    f"m[n-1]/m[n] = 1 + (alpha+1)/n rounds to 1 at n={int(flat[0]) + 1}, "
+                    f"so no double table is strictly decreasing"
+                )
             ns, est = _cross_check(
                 log_values, lambda n: np.log(_moment_standard(w, n, rel_tol)[0]),
                 1, n_max, rel_tol, "standard moment product disagrees with QAWS quadrature",

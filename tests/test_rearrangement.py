@@ -303,6 +303,119 @@ def test_rearrangement_plus_peak_memory():
     assert peak - hold_peak <= 0.25 * field_bytes, (peak, hold_peak, field_bytes)
 
 
+def _abs_grid_reference(deriv, r, theta):
+    """|phi'| on an outer(theta, r) polar grid as plain whole-array expressions."""
+    if deriv.kind == "poly":
+        z = r[None, :] * np.exp(1j * theta[:, None])
+        return np.abs(np.polyval(deriv.coeffs[::-1], z))
+    rew = (1.0 - r)[None, :] + 2.0 * r[None, :] * np.sin(0.5 * theta[:, None]) ** 2
+    imw = -r[None, :] * np.sin(theta)[:, None]
+    pole = (rew == 0.0) & (imw == 0.0)
+    with np.errstate(all="ignore"):
+        L = 0.5 * np.log(rew**2 + imw**2)
+        off = np.abs(L) > rearrangement._LOG_W_MAX
+        L = np.where(off, np.log(np.where(pole, 1.0, np.hypot(rew, imw))), L)
+        out = np.exp(-L - 0.5 * deriv.gamma * np.log(np.arctan2(imw, rew) ** 2 + (1.0 - L) ** 2))
+    return np.where(pole, np.inf, out)
+
+
+def _field_reference(field, deriv, t, h):
+    """R(t) and the h-trace of a LevelField, by 256-row blocks of tau * |phi'|.
+
+    Each block's per-row integrals are dotted with its row weights and
+    the block totals summed in order.
+    """
+    R = tr = 0.0
+    for lo in range(0, len(field._wts), 256):
+        wts = field._wts[lo : lo + 256]
+        f = field._tau[None, :] * _abs_grid_reference(deriv, field._r, field._theta[lo : lo + 256])
+        R += float(wts @ field._slice_integrals(f, t))
+        tr += float(wts @ (np.asarray(h(f)) * field._wu).sum(axis=1))
+    return R, tr
+
+
+def _bloch_norm_reference(tau_prof, deriv, r_max):
+    """bloch_norm with its coarse grid built whole and one np.argmax over it."""
+    u_max = -np.log1p(-r_max)
+
+    def f_of(u_arr, th_arr):
+        r = -np.expm1(-u_arr)
+        return np.asarray(tau_prof(r), dtype=float)[None, :] * _abs_grid_reference(deriv, r, th_arr)
+
+    u = np.linspace(0.0, u_max, 2049)
+    theta, _ = rearrangement._theta_cells(deriv, r_max, 0)
+    f = f_of(u, theta)
+    it, iu = np.unravel_index(np.argmax(f), f.shape)
+    best, cu, ct = float(f[it, iu]), u[iu], theta[it]
+    wu, wt = u[1] - u[0], np.pi / len(theta)
+    for _ in range(14):
+        uu = np.clip(np.linspace(cu - wu, cu + wu, 17), 0.0, u_max)
+        tt = np.linspace(ct - wt, ct + wt, 17)
+        fz = f_of(uu, tt)
+        it, iu = np.unravel_index(np.argmax(fz), fz.shape)
+        best = max(best, float(fz[it, iu]))
+        cu, ct = uu[iu], tt[it]
+        wu /= 6.0
+        wt /= 6.0
+    return best
+
+
+_FIELD_CASES = {
+    "real-poly": (SymbolDerivative.polynomial([1.0, 0.6]), 0.6),
+    "complex-poly": (SymbolDerivative.polynomial([1.0, 0.3 + 0.4j, -0.2j]), 0.6),
+    "ce": (SymbolDerivative.ce_family(1.5), 0.01),
+}
+
+
+def _field_tau(case, tau0):
+    return TauProfile.ce(1.0) if case == "ce" else tau0
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("case", list(_FIELD_CASES))
+def test_level_field_matches_block_reference_bit_for_bit(tau0, case, level):
+    # cache-sized chunks (level 0's 1,025 columns do not divide them
+    # evenly) and the in-place kernel must not move a single bit
+    deriv, t = _FIELD_CASES[case]
+    field = LevelField(_field_tau(case, tau0), deriv, 0.99, level)
+    h = lambda x: np.asarray(x) ** 1.5
+    assert (field.measure(t), field.trace(h)) == _field_reference(field, deriv, t, h)
+
+
+@pytest.mark.parametrize("case", list(_FIELD_CASES))
+def test_bloch_norm_matches_whole_grid_reference_bit_for_bit(tau0, case):
+    deriv, _ = _FIELD_CASES[case]
+    tau = _field_tau(case, tau0)
+    assert bloch_norm(tau, deriv, r_max=0.99) == _bloch_norm_reference(tau, deriv, 0.99)
+
+
+def test_ce_abs_grid_fallback_matches_reference():
+    # theta = 1e-200 and 1e-160 at r = 1 put |w|^2 below the normal
+    # doubles, theta = 0 there is the pole
+    ce = SymbolDerivative.ce_family(1.5)
+    r = np.array([0.3, 1.0 - 1e-9, 1.0])
+    theta = np.array([0.0, 1e-200, 1e-160, 1e-9, 0.5, np.pi])
+    got = ce.abs_grid(r, theta)
+    np.testing.assert_array_equal(got, _abs_grid_reference(ce, r, theta))
+    assert got[0, 2] == np.inf and np.isfinite(got[1:, 2]).all()
+
+
+def test_level_field_streams_in_cache_sized_chunks():
+    # measure and trace hold one chunk of this 1,537 x 4,097 field at a
+    # time; 256-row blocks peaked at 64 MiB
+    field = LevelField(TauProfile.ce(1.0), SymbolDerivative.ce_family(1.5), 0.99, 2)
+    tracemalloc.start()
+    try:
+        field.measure(0.01)
+        measure_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        field.trace(lambda x: x**2)
+        trace_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert measure_peak < 2 * 2**20 and trace_peak < 2 * 2**20, (measure_peak, trace_peak)
+
+
 def test_level_field_rplus_edges(tau0, dz):
     field = LevelField(tau0, dz, 0.99, 1)
     with pytest.raises(ValueError):

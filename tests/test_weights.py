@@ -93,6 +93,16 @@ def test_standard_cross_check_is_live(monkeypatch):
         compute_moments(RadialWeight.standard(0.3), 500)
 
 
+def test_standard_near_minus_one_is_a_domain_error():
+    # at alpha = -1 + 1e-12 the step 1 + (alpha+1)/n rounds to 1 from
+    # n = 9007 on; the error names the parameter, not the quadrature
+    with pytest.raises(WeightDomainError, match=r"alpha=-0\.999999999999 .*n_max=20000.*n=9007"):
+        compute_moments(RadialWeight.standard(-0.999999999999), 20000)
+    assert compute_moments(RadialWeight.standard(-0.999999999999), 9006).n_max == 9006
+    lv = compute_moments(RadialWeight.standard(-1.0 + 1e-10), 20000).log_values
+    assert np.all(np.diff(lv) < 0.0)
+
+
 def test_moment_table_source_records_route():
     std = compute_moments(RadialWeight.standard(0.3), 500)
     assert std.source == dict(
