@@ -38,9 +38,9 @@ _LOG_W_MAX = 340.0
 # tau|phi'| is evaluated in chunks of about this many values (128 KiB
 # per float64 temporary), so that the ~20 numpy passes over one chunk
 # stay in a 4 MiB L2 cache; fixed 256-row blocks of 2,049 columns were
-# 4.2 MB per temporary.  Criterion 10's 13-level CE sweep (fastest of 3)
-# took 2.56-2.72, 1.60-1.77, 1.28-1.39 and 1.63-1.82 s at 4k, 8k, 16k
-# and 32k values per chunk, and 1.76-2.27 s from 64k to 256k
+# 4.2 MB per temporary.  Criterion 10's 13-level CE sweep, fastest of 3
+# on a 2-core VM, took 2.76, 1.62, 1.23, 1.26, 1.63 and 1.66 s at 4k,
+# 8k, 16k, 32k, 64k and 256k values per chunk, with the same bits
 _BLOCK_ELEMS = 2**14
 
 # per-row integrals are dotted with the row weights in groups of this
