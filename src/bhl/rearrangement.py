@@ -27,8 +27,9 @@ from scipy.spatial import cKDTree
 from .errors import CoveringError, NonConvergedError, WeightDomainError
 
 
-# LevelField.rplus holds its field across all probes up to this size;
-# finer fields (0.5 GiB for phi = z + c z^2 at level 4) are rebuilt per probe
+# LevelField.rplus holds its field across its whole-field probes up to
+# this size; finer fields (0.5 GiB for phi = z + c z^2 at level 4) are
+# rebuilt per probe
 _FIELD_BYTES = 256 * 2**20
 
 # |w|^2 of the Cauchy-type kernel is a normal, finite double while
@@ -124,28 +125,32 @@ class SymbolDerivative:
         if self.kind == "poly":
             z = r[None, :] * np.exp(1j * theta[:, None])
             return np.abs(np.polyval(self.coeffs[::-1], z))
-        rew = (2.0 * r)[None, :] * (np.sin(0.5 * theta) ** 2)[:, None]
-        rew += 1.0 - r
-        imw = (-r)[None, :] * np.sin(theta)[:, None]
+        # sin^2 of a tiny angle may underflow to 0 or a subnormal
+        with np.errstate(under="ignore"):
+            rew = (2.0 * r)[None, :] * (np.sin(0.5 * theta) ** 2)[:, None]
+            rew += 1.0 - r
+            imw = (-r)[None, :] * np.sin(theta)[:, None]
         return self._ce_abs(rew, imw)
 
+    @np.errstate(over="ignore", under="ignore", divide="ignore")
     def _ce_abs(self, rew, imw):
         """1/(|w| |1 - log w|^gamma) from w's real and imaginary parts.
 
         Real arithmetic only.  log w = L + iA with L = log(|w|^2)/2,
         which skips hypot; where |L| > _LOG_W_MAX, |w|^2 may have
         under- or overflowed and L is log hypot instead.  At w = 0, the
-        pole, 1/|w| outgrows log^gamma and the value is +inf.
+        pole, 1/|w| outgrows log^gamma and the value is +inf; past the
+        double range it is +inf as well.  Over- and underflow and log 0
+        are part of that, so the kernel runs with them ignored.
 
         Consumes its arguments: ``rew``'s buffer is overwritten, so pass
         arrays the caller no longer needs.  The in-place steps keep the
         temporaries to the grid's own size.
         """
         A = np.arctan2(imw, rew)
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            L = np.square(rew)
-            L += np.square(imw)
-            L = np.log(L, out=L)
+        L = np.square(rew)
+        L += np.square(imw)
+        L = np.log(L, out=L)
         L *= 0.5
         pole = None
         if L.size and not -_LOG_W_MAX <= L.min() <= L.max() <= _LOG_W_MAX:
@@ -247,11 +252,13 @@ class LevelField:
     (_BLOCK_ELEMS values each), field being tau|phi'| on those rows.  A
     radial modulus is one row of weight 2 pi.  The blocks are built
     lazily, so ``measure`` and ``trace`` hold one block at a time;
-    ``rplus`` holds the whole field across its probes while it fits in
-    _FIELD_BYTES.
+    ``rplus`` holds the whole field across its whole-field probes while
+    it fits in _FIELD_BYTES.
     """
 
     def __init__(self, tau_prof, deriv, r_max, level):
+        if not 0.0 < r_max < 1.0:
+            raise WeightDomainError(f"r_max must lie in (0, 1), got {r_max}")
         u = np.linspace(0.0, -np.log1p(-r_max), 1024 * 2**level + 1)
         self.du = u[1] - u[0]
         self._r = -np.expm1(-u)
@@ -307,8 +314,8 @@ class LevelField:
         """int h(tau|phi'|) dA/tau^2 on this level."""
         return self._row_sum([(np.asarray(h(f)) * self._wu).sum(axis=1) for _, f in self.blocks()])
 
-    def _straddling(self, held, cell, t_lo, t_hi):
-        """Split the held field's cells by the bracket (t_lo, t_hi].
+    def _straddling(self, blocks, cell, t_lo, t_hi):
+        """Split the cells of (weights, field) blocks by the bracket (t_lo, t_hi].
 
         ``cell`` is each u cell's whole mass.  Returns the mass of the
         cells above the bracket (both nodes > t_hi), which is whole at
@@ -318,7 +325,7 @@ class LevelField:
         """
         above = []
         parts = []
-        for wts, f in held:
+        for wts, f in blocks:
             low = np.minimum(f[:, :-1], f[:, 1:])
             above.append(((low > t_hi) * cell).sum(axis=1))
             meets = low <= t_hi
@@ -336,9 +343,10 @@ class LevelField:
         preserves R+(R(t)) >= t.  If even the smallest probed level has
         R < x the sup runs over an empty set and 0 is returned.
 
-        A held field is probed whole for the first _HELD_STEPS
-        bisection steps only; after that only the cells whose range
-        meets the bracket are kept, and they drop out as it shrinks.
+        The field is probed whole for the first _HELD_STEPS bisection
+        steps only, held if it fits in _FIELD_BYTES and rebuilt per
+        probe if not; after that only the cells whose range meets the
+        bracket are kept, and they drop out as it shrinks.
         """
         if not x > 0.0:
             raise ValueError(f"rplus needs x > 0, got {x}")
@@ -359,18 +367,17 @@ class LevelField:
             t_lo *= 0.25
             if t_lo < t_max * 1e-15:
                 return 0.0
-        whole = iters if held is None else min(iters, _HELD_STEPS)
+        whole = min(iters, _HELD_STEPS)
         for _ in range(whole):
             mid = np.sqrt(t_lo * t_hi)
             if R(mid) >= x:
                 t_lo = mid
             else:
                 t_hi = mid
-        if whole == iters:
-            return float(t_hi)
         cell = 0.5 * self.du * (self.dens[:-1] + self.dens[1:])
-        full, f0, f1, jj, wr = self._straddling(held, cell, t_lo, t_hi)
-        del held, R  # release the whole field; only the gathered cells are probed
+        blocks = self.blocks() if held is None else held
+        full, f0, f1, jj, wr = self._straddling(blocks, cell, t_lo, t_hi)
+        del held, blocks, R  # release the whole field; only the gathered cells are probed
         for _ in range(iters - whole):
             mid = np.sqrt(t_lo * t_hi)
             a0 = f0 > mid
@@ -416,8 +423,6 @@ def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, max_level=5, check_r_
     """
     if not t > 0.0:
         raise ValueError(f"level t must be positive, got {t}")
-    if not 0.0 < r_max < 1.0:
-        raise WeightDomainError(f"r_max must lie in (0, 1), got {r_max}")
     val, err, level = _refined(
         lambda lv: LevelField(tau_prof, deriv, r_max, lv).measure(t), rel_tol, max_level
     )
@@ -453,8 +458,6 @@ def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
     h must be increasing and convex with h(0) = 0; this is spot-checked
     on a geometric sample, the caller owns the rest.
     """
-    if not 0.0 < r_max < 1.0:
-        raise WeightDomainError(f"r_max must lie in (0, 1), got {r_max}")
     h0 = float(h(np.asarray(0.0)))
     T = max(bloch_norm(tau_prof, deriv, r_max=r_max), 1e-300)
     probe = T * np.logspace(-6, 0, 9)
@@ -480,6 +483,8 @@ def bloch_norm(tau_prof, deriv, r_max=None):
     """
     if r_max is None:
         r_max = min(tau_prof.r_hi, 1.0 - 1e-9)
+    elif not 0.0 < r_max < 1.0:
+        raise WeightDomainError(f"r_max must lie in (0, 1), got {r_max}")
     u_max = -np.log1p(-r_max)
 
     def peak(u_arr, theta):
@@ -544,7 +549,7 @@ class Lattice:
 
 
 def _rings(tau_prof, delta, r_start, r_max, phase):
-    """Yield (tau(r), points) of the lattice scan rings from r_start out to r_max.
+    """Yield the points of the lattice scan rings from r_start out to r_max.
 
     Rings are delta*tau(r)/8 apart and hold max(8, ceil(2 pi r / step))
     points at angles 2 pi (j + phase)/M; every other ring is turned half
@@ -553,33 +558,34 @@ def _rings(tau_prof, delta, r_start, r_max, phase):
     r = r_start
     ring_idx = 0
     while r <= r_max:
-        tau_r = float(tau_prof(r))
-        step = delta * tau_r / 8.0
+        step = delta * float(tau_prof(r)) / 8.0
         if r == 0.0:
-            pts = np.array([0.0 + 0.0j])
+            yield np.array([0.0 + 0.0j])
         else:
             M = max(8, int(np.ceil(2.0 * np.pi * r / step)))
             th = 2.0 * np.pi * (np.arange(M) + phase + 0.5 * (ring_idx % 2)) / M
-            pts = r * np.exp(1j * th)
-        yield tau_r, pts
+            yield r * np.exp(1j * th)
         r += step
         ring_idx += 1
 
 
 def _tree(z):
-    return cKDTree(np.column_stack([z.real, z.imag]))
+    """KD-tree over complex points; it reads their (re, im) pairs in place."""
+    return cKDTree(np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2))
 
 
 def build_lattice(tau_prof, delta, r_max, b=1.25):
     """Greedy (tau, delta)-lattice on {|z| <= r_max}, covering-verified.
 
-    Scan rings are delta*tau/8 apart; a scanned point becomes a center
-    iff it lies in no accepted disk D(z_k, delta tau(z_k)), which makes
-    the accepted set maximal on the scan grid: separation >=
-    delta*tau(z_k) gives the shrunk-disk disjointness for any C >= 1,
-    and maximality makes the b-dilated disks cover as long as
-    b >= 1 + C/8.  Covering is then verified on an offset grid and the
-    failure carries an uncovered witness.
+    Scan rings are delta*tau/8 apart.  The scan points are walked in
+    ring order, and a point becomes a center iff it lies in no accepted
+    disk D(z_k, delta tau(z_k)): each new center strikes the scan points
+    its disk holds off the walk.  This makes the accepted set maximal on
+    the scan grid: separation >= delta*tau(z_k) gives the shrunk-disk
+    disjointness for any C >= 1, and maximality makes the b-dilated
+    disks cover as long as b >= 1 + C/8.  The selection never reads C.
+    Covering is then verified on an offset grid and the failure carries
+    an uncovered witness.
     """
     if not 0.0 < delta <= 0.5:
         raise WeightDomainError(f"delta must lie in (0, 0.5], got {delta}")
@@ -594,37 +600,29 @@ def build_lattice(tau_prof, delta, r_max, b=1.25):
             f"needs b >= {1.0 + C / 8.0:.3f}"
         )
 
-    centers = np.empty(0, dtype=complex)
-    taus = np.empty(0)
-    for tau_r, cand in _rings(tau_prof, delta, 0.0, r_max, 0.0):
-        # the KD distances only select the pairs within reach of the ring;
-        # the strict disk test on them is exact
-        reach = delta * C * tau_r * 1.0001 + 1e-15
-        pairs = _tree(cand).sparse_distance_matrix(_tree(centers), reach, output_type="ndarray")
-        ic, kc = pairs["i"], pairs["j"]
-        keep = np.ones(len(cand), dtype=bool)
-        keep[ic[np.abs(cand[ic] - centers[kc]) < delta * taus[kc]]] = False
-        # sequential intra-ring acceptance
-        accepted_here = []
-        for i in np.nonzero(keep)[0]:
-            ok = True
-            for zc, tz in accepted_here:
-                if abs(cand[i] - zc) < delta * tz:
-                    ok = False
-                    break
-            if ok:
-                tz = float(tau_prof(abs(cand[i])))
-                accepted_here.append((cand[i], tz))
-        if accepted_here:
-            zs, ts = zip(*accepted_here)
-            centers = np.concatenate([centers, zs])
-            taus = np.concatenate([taus, ts])
+    scan = np.concatenate(list(_rings(tau_prof, delta, 0.0, r_max, 0.0)))
+    tree = _tree(scan)
+    free = np.ones(len(scan), dtype=bool)
+    at, taus = [], []
+    for i in range(len(scan)):
+        if not free[i]:
+            continue
+        zc = scan[i]
+        tz = float(tau_prof(abs(zc)))
+        at.append(i)
+        taus.append(tz)
+        # the KD distances only preselect the points near the disk; the
+        # strict disk test on them is exact
+        near = tree.query_ball_point(tree.data[i], delta * tz * (1.0 + 1e-9))
+        near = np.array(near, dtype=np.intp)
+        free[near[np.abs(scan[near] - zc) < delta * tz]] = False
+    centers = scan[at]
+    taus = np.array(taus)
+    del scan, tree, free  # the verification builds its own grid and tree
 
     # verification grid: rings offset by half a step, angles offset too
     r0 = 0.5 * delta * float(tau_prof(0.0)) / 8.0
-    test = np.concatenate(
-        [[r0 + 0.0j]] + [pts for _, pts in _rings(tau_prof, delta, r0, r_max, 0.25)]
-    )
+    test = np.concatenate([[r0 + 0.0j], *_rings(tau_prof, delta, r0, r_max, 0.25)])
     test = test[np.abs(test) <= r_max]
     counts, covered = _cover_counts(test, centers, taus, delta, b)
     miss = np.nonzero(~covered)[0]

@@ -1,0 +1,83 @@
+import argparse
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _run(side, seed, wall, rss, workload="geometry", trace=0, correct=True, failed=0):
+    metrics = {"wall_s": {"value": wall}, "peak_rss_mb": {"value": rss}}
+    return dict(side=side, workload=workload, seed=seed, trace=trace,
+                result={"metrics": metrics, "correct": correct, "failed": failed})
+
+
+def test_spec_parses_workload_and_integers():
+    assert bench_pairs._spec("geometry:4100:10", 3) == ("geometry", 4100, 10)
+    assert bench_pairs._spec("spectra:7", 2) == ("spectra", 7)
+
+
+@pytest.mark.parametrize(
+    "text, fields",
+    [("geometry:4100", 3), ("geometry:4100:10:2", 3), ("geometry::10", 3), (":4100:10", 3),
+     ("geometry", 2), ("", 2)],
+)
+def test_spec_rejects_wrong_field_count_or_empty_field(text, fields):
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pairs._spec(text, fields)
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--pairs", "geometry:4100"), ("--pairs", "geometry:x:10"), ("--pairs", "geometry:4100:1.5"),
+     ("--traced", "geometry"), ("--traced", "geometry:4100:1")],
+)
+def test_malformed_spec_is_a_usage_error(option, value, tmp_path, capsys):
+    # argparse turns _spec's errors, and int()'s on a non-integer field,
+    # into exit status 2 before any checkout is read
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(tmp_path), str(tmp_path), option, value,
+                          "--out", str(tmp_path / "o.json")])
+    assert exc.value.code == 2
+    assert value in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_summary_pairs_medians_and_bounds():
+    bounds = {"wall_s": 0.25, "peak_rss_mb": 0.15}
+    walls = [(2.0, 1.9), (2.2, 2.1), (2.4, 2.5), (2.6, 3.9)]
+    runs = []
+    for seed, (p, c) in enumerate(walls):
+        runs += [_run("parent", seed, p, 100.0), _run("change", seed, c, 120.0)]
+    # an unpaired run and a traced run stay out of the pairs
+    runs += [_run("parent", 9, 50.0, 1.0), _run("change", 0, 50.0, 1.0, trace=1)]
+    out = bench_pairs._summary(runs, bounds)
+    assert list(out) == ["geometry"]
+    entry = out["geometry"]
+    assert entry["pairs"] == 4 and entry["seeds"] == [0, 1, 2, 3]
+    wall = entry["wall_s"]
+    assert wall["parent_change_pairs"] == [list(p) for p in walls]
+    assert wall["parent_median"] == 2.3 and wall["change_median"] == 2.3
+    assert wall["median_change_frac"] == 0.0
+    assert wall["change_lower_in"] == 2
+    assert wall["parent_quartiles"] == [2.15, 2.45]
+    assert wall["bound"] == 0.25 and wall["within_bound"] is True
+    # 120 MiB against 100 MiB is 20% up, past the 15% bound
+    rss = entry["peak_rss_mb"]
+    assert rss["median_change_frac"] == 0.2
+    assert rss["bound"] == 0.15 and rss["within_bound"] is False
+    assert entry["all_correct"] is True and entry["failed_ops"] == 0
+
+
+def test_summary_within_bound_at_the_edge_and_failures():
+    bounds = {"wall_s": 0.25}
+    runs = [_run("parent", 0, 2.0, 1.0), _run("change", 0, 2.5, 1.0, correct=False, failed=2)]
+    entry = bench_pairs._summary(runs, bounds)["geometry"]
+    assert entry["wall_s"]["within_bound"] is True  # 2.5 <= 2.0 * 1.25
+    assert entry["all_correct"] is False and entry["failed_ops"] == 2
+    runs[1]["result"]["metrics"]["wall_s"]["value"] = 2.5001
+    assert bench_pairs._summary(runs, bounds)["geometry"]["wall_s"]["within_bound"] is False

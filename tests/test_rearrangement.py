@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,13 @@ def test_ce_pole_is_infinite(gamma):
     assert mixed[0] == np.inf and np.isfinite(mixed[1:]).all()
     assert mixed[2] == ce(1.0 - 1e-9j)
     assert grid[0, 1] == np.inf and np.isfinite(np.delete(grid.ravel(), 1)).all()
+    # next to the pole |phi'| is past the double range: +inf again, with
+    # neither a warning under numpy's default handling nor an underflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ce.abs_grid([1.0], [1e-320])[0, 0] == np.inf
+        with np.errstate(all="raise"):
+            assert ce.abs_grid([1.0], [1e-320])[0, 0] == np.inf
 
 
 def test_measure_result_is_float_with_metadata(tau0, dz):
@@ -176,6 +184,22 @@ def test_level_measure_rejects_bad_arguments(tau0, dz):
         level_measure(tau0, dz, 0.0, 0.9)
     with pytest.raises(WeightDomainError):
         level_measure(tau0, dz, 0.5, 1.5)
+
+
+@pytest.mark.parametrize("r_max", [1.5, 1.0, 0.0, -0.5])
+def test_r_max_outside_unit_interval_is_rejected(tau0, dz, r_max):
+    # one typed error, raised before any field is built or any warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: level_measure(tau0, dz, 0.5, r_max),
+            lambda: rearrangement_plus(tau0, dz, 1.0, r_max),
+            lambda: trace_integral(tau0, dz, lambda x: np.asarray(x) ** 2, r_max),
+            lambda: bloch_norm(tau0, dz, r_max=r_max),
+            lambda: LevelField(tau0, dz, r_max, 0),
+        ):
+            with pytest.raises(WeightDomainError, match="r_max"):
+                call()
 
 
 def test_level_measure_non_convergence_reported(tau0, dz):
@@ -259,24 +283,40 @@ def test_rearrangement_plus_matches_probe_by_probe(tau0, symbol, field_bytes, mo
     assert rp == _rplus_probe_by_probe(tau, deriv, x, r_max, 16)
 
 
-@pytest.mark.parametrize("case", ["c=0.1", "c=0.3", "c=0.5", "ce", "radial"])
-def test_rearrangement_plus_sweep_matches_whole_field_bisection(tau0, case):
-    # past its first steps rplus probes only the cells that straddle its
-    # bracket; over 48 steps it must stay within 1e-12 of probing all cells
+def _sweep_case(tau0, case):
+    """(tau, deriv, xs, r_max) of one R+ sweep case."""
     if case == "ce":
         tau = TauProfile.user_supplied(
             lambda r: (1.0 - np.asarray(r, float)) / (1.0 - np.log1p(-np.asarray(r, float)))
         )
-        deriv, xs, r_max = SymbolDerivative.ce_family(1.5), (3.0, 30.0, 300.0), 0.9
-    elif case == "radial":
-        tau, deriv, xs, r_max = tau0, SymbolDerivative.polynomial([1.0]), (0.5, 5.0, 50.0), 1.0 - 1e-5
-    else:
-        c = float(case[2:])
-        tau, deriv, xs, r_max = tau0, SymbolDerivative.polynomial([1.0, 2.0 * c]), (0.3, 3.0, 30.0), 0.99
+        return tau, SymbolDerivative.ce_family(1.5), (3.0, 30.0, 300.0), 0.9
+    if case == "radial":
+        return tau0, SymbolDerivative.polynomial([1.0]), (0.5, 5.0, 50.0), 1.0 - 1e-5
+    c = float(case[2:])
+    return tau0, SymbolDerivative.polynomial([1.0, 2.0 * c]), (0.3, 3.0, 30.0), 0.99
+
+
+@pytest.mark.parametrize("case", ["c=0.1", "c=0.3", "c=0.5", "ce", "radial"])
+def test_rearrangement_plus_sweep_matches_whole_field_bisection(tau0, case):
+    # past its first steps rplus probes only the cells that straddle its
+    # bracket; over 48 steps it must stay within 1e-12 of probing all cells
+    tau, deriv, xs, r_max = _sweep_case(tau0, case)
     for x in xs:
         rp = rearrangement_plus(tau, deriv, x, r_max, iters=48)
         ref = _rplus_probe_by_probe(tau, deriv, x, r_max, 48, hold=True)
         assert abs(rp - ref) <= 1e-12 * ref, (x, rp, ref)
+
+
+@pytest.mark.parametrize("case", ["c=0.1", "c=0.5", "ce", "radial"])
+def test_rearrangement_plus_sweep_rebuilt_field_matches_held(tau0, case, monkeypatch):
+    # a field over _FIELD_BYTES runs the same algorithm, rebuilt for each
+    # whole-field step and once more to gather the straddling cells, so
+    # over 48 steps it gives the held field's bits, which the sweep above
+    # holds within 1e-12 of probing all cells
+    tau, deriv, xs, r_max = _sweep_case(tau0, case)
+    held = [rearrangement_plus(tau, deriv, x, r_max, iters=48) for x in xs]
+    monkeypatch.setattr(rearrangement, "_FIELD_BYTES", 0)
+    assert [rearrangement_plus(tau, deriv, x, r_max, iters=48) for x in xs] == held
 
 
 def test_rearrangement_plus_peak_memory():
@@ -301,6 +341,25 @@ def test_rearrangement_plus_peak_memory():
     # building and holding the field peaks well above its own bytes (the
     # polar grid's complex temporaries); R+ may add a quarter of it
     assert peak - hold_peak <= 0.25 * field_bytes, (peak, hold_peak, field_bytes)
+
+
+def test_rearrangement_plus_rebuilt_peak_memory(monkeypatch):
+    # a field over _FIELD_BYTES is never held: its whole-field steps and
+    # the gathering of the straddling cells stream cache-sized chunks
+    tau, deriv, x, r_max = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.9, 0.99
+    T = bloch_norm(tau, deriv, r_max=r_max)
+    _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4, 5)
+    field = LevelField(tau, deriv, r_max, level)
+    field_bytes = len(field._wts) * len(field.dens) * 8
+    monkeypatch.setattr(rearrangement, "_FIELD_BYTES", 0)
+    tracemalloc.start()
+    try:
+        rearrangement_plus(tau, deriv, x, r_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 2.4 MiB against the 8 MiB field
+    assert peak <= 0.5 * field_bytes, (peak, field_bytes)
 
 
 def _abs_grid_reference(deriv, r, theta):
@@ -516,12 +575,25 @@ def _greedy_lattice_reference(tau_prof, delta, r_max):
         (TauProfile.standard(0.0), 0.2, 0.99, 1.5),
         (TauProfile.user_supplied(lambda r: np.full_like(np.asarray(r, float), 0.15), r_hi=0.9),
          0.3, 0.6, 1.25),
+        (TauProfile.ce(1.0), 0.25, 0.8, 1.5),
     ],
-    ids=["standard-0.25-0.8", "standard-0.2-0.99", "constant-0.3-0.6"],
+    ids=["standard-0.25-0.8", "standard-0.2-0.99", "constant-0.3-0.6", "ce-0.25-0.8"],
 )
 def test_build_lattice_matches_brute_force_greedy(tau_prof, delta, r_max, b):
     lat = build_lattice(tau_prof, delta, r_max, b=b)
     np.testing.assert_array_equal(lat.centers, _greedy_lattice_reference(tau_prof, delta, r_max))
+
+
+def test_build_lattice_selection_does_not_read_comparability(monkeypatch):
+    # the greedy rule never reads C; a measured C of 1 leaves the centers
+    # as they are (a neighbour search bounded by C would miss the disks
+    # of larger-tau centers further in)
+    monkeypatch.setattr(TauProfile, "measured_comparability", lambda self, delta, r_max: 1.0)
+    tau = TauProfile.standard(0.0)
+    for delta, r_max in ((0.25, 0.8), (0.2, 0.99)):
+        lat = build_lattice(tau, delta, r_max, b=1.5)
+        assert lat.comparability == 1.0
+        np.testing.assert_array_equal(lat.centers, _greedy_lattice_reference(tau, delta, r_max))
 
 
 def test_cover_counts_matches_brute_force():

@@ -13,7 +13,9 @@ Every run lasts ``run_seconds`` of ``BENCHMARK.json``.
 
 The JSON file holds every run's ``env:`` line and last-line JSON, and
 per workload and end-to-end metric the (parent, change) pairs, each
-side's median and quartiles, and how many pairs the change read lower.
+side's median and quartiles, how many pairs the change read lower, the
+metric's ``bound`` from ``BENCHMARK.json`` and ``within_bound``: whether
+the change's median is at most the parent's median times (1 + bound).
 It is rewritten after every run, so an interrupted session keeps the
 runs made so far.
 """
@@ -58,8 +60,9 @@ def _quartiles(values):
     return [round(q[0], 4), round(q[2], 4)]
 
 
-def _summary(runs, metrics):
-    """Per workload: the pairs, each side's median and quartiles, per metric."""
+def _summary(runs, bounds):
+    """Per workload and per metric of ``bounds`` (name -> bound): the pairs,
+    each side's median and quartiles, and whether the change is within bound."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs if r["trace"] == 0):
         by_seed = {}
@@ -68,20 +71,23 @@ def _summary(runs, metrics):
                 by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]
         seeds = [s for s, sides in by_seed.items() if len(sides) == 2]
         entry = {"pairs": len(seeds), "seeds": seeds}
-        for name in metrics:
+        for name, bound in bounds.items():
             pairs = [[round(by_seed[s][side]["metrics"][name]["value"], 4) for side in SIDES]
                      for s in seeds]
             if not pairs:
                 continue
             parent, change = [p[0] for p in pairs], [p[1] for p in pairs]
+            p_med, c_med = statistics.median(parent), statistics.median(change)
             entry[name] = {
                 "parent_change_pairs": pairs,
-                "parent_median": round(statistics.median(parent), 4),
-                "change_median": round(statistics.median(change), 4),
-                "median_change_frac": round(statistics.median(change) / statistics.median(parent) - 1.0, 4),
+                "parent_median": round(p_med, 4),
+                "change_median": round(c_med, 4),
+                "median_change_frac": round(c_med / p_med - 1.0, 4),
                 "parent_quartiles": _quartiles(parent),
                 "change_quartiles": _quartiles(change),
                 "change_lower_in": sum(c < p for p, c in pairs),
+                "bound": bound,
+                "within_bound": c_med <= p_med * (1.0 + bound),
             }
         results = [res for s in seeds for res in by_seed[s].values()]
         entry["all_correct"] = all(res["correct"] for res in results)
@@ -102,7 +108,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     command, seconds = bench["command"], bench["run_seconds"]
-    metrics = [m["name"] for m in bench["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     plan = []
@@ -133,7 +139,7 @@ def main(argv=None):
         for s in SIDES:
             record[f"{s}_commit"] = next(
                 (r["env"]["commit"] for r in record["runs"] if r["side"] == s), None)
-        record["summary"] = _summary(record["runs"], metrics)
+        record["summary"] = _summary(record["runs"], bounds)
         for r in record["runs"]:
             if r["trace"] == 1:
                 record.setdefault(f"trace_{r['workload']}_per_pass", {})[r["side"]] = {
