@@ -21,8 +21,9 @@ aliases the spike and converges to wrong answers while looking stable.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import CoveringError, NonConvergedError, WeightDomainError
 
@@ -293,7 +294,8 @@ class LevelField:
         """
         ind = f > t
         I = (ind * self._wu).sum(axis=1)
-        ii, jj = np.nonzero(ind[:, :-1] != ind[:, 1:])
+        # crossing cells in (row, cell) order, from one flat scan of the xor
+        ii, jj = np.divmod(np.flatnonzero(ind[:, 1:] ^ ind[:, :-1]), ind.shape[1] - 1)
         if ii.size:
             f0 = f[ii, jj]
             d0 = self.dens[jj]
@@ -548,30 +550,132 @@ class Lattice:
         )
 
 
+class _Rings(NamedTuple):
+    """A grid of concentric rings: ring k holds count[k] points at radius
+    r[k] and angles 2 pi (j + off[k]) / count[k], j = 0 .. count[k]-1,
+    flat indices first[k] .. first[k+1]-1.  Radii are nondecreasing."""
+
+    r: np.ndarray
+    count: np.ndarray
+    off: np.ndarray
+    first: np.ndarray
+
+    @classmethod
+    def build(cls, r, count, off):
+        count = np.asarray(count, dtype=np.intp)
+        first = np.zeros(len(count) + 1, dtype=np.intp)
+        np.cumsum(count, out=first[1:])
+        return cls(np.asarray(r, dtype=float), count, np.asarray(off, dtype=float), first)
+
+    def points(self):
+        z = np.empty(self.first[-1], dtype=complex)
+        for r, M, off, lo in zip(self.r, self.count, self.off, self.first):
+            th = 2.0 * np.pi * (np.arange(M) + off) / M
+            np.multiply(r, np.exp(1j * th), out=z[lo : lo + M])
+        return z
+
+
 def _rings(tau_prof, delta, r_start, r_max, phase):
-    """Yield the points of the lattice scan rings from r_start out to r_max.
+    """The lattice scan rings from r_start out to r_max.
 
     Rings are delta*tau(r)/8 apart and hold max(8, ceil(2 pi r / step))
     points at angles 2 pi (j + phase)/M; every other ring is turned half
     a cell.  A ring at r = 0 is the single point 0.
     """
+    radii, counts, offs = [], [], []
     r = r_start
-    ring_idx = 0
     while r <= r_max:
         step = delta * float(tau_prof(r)) / 8.0
-        if r == 0.0:
-            yield np.array([0.0 + 0.0j])
-        else:
-            M = max(8, int(np.ceil(2.0 * np.pi * r / step)))
-            th = 2.0 * np.pi * (np.arange(M) + phase + 0.5 * (ring_idx % 2)) / M
-            yield r * np.exp(1j * th)
+        offs.append(phase + 0.5 * (len(radii) % 2))
+        radii.append(r)
+        counts.append(1 if r == 0.0 else max(8, int(np.ceil(2.0 * np.pi * r / step))))
         r += step
-        ring_idx += 1
+    return _Rings.build(radii, counts, offs)
 
 
-def _tree(z):
-    """KD-tree over complex points; it reads their (re, im) pairs in place."""
-    return cKDTree(np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2))
+def _reach(rho):
+    """rho widened past the rounding of the grid points and of |p - z|, so
+    that an arc window from it holds every point the exact disk test takes."""
+    return rho * (1.0 + 1e-9) + 1e-15
+
+
+def _disk_candidates(grid, zc, rho, ring_lo=0):
+    """(center, flat point) index pairs holding every grid point of the disks D(zc, rho).
+
+    A superset: on each ring from ring_lo on that comes within reach of
+    a center, the disk holds one arc, and its index window is taken from
+    the law of cosines, |p - z|^2 = (r - |z|)^2 + 4 r |z| sin^2(dtheta/2),
+    and widened by one point each side.  A ring at r = 0, a center at 0
+    and a ring that lies inside the disk give the whole ring.  The
+    caller applies the exact disk test to the pairs.
+    """
+    a = np.abs(zc)
+    reach = _reach(rho)
+    lo = np.maximum(np.searchsorted(grid.r, a - reach, side="left"), ring_lo)
+    hi = np.searchsorted(grid.r, a + reach, side="right")
+    nring = np.maximum(hi - lo, 0)
+    # one row per (center, ring) pair
+    ci = np.repeat(np.arange(len(zc)), nring)
+    k = np.arange(len(ci)) + np.repeat(lo - np.cumsum(nring) + nring, nring)
+    r, M, ak, rk = grid.r[k], grid.count[k], a[ci], reach[ci]
+    d = r - ak
+    den = 4.0 * r * ak
+    s = np.divide((rk - d) * (rk + d), den, out=np.ones_like(den), where=den > 0.0)
+    half = 2.0 * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
+    # the center's and the arc's ends in units of the ring's index
+    u = np.angle(zc)[ci] * M / (2.0 * np.pi) - grid.off[k]
+    w = half * M / (2.0 * np.pi)
+    j0 = np.floor(u - w).astype(np.intp) - 1
+    # a window of M or more points is the whole ring
+    n = np.minimum(np.ceil(u + w).astype(np.intp) + 2 - j0, M)
+    # one row per (center, point) pair
+    pt = np.arange(n.sum())
+    pt -= np.repeat(np.cumsum(n) - n - j0, n)
+    pt %= M.repeat(n)
+    pt += grid.first[k].repeat(n)
+    return ci.repeat(n), pt
+
+
+# _cover_counts takes the candidates of this many centers at a time;
+# build_lattice on the benchmark's lattice (3,705 centers) peaks at 69,
+# 12.7 and 9.7 MiB with all at once, 256 and 64, in about the same time
+_COVER_CHUNK = 64
+
+
+def _greedy_centers(tau_prof, delta, r_max):
+    """The greedy walk of build_lattice: its centers and their tau values.
+
+    A ring's free points are walked in a short loop, each new center
+    striking the points of its disk on its own ring (an arc of chord
+    2 r sin(dtheta/2) < delta*tau), and then the ring's centers strike
+    the later rings in one batch.
+    """
+    scan = _rings(tau_prof, delta, 0.0, r_max, 0.0)
+    pts = scan.points()
+    free = np.ones(len(pts), dtype=bool)
+    at, taus = [], []
+    for k, (r, M) in enumerate(zip(scan.r, scan.count)):
+        lo = scan.first[k]
+        ring, ring_free = pts[lo : lo + M], free[lo : lo + M]
+        new = len(at)
+        for j in np.flatnonzero(ring_free):
+            if not ring_free[j]:
+                continue
+            zc = ring[j]
+            tz = float(tau_prof(abs(zc)))
+            at.append(lo + j)
+            taus.append(tz)
+            # the disk's arc of its own ring, w points each side of j
+            reach = _reach(delta * tz)
+            w = M if 2.0 * r <= reach else int(np.ceil(np.arcsin(reach / (2 * r)) * M / np.pi)) + 1
+            near = np.arange(j - w, j + w + 1) % M
+            ring_free[near[np.abs(ring[near] - zc) < delta * tz]] = False
+        if len(at) > new:
+            zk = pts[at[new:]]
+            rho = delta * np.array(taus[new:])
+            ci, pt = _disk_candidates(scan, zk, rho, ring_lo=k + 1)
+            free[pt[np.abs(pts[pt] - zk[ci]) < rho[ci]]] = False
+    return pts[at], np.array(taus)
 
 
 def build_lattice(tau_prof, delta, r_max, b=1.25):
@@ -586,6 +690,10 @@ def build_lattice(tau_prof, delta, r_max, b=1.25):
     disks cover as long as b >= 1 + C/8.  The selection never reads C.
     Covering is then verified on an offset grid and the failure carries
     an uncovered witness.
+
+    Both grids are rings, and a disk holds one arc of each ring it
+    meets, so the points of a disk come from index windows
+    (_disk_candidates) and the exact disk test, with no spatial tree.
     """
     if not 0.0 < delta <= 0.5:
         raise WeightDomainError(f"delta must lie in (0, 0.5], got {delta}")
@@ -600,35 +708,20 @@ def build_lattice(tau_prof, delta, r_max, b=1.25):
             f"needs b >= {1.0 + C / 8.0:.3f}"
         )
 
-    scan = np.concatenate(list(_rings(tau_prof, delta, 0.0, r_max, 0.0)))
-    tree = _tree(scan)
-    free = np.ones(len(scan), dtype=bool)
-    at, taus = [], []
-    for i in range(len(scan)):
-        if not free[i]:
-            continue
-        zc = scan[i]
-        tz = float(tau_prof(abs(zc)))
-        at.append(i)
-        taus.append(tz)
-        # the KD distances only preselect the points near the disk; the
-        # strict disk test on them is exact
-        near = tree.query_ball_point(tree.data[i], delta * tz * (1.0 + 1e-9))
-        near = np.array(near, dtype=np.intp)
-        free[near[np.abs(scan[near] - zc) < delta * tz]] = False
-    centers = scan[at]
-    taus = np.array(taus)
-    del scan, tree, free  # the verification builds its own grid and tree
+    centers, taus = _greedy_centers(tau_prof, delta, r_max)
 
-    # verification grid: rings offset by half a step, angles offset too
+    # verification grid: rings offset by half a step, angles offset too,
+    # after one point on the positive axis at the first ring's radius
     r0 = 0.5 * delta * float(tau_prof(0.0)) / 8.0
-    test = np.concatenate([[r0 + 0.0j], *_rings(tau_prof, delta, r0, r_max, 0.25)])
-    test = test[np.abs(test) <= r_max]
-    counts, covered = _cover_counts(test, centers, taus, delta, b)
-    miss = np.nonzero(~covered)[0]
-    if miss.size:
+    g = _rings(tau_prof, delta, r0, r_max, 0.25)
+    grid = _Rings.build(np.r_[r0, g.r], np.r_[1, g.count], np.r_[0.0, g.off])
+    test = grid.points()
+    counts, covered = _cover_counts(grid, test, centers, taus, delta, b)
+    # rounding can put a point of the last ring just past r_max
+    inside = np.abs(test) <= r_max
+    if not np.all(covered | ~inside):
         # maximality only guarantees coverage by the dilated disks
-        dil_miss = np.nonzero(counts == 0)[0]
+        dil_miss = np.flatnonzero((counts == 0) & inside)
         if dil_miss.size:
             wz = complex(test[dil_miss[0]])
             raise CoveringError(
@@ -636,19 +729,30 @@ def build_lattice(tau_prof, delta, r_max, b=1.25):
                 f"uncovered, first at {wz:.6f}",
                 witness=wz,
             )
-    mult = int(counts.max()) if len(counts) else 0
+    mult = int(counts[inside].max()) if inside.any() else 0
     return Lattice(centers, delta * taus, delta, b, mult, C, r_max, tau_prof)
 
 
-def _cover_counts(test, centers, taus, delta, b):
-    """Per test point: how many b-dilated disks hold it, and whether an undilated one does."""
-    ttree = _tree(test)
+def _cover_counts(grid, test, centers, taus, delta, b):
+    """Per point of a ring grid (``test``, its points): how many b-dilated
+    disks hold it, and whether an undilated one does."""
     counts = np.zeros(len(test), dtype=np.int32)
     covered = np.zeros(len(test), dtype=bool)
-    for zc, tz in zip(centers, taus):
-        hit = np.array(ttree.query_ball_point([zc.real, zc.imag], b * delta * tz), dtype=np.intp)
-        counts[hit] += 1
-        covered[hit[np.abs(test[hit] - zc) <= delta * tz]] = True
+    for lo in range(0, len(centers), _COVER_CHUNK):
+        zc = centers[lo : lo + _COVER_CHUNK]
+        tz = taus[lo : lo + _COVER_CHUNK]
+        ci, pt = _disk_candidates(grid, zc, b * delta * tz)
+        if not pt.size:
+            continue
+        d = test[pt]
+        d -= zc[ci]
+        d = np.abs(d)
+        covered[pt[d <= (delta * tz)[ci]]] = True
+        # the points of one chunk of centers span one run of flat indices
+        first = pt.min()
+        c = np.bincount(pt[d <= (b * delta * tz)[ci]] - first)
+        counts[first : first + len(c)] += c
+        del ci, pt, d  # before the next chunk's candidates
     return counts, covered
 
 

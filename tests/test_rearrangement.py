@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from bhl import rearrangement
-from bhl.errors import NonConvergedError, WeightDomainError
+from bhl.errors import CoveringError, NonConvergedError, WeightDomainError
 from bhl.hankel import PolynomialSymbol
 from bhl.rearrangement import (
     LevelField,
     MeasureResult,
     SymbolDerivative,
     _cover_counts,
+    _rings,
     _refined,
     besov_sum,
     bloch_norm,
@@ -542,21 +543,26 @@ def test_build_lattice_standard_tau_invariants(lat01):
     assert np.all(d >= bound)
 
 
-def _greedy_lattice_reference(tau_prof, delta, r_max):
-    """Scan points in ring order; accept one iff no accepted disk holds it."""
+def _ring_points_reference(tau_prof, delta, r_start, r_max, phase):
+    """The lattice ring points, one ring at a time, in scan order."""
     rings = []
-    r, ring = 0.0, 0
+    r, ring = r_start, 0
     while r <= r_max:
         step = delta * float(tau_prof(r)) / 8.0
         if r == 0.0:
             rings.append(np.array([0.0 + 0.0j]))
         else:
             M = max(8, int(np.ceil(2.0 * np.pi * r / step)))
-            th = 2.0 * np.pi * (np.arange(M) + 0.5 * (ring % 2)) / M
+            th = 2.0 * np.pi * (np.arange(M) + phase + 0.5 * (ring % 2)) / M
             rings.append(r * np.exp(1j * th))
         r += step
         ring += 1
-    pts = np.concatenate(rings)
+    return np.concatenate(rings)
+
+
+def _greedy_lattice_reference(tau_prof, delta, r_max):
+    """Scan points in ring order; accept one iff no accepted disk holds it."""
+    pts = _ring_points_reference(tau_prof, delta, 0.0, r_max, 0.0)
     zc = np.empty(len(pts), dtype=complex)
     rad = np.empty(len(pts))
     n = 0
@@ -568,16 +574,27 @@ def _greedy_lattice_reference(tau_prof, delta, r_max):
     return zc[:n]
 
 
+_CONST_TAU = TauProfile.user_supplied(lambda r: np.full_like(np.asarray(r, float), 0.15), r_hi=0.9)
+
+
 @pytest.mark.parametrize(
     "tau_prof, delta, r_max, b",
     [
         (TauProfile.standard(0.0), 0.25, 0.8, 1.5),
         (TauProfile.standard(0.0), 0.2, 0.99, 1.5),
-        (TauProfile.user_supplied(lambda r: np.full_like(np.asarray(r, float), 0.15), r_hi=0.9),
-         0.3, 0.6, 1.25),
+        (_CONST_TAU, 0.3, 0.6, 1.25),
         (TauProfile.ce(1.0), 0.25, 0.8, 1.5),
+        (TauProfile.standard(0.0), 0.5, 0.9, 1.7),
+        # disks that hold whole rings of the later-ring batches and windows
+        # that wrap past angle 2 pi
+        (_CONST_TAU, 0.5, 0.6, 1.25),
+        # tau grows 3-fold across a disk: centers whose disks hold their
+        # whole own ring (C = 201)
+        (TauProfile.user_supplied(lambda r: 0.004 + 4.0 * np.asarray(r, float), r_hi=0.9),
+         0.5, 0.2, 26.2),
     ],
-    ids=["standard-0.25-0.8", "standard-0.2-0.99", "constant-0.3-0.6", "ce-0.25-0.8"],
+    ids=["standard-0.25-0.8", "standard-0.2-0.99", "constant-0.3-0.6", "ce-0.25-0.8",
+         "standard-0.5-0.9", "constant-0.5-0.6", "growing-0.5-0.2"],
 )
 def test_build_lattice_matches_brute_force_greedy(tau_prof, delta, r_max, b):
     lat = build_lattice(tau_prof, delta, r_max, b=b)
@@ -596,20 +613,76 @@ def test_build_lattice_selection_does_not_read_comparability(monkeypatch):
         np.testing.assert_array_equal(lat.centers, _greedy_lattice_reference(tau, delta, r_max))
 
 
+def test_build_lattice_covering_error_names_first_uncovered_point(monkeypatch):
+    # with C forced to 0, b = 1.02 passes the dilation check but the
+    # dilated disks miss verification points; the witness is the first
+    # one in ring order
+    monkeypatch.setattr(TauProfile, "measured_comparability", lambda self, delta, r_max: 0.0)
+    tau, delta, r_max, b = TauProfile.ce(1.0), 0.25, 0.8, 1.02
+    with pytest.raises(CoveringError) as err:
+        build_lattice(tau, delta, r_max, b=b)
+    zc = _greedy_lattice_reference(tau, delta, r_max)
+    rad = np.array([b * delta * float(tau(abs(z))) for z in zc])
+    r0 = 0.5 * delta * float(tau(0.0)) / 8.0
+    test = np.concatenate([[r0 + 0.0j], _ring_points_reference(tau, delta, r0, r_max, 0.25)])
+    test = test[np.abs(test) <= r_max]
+    bare = [w for w in test if not np.any(np.abs(w - zc) <= rad)]
+    assert len(bare) > 0 and err.value.witness == bare[0]
+    assert f"leave {len(bare)} verification points" in str(err.value)
+
+
+def test_build_lattice_peak_memory(tau0):
+    # geometry's lattice: 308,660 scan points, 3,705 centers; candidates
+    # for all centers at once peaked at 59 MiB, 256 at a time at 12.7 MiB
+    tracemalloc.start()
+    try:
+        build_lattice(tau0, 0.1, 0.99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2**20, peak
+
+
 def test_cover_counts_matches_brute_force():
+    # on a scan grid (a ring at r = 0) and on a verification grid
+    for r_start, phase in ((0.0, 0.0), (0.01, 0.25)):
+        _check_cover_counts(r_start, phase)
+
+
+def _check_cover_counts(r_start, phase):
+    tau = TauProfile.standard(0.0)
+    delta, b = 0.25, 1.25
+    grid = _rings(tau, delta, r_start, 0.9, phase)
+    test = grid.points()
+    np.testing.assert_array_equal(test, _ring_points_reference(tau, delta, r_start, 0.9, phase))
     rng = np.random.default_rng(3)
-    test = rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-1, 1, 4000)
-    centers = rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300)
-    taus = rng.uniform(0.0, 1.0, 300)
-    taus[:3] = [0.0, 1e-9, 30.0]  # an empty ball, a tiny one, one holding every point
-    delta, b = 0.1, 1.25
+    radius, angle = 0.9 * np.sqrt(rng.uniform(0, 1, 200)), 2.0 * np.pi * rng.uniform(0, 1, 200)
+    centers = list(radius * np.exp(1j * angle))
+    taus = list(rng.uniform(0.0, 0.8, 200))
+    # a ring k = 20 and the angle of its point 5
+    k, j = 20, 5
+    rk = grid.r[k]
+    th = 2.0 * np.pi * (j + grid.off[k]) / grid.count[k]
+    edge = [
+        (0.0j, 0.6),  # a center at the origin, its disk holding whole rings
+        (0.03 + 0.01j, 3.0),  # off the origin, holding the inner rings whole
+        (0.3 * np.exp(1j * th), (rk - 0.3) / delta),  # ring k touches the disk from outside
+        (0.3 * np.exp(1j * th), (rk - 0.3) / (b * delta)),  # ... the dilated disk
+        (0.9 * np.exp(1j * th), (0.9 - rk) / delta),  # ... from inside
+        (test[grid.first[k] + j], 0.0),  # tau = 0: only the point under the center
+        (0.5 - 0.2j, 30.0),  # a disk holding every point
+        (0.6 * np.exp(-1e-3j), 0.4),  # windows across angle 2 pi
+        (0.6 * np.exp(1e-3j), 0.4),
+    ]
+    centers = np.array(centers + [z for z, _ in edge])
+    taus = np.array(taus + [t for _, t in edge])
     counts = np.zeros(len(test), dtype=int)
     covered = np.zeros(len(test), dtype=bool)
     for zc, tz in zip(centers, taus):
         d = np.abs(test - zc)
         counts += d <= b * delta * tz
         covered |= d <= delta * tz
-    got_counts, got_covered = _cover_counts(test, centers, taus, delta, b)
+    got_counts, got_covered = _cover_counts(grid, test, centers, taus, delta, b)
     np.testing.assert_array_equal(got_counts, counts)
     np.testing.assert_array_equal(got_covered, covered)
 
