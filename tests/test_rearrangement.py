@@ -633,7 +633,7 @@ def test_build_lattice_covering_error_names_first_uncovered_point(monkeypatch):
 
 def test_build_lattice_peak_memory(tau0):
     # geometry's lattice: 308,660 scan points, 3,705 centers; candidates
-    # for all centers at once peaked at 59 MiB, 256 at a time at 12.7 MiB
+    # for all centers at once peaked at 69 MiB, 256 at a time at 12.7 MiB
     tracemalloc.start()
     try:
         build_lattice(tau0, 0.1, 0.99)
