@@ -25,7 +25,7 @@ from .acceptance import SUITES, run_suite
 from .asymptotics import predict_explog, predict_standard, predict_symbol
 from .errors import BhlError, ConfigError
 from .hankel import PolynomialSymbol, polynomial_gram
-from .rearrangement import SymbolDerivative, level_measure
+from .rearrangement import SymbolDerivative, _r_push, level_measure
 from .spectrum import singular_values
 from .weights import RadialWeight, TauProfile, compute_moments, tau_profile
 
@@ -276,6 +276,7 @@ def cmd_rearrange(cfg, out):
         ("tau", tau.provenance),
         ("symbol", repr(deriv)),
         ("r_max", _fmt(r_max)),
+        ("r_push", _fmt(_r_push(tau, r_max))),
         ("log-log slope", slope),
     ])
     return 0

@@ -4,8 +4,9 @@ Everything here integrates over the truncated disk {|z| <= r_max} in
 polar coordinates with the boundary substitution u = log(1/(1-r)), so
 dA/tau^2 = r (1-r) / tau(r)^2 du dtheta.  Integrands like 1/tau^2 are
 not integrable up to |z| = 1, so r_max is always an explicit argument
-and level_measure reports how much the answer moves when r_max is
-pushed halfway closer to 1.
+and level_measure reports how much the answer grows when r_max is
+pushed halfway closer to 1: the mass of the annulus that the push
+adds, integrated on the same u step as the disk.
 
 Superlevel sets are resolved per angle: along each radial slice the
 crossing of tau|phi'| through the level t is located by linear
@@ -180,7 +181,12 @@ class SymbolDerivative:
 
 
 class MeasureResult(float):
-    """A float carrying its refinement delta and mesh level and its truncation delta."""
+    """A float carrying its refinement delta and mesh level and its truncation delta.
+
+    ``r_max_delta`` (level_measure only) is the mass that pushing r_max
+    halfway to 1 adds: that of the annulus r_max < |z| <= r_push on the
+    level's u step, 0.0 where nothing above the level reaches it.
+    """
 
     def __new__(cls, value, refine_error=0.0, r_max_delta=None, level=None):
         obj = super().__new__(cls, value)
@@ -254,13 +260,27 @@ class LevelField:
     radial modulus is one row of weight 2 pi.  The blocks are built
     lazily, so ``measure`` and ``trace`` hold one block at a time;
     ``rplus`` holds the whole field across its whole-field probes while
-    it fits in _FIELD_BYTES.
+    it fits in _FIELD_BYTES, reusing one that ``_hold`` already built.
     """
 
     def __init__(self, tau_prof, deriv, r_max, level):
         if not 0.0 < r_max < 1.0:
             raise WeightDomainError(f"r_max must lie in (0, 1), got {r_max}")
         u = np.linspace(0.0, -np.log1p(-r_max), 1024 * 2**level + 1)
+        self._setup(tau_prof, deriv, u, r_max, level)
+
+    @classmethod
+    def _annulus(cls, tau_prof, deriv, r_in, r_out, level):
+        """The field of the annulus r_in < |z| <= r_out on the u step of
+        the disk |z| <= r_in at ``level``, and on the angular cells of
+        the disk |z| <= r_out (the CE spike mesh must reach its edge)."""
+        u_in, u_out = -np.log1p(-r_in), -np.log1p(-r_out)
+        cells = max(1, int(np.ceil((u_out - u_in) / (u_in / (1024 * 2**level)))))
+        field = cls.__new__(cls)
+        field._setup(tau_prof, deriv, np.linspace(u_in, u_out, cells + 1), r_out, level)
+        return field
+
+    def _setup(self, tau_prof, deriv, u, r_max, level):
         self.du = u[1] - u[0]
         self._r = -np.expm1(-u)
         self._tau = np.asarray(tau_prof(self._r), dtype=float)
@@ -273,8 +293,17 @@ class LevelField:
             self._theta, self._wts = None, np.array([2.0 * np.pi])
         else:
             self._theta, self._wts = _theta_cells(deriv, r_max, level)
+        self._held = None
+
+    def _hold(self):
+        """Build the whole field once and keep it for ``blocks``, if it fits in _FIELD_BYTES."""
+        if len(self._wts) * len(self.dens) * 8 <= _FIELD_BYTES:
+            self._held = list(self.blocks())
 
     def blocks(self):
+        if self._held is not None:
+            yield from self._held
+            return
         for lo, f in _field_rows(self._deriv, self._r, self._tau, self._theta):
             yield self._wts[lo : lo + len(f)], f
 
@@ -354,10 +383,11 @@ class LevelField:
             raise ValueError(f"rplus needs x > 0, got {x}")
         if t_max == 0.0:
             return 0.0
-        # the field is rows x columns float64; hold it only if it fits
-        held = None
-        if len(self._wts) * len(self.dens) * 8 <= _FIELD_BYTES:
-            held = list(self.blocks())
+        if self._held is None:
+            self._hold()
+        # rplus owns the held field from here, so that it can release it
+        held, self._held = self._held, None
+        if held is not None:
             R = lambda t: self._mass(held, t)
         else:
             R = self.measure
@@ -420,8 +450,11 @@ def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, max_level=5, check_r_
 
     Returns a MeasureResult float whose ``refine_error`` is the last
     dyadic-refinement delta and whose ``r_max_delta`` reports how much
-    the value moves when r_max is pushed halfway to 1 (capped at the
-    tau profile's own reach).  The caller owns the truncation decision.
+    the value grows when r_max is pushed to r_push, halfway to 1 and
+    capped at the tau profile's own reach: the dA/tau^2 mass of
+    {tau|phi'| > t} on the annulus r_max < |z| <= r_push, integrated on
+    the converged level's u step (0.0 where r_push = r_max or where the
+    set stays inside r_max).  The caller owns the truncation decision.
     """
     if not t > 0.0:
         raise ValueError(f"level t must be positive, got {t}")
@@ -430,12 +463,16 @@ def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, max_level=5, check_r_
     )
     delta = None
     if check_r_max:
-        r_push = min(0.5 * (1.0 + r_max), tau_prof.r_hi)
+        r_push = _r_push(tau_prof, r_max)
+        delta = 0.0
         if r_push > r_max:
-            delta = abs(LevelField(tau_prof, deriv, r_push, level).measure(t) - val)
-        else:
-            delta = 0.0
+            delta = LevelField._annulus(tau_prof, deriv, r_max, r_push, level).measure(t)
     return MeasureResult(val, refine_error=err, r_max_delta=delta, level=level)
+
+
+def _r_push(tau_prof, r_max):
+    """The outer radius of level_measure's r_max check."""
+    return min(0.5 * (1.0 + r_max), tau_prof.r_hi)
 
 
 def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4, iters=48):
@@ -443,15 +480,23 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4, iters=48):
 
     The mesh level is the first one on which R(T/8) converges to
     rel_tol, T the sup of tau|phi'|; LevelField.rplus then bisects on
-    that one level.
+    that one level, on the field the level choice built.  Only the
+    current level's field is held, and only if it fits in _FIELD_BYTES.
     """
     if not x > 0.0:
         raise ValueError(f"rearrangement_plus needs x > 0, got {x}")
     T = bloch_norm(tau_prof, deriv, r_max=r_max)
-    _, _, level = _refined(
-        lambda lv: LevelField(tau_prof, deriv, r_max, lv).measure(T / 8.0), rel_tol, 5
-    )
-    return LevelField(tau_prof, deriv, r_max, level).rplus(x, T, iters)
+    field = None
+
+    def measure(level):
+        nonlocal field
+        # rebinding releases level - 1's held field before level's is built
+        field = LevelField(tau_prof, deriv, r_max, level)
+        field._hold()
+        return field.measure(T / 8.0)
+
+    _refined(measure, rel_tol, 5)
+    return field.rplus(x, T, iters)
 
 
 def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):

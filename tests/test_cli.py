@@ -205,6 +205,17 @@ def test_rearrange_run(tmp_path):
     assert any("log-log slope" in l for l in lines)
 
 
+def test_rearrange_deterministic_bytes(tmp_path):
+    _, out1 = run(tmp_path, REARRANGE, "rearrange", "a.csv")
+    _, out2 = run(tmp_path, REARRANGE, "rearrange", "b.csv")
+    assert out1.read_bytes() == out2.read_bytes()
+    footer = dict(
+        l[2:].split(": ", 1) for l in out1.read_text().splitlines() if l.startswith("#")
+    )
+    assert float(footer["r_max"]) == 0.99
+    assert float(footer["r_push"]) == 0.995
+
+
 def test_rearrange_r_max_beyond_profile(tmp_path):
     code, _ = run(tmp_path, REARRANGE.replace("0.99", "0.99999999999999"), "rearrange")
     assert code == 1  # numeric domain failure, not a config error

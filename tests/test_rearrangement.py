@@ -208,6 +208,40 @@ def test_level_measure_non_convergence_reported(tau0, dz):
         level_measure(tau0, dz, 0.5, 0.999, rel_tol=1e-12, max_level=1)
 
 
+@pytest.mark.parametrize("t", [0.01, 0.02, 0.03])
+def test_r_max_delta_closed_form(tau0, dz, t):
+    # lambda{sqrt(pi)(1-r^2) > t} on r_max < |z| <= r_b is
+    # 1/(1-r_b^2) - 1/(1-r_max^2), r_b the nearer of r_push = 0.995 and
+    # the set's edge sqrt(1 - t/sqrt(pi))
+    R = level_measure(tau0, dz, t, 0.99)
+    r_b = min(0.995, np.sqrt(1.0 - t / SP))
+    exact = 1.0 / (1.0 - r_b**2) - 1.0 / (1.0 - 0.99**2)
+    assert abs(R.r_max_delta - exact) <= 1e-5 * exact, (R.r_max_delta, exact)
+
+
+def test_r_max_delta_is_zero_where_no_mass_is_added(tau0, dz):
+    # {tau|phi'| > 0.05} ends at |z| = 0.9857, inside r_max
+    assert level_measure(tau0, dz, 0.05, 0.99).r_max_delta == 0.0
+    # r_push is capped at the profile's reach, here r_max itself
+    const = TauProfile.user_supplied(lambda r: np.full_like(np.asarray(r, float), 0.15), r_hi=0.9)
+    R = level_measure(const, dz, 0.1, 0.9)
+    assert R > 0.0 and R.r_max_delta == 0.0
+
+
+def test_r_max_delta_matches_two_disk_difference_on_ce():
+    # the annulus mass is R(t; r_push) - R(t; r_max) without the second
+    # disk's own mesh error
+    tau, ce = TauProfile.ce(1.0), SymbolDerivative.ce_family(1.5)
+    compared = 0
+    for t in np.logspace(-3, -1, 5):
+        R = level_measure(tau, ce, t, 0.99)
+        two_disk = abs(LevelField(tau, ce, 0.995, R.level).measure(t) - R)
+        if two_disk > 1e-3 * R:
+            compared += 1
+            assert abs(R.r_max_delta - two_disk) <= 1e-3 * two_disk, (t, R.r_max_delta, two_disk)
+    assert compared >= 2
+
+
 def test_ce_measure_log_slope():
     # tau = (1-r)/log(e/(1-r)), gamma = 1.5: the level sets of the
     # boundary spike carry a known log-log slope near -1.2
@@ -318,6 +352,24 @@ def test_rearrangement_plus_sweep_rebuilt_field_matches_held(tau0, case, monkeyp
     held = [rearrangement_plus(tau, deriv, x, r_max, iters=48) for x in xs]
     monkeypatch.setattr(rearrangement, "_FIELD_BYTES", 0)
     assert [rearrangement_plus(tau, deriv, x, r_max, iters=48) for x in xs] == held
+
+
+def test_rearrangement_plus_builds_each_level_once(tau0, monkeypatch):
+    # R+ bisects on the field its level choice built, not on a rebuild
+    built = []
+    real = rearrangement._field_rows
+
+    def recording(deriv, r, tau, theta):
+        built.append((len(theta), len(r)))
+        return real(deriv, r, tau, theta)
+
+    monkeypatch.setattr(rearrangement, "_field_rows", recording)
+    deriv = SymbolDerivative.polynomial([1.0, 1.0])
+    rearrangement_plus(tau0, deriv, 3.0, 0.99)
+    # level L has 256 * 2**L rows and 1024 * 2**L + 1 columns; bloch_norm's
+    # coarse grid is 256 x 2049 and its zooms 17 x 17
+    levels = [(m, n) for m, n in built if n == 4 * m + 1]
+    assert levels == [(256, 1025), (512, 2049)], levels
 
 
 def test_rearrangement_plus_peak_memory():
