@@ -6,7 +6,8 @@ dA/tau^2 = r (1-r) / tau(r)^2 du dtheta.  Integrands like 1/tau^2 are
 not integrable up to |z| = 1, so r_max is always an explicit argument
 and level_measure reports how much the answer grows when r_max is
 pushed halfway closer to 1: the mass of the annulus that the push
-adds, integrated on the same u step as the disk.
+adds, integrated on the same u step as the disk (on at most as many u
+cells as the disk has, which is coarser only for r_max < 1/2).
 
 Superlevel sets are resolved per angle: along each radial slice the
 crossing of tau|phi'| through the level t is located by linear
@@ -260,7 +261,7 @@ class LevelField:
     radial modulus is one row of weight 2 pi.  The blocks are built
     lazily, so ``measure`` and ``trace`` hold one block at a time;
     ``rplus`` holds the whole field across its whole-field probes while
-    it fits in _FIELD_BYTES, reusing one that ``_hold`` already built.
+    it fits in _FIELD_BYTES.
     """
 
     def __init__(self, tau_prof, deriv, r_max, level):
@@ -273,9 +274,14 @@ class LevelField:
     def _annulus(cls, tau_prof, deriv, r_in, r_out, level):
         """The field of the annulus r_in < |z| <= r_out on the u step of
         the disk |z| <= r_in at ``level``, and on the angular cells of
-        the disk |z| <= r_out (the CE spike mesh must reach its edge)."""
+        the disk |z| <= r_out (the CE spike mesh must reach its edge).
+
+        The annulus has at most the disk's 1024 * 2**level cells: for
+        r_in < 1/2 the disk's step would need more, and there the step
+        stays finer than that of the whole disk |z| <= r_out."""
         u_in, u_out = -np.log1p(-r_in), -np.log1p(-r_out)
-        cells = max(1, int(np.ceil((u_out - u_in) / (u_in / (1024 * 2**level)))))
+        n = 1024 * 2**level
+        cells = min(max(1, int(np.ceil((u_out - u_in) / (u_in / n)))), n)
         field = cls.__new__(cls)
         field._setup(tau_prof, deriv, np.linspace(u_in, u_out, cells + 1), r_out, level)
         return field
@@ -293,17 +299,8 @@ class LevelField:
             self._theta, self._wts = None, np.array([2.0 * np.pi])
         else:
             self._theta, self._wts = _theta_cells(deriv, r_max, level)
-        self._held = None
-
-    def _hold(self):
-        """Build the whole field once and keep it for ``blocks``, if it fits in _FIELD_BYTES."""
-        if len(self._wts) * len(self.dens) * 8 <= _FIELD_BYTES:
-            self._held = list(self.blocks())
 
     def blocks(self):
-        if self._held is not None:
-            yield from self._held
-            return
         for lo, f in _field_rows(self._deriv, self._r, self._tau, self._theta):
             yield self._wts[lo : lo + len(f)], f
 
@@ -333,6 +330,12 @@ class LevelField:
             counted = np.where(f0 > t, d0, d1) * (self.du * 0.5)
             np.add.at(I, ii, _crossing_mass(f0, f[ii, jj + 1], d0, d1, self.du, t) - counted)
         return I
+
+    def _whole(self):
+        """The list of all blocks if the field fits in _FIELD_BYTES, else None."""
+        if len(self._wts) * len(self.dens) * 8 <= _FIELD_BYTES:
+            return list(self.blocks())
+        return None
 
     def _mass(self, blocks, t):
         return self._row_sum([self._slice_integrals(f, t) for _, f in blocks])
@@ -383,10 +386,10 @@ class LevelField:
             raise ValueError(f"rplus needs x > 0, got {x}")
         if t_max == 0.0:
             return 0.0
-        if self._held is None:
-            self._hold()
-        # rplus owns the held field from here, so that it can release it
-        held, self._held = self._held, None
+        return self._bisect(self._whole(), x, t_max, iters)
+
+    def _bisect(self, held, x, t_max, iters):
+        """rplus on the blocks ``held`` of this field, or on rebuilt ones if None."""
         if held is not None:
             R = lambda t: self._mass(held, t)
         else:
@@ -409,7 +412,7 @@ class LevelField:
         cell = 0.5 * self.du * (self.dens[:-1] + self.dens[1:])
         blocks = self.blocks() if held is None else held
         full, f0, f1, jj, wr = self._straddling(blocks, cell, t_lo, t_hi)
-        del held, blocks, R  # release the whole field; only the gathered cells are probed
+        del held, blocks, R  # only the gathered cells are probed from here
         for _ in range(iters - whole):
             mid = np.sqrt(t_lo * t_hi)
             a0 = f0 > mid
@@ -486,17 +489,19 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4, iters=48):
     if not x > 0.0:
         raise ValueError(f"rearrangement_plus needs x > 0, got {x}")
     T = bloch_norm(tau_prof, deriv, r_max=r_max)
-    field = None
+    if T == 0.0:
+        return 0.0
+    field = held = None
 
     def measure(level):
-        nonlocal field
-        # rebinding releases level - 1's held field before level's is built
+        nonlocal field, held
+        held = None  # release level - 1's field before level's is built
         field = LevelField(tau_prof, deriv, r_max, level)
-        field._hold()
-        return field.measure(T / 8.0)
+        held = field._whole()
+        return field.measure(T / 8.0) if held is None else field._mass(held, T / 8.0)
 
     _refined(measure, rel_tol, 5)
-    return field.rplus(x, T, iters)
+    return field._bisect(held, x, T, iters)
 
 
 def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):

@@ -242,6 +242,24 @@ def test_r_max_delta_matches_two_disk_difference_on_ce():
     assert compared >= 2
 
 
+@pytest.mark.parametrize("r_max", [0.01, 1e-6])
+def test_r_max_delta_annulus_is_no_wider_than_the_disk(tau0, r_max, monkeypatch):
+    # below r_max = 1/2 the push adds more u than the disk holds, and
+    # the disk's u step would take up to 1/r_max times its columns
+    built = []
+    real = rearrangement._field_rows
+
+    def recording(deriv, r, tau, theta):
+        built.append(len(r))
+        return real(deriv, r, tau, theta)
+
+    monkeypatch.setattr(rearrangement, "_field_rows", recording)
+    deriv = SymbolDerivative.polynomial([1.0, 1.0])
+    R = level_measure(tau0, deriv, 0.5, r_max)
+    assert R.r_max_delta > 0.0
+    assert max(built) <= 1024 * 2**R.level + 1, (built, R.level)
+
+
 def test_ce_measure_log_slope():
     # tau = (1-r)/log(e/(1-r)), gamma = 1.5: the level sets of the
     # boundary spike carry a known log-log slope near -1.2
