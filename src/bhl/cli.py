@@ -257,6 +257,8 @@ def cmd_rearrange(cfg, out):
     deriv = cfg.symbol_derivative()
     r_max, t_lo, t_hi, points = cfg.rearrange_params()
     ts = np.logspace(np.log10(t_lo), np.log10(t_hi), points)
+    # logspace rounds the ends (0.3 comes back as 0.29999999999999993)
+    ts[0], ts[-1] = t_lo, t_hi
     rows = []
     Rs = []
     for t in ts:

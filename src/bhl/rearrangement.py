@@ -19,6 +19,12 @@ The Cauchy-type family phi'(z) = 1/((1-z) log^gamma(e/(1-z))) puts all
 its mass in a spike of angular width ~ (1-r) around theta = 0, so its
 angular mesh is log-graded toward the singular angle; a uniform mesh
 aliases the spike and converges to wrong answers while looking stable.
+
+A sweep over t reuses its fields: level_measure keeps the fields of its
+last call family (one tau profile, symbol and r_max, compared by value)
+while they fit in _MEMO_BYTES (32 MiB), so criterion 10's CE sweep and
+``bhl rearrange`` build each level's field once.  At most that budget
+stays held, for one family; a call of another family releases it.
 """
 
 from __future__ import annotations
@@ -51,6 +57,12 @@ _BLOCK_ELEMS = 2**14
 # many rows, the groups summed in order; the float order, and so every
 # bit of R(t) and the traces, does not depend on the chunk size
 _DOT_ROWS = 256
+
+# level_measure keeps the (weights, field) blocks of its last call
+# family's fields up to this many bytes in all; the CE sweep keeps its
+# levels 0 and 1 and the level-1 annulus (17.7 MB), and a CE level 2
+# (1,537 x 4,097, 50 MB) streams as LevelField.measure does
+_MEMO_BYTES = 32 * 2**20
 
 # LevelField.rplus probes a held field whole for this many bisection
 # steps, then only the cells that straddle its bracket; on the first
@@ -300,6 +312,21 @@ class LevelField:
         else:
             self._theta, self._wts = _theta_cells(deriv, r_max, level)
 
+    @property
+    def nbytes(self):
+        """The bytes of the whole field: rows x columns x 8."""
+        return len(self._wts) * len(self.dens) * 8
+
+    def _key(self):
+        """What blocks() computes from, by value: the symbol, the radii
+        and tau on them, and the angular cells."""
+        d = self._deriv
+        coeffs = None if d.coeffs is None else np.asarray(d.coeffs)
+        arrays = (coeffs, self._r, self._tau, self._theta, self._wts)
+        return (d.kind, d.gamma) + tuple(
+            None if a is None else (a.dtype.str, a.tobytes()) for a in arrays
+        )
+
     def blocks(self):
         for lo, f in _field_rows(self._deriv, self._r, self._tau, self._theta):
             yield self._wts[lo : lo + len(f)], f
@@ -333,7 +360,7 @@ class LevelField:
 
     def _whole(self):
         """The list of all blocks if the field fits in _FIELD_BYTES, else None."""
-        if len(self._wts) * len(self.dens) * 8 <= _FIELD_BYTES:
+        if self.nbytes <= _FIELD_BYTES:
             return list(self.blocks())
         return None
 
@@ -433,6 +460,33 @@ class LevelField:
         return float(t_hi)
 
 
+# level_measure's kept fields: read-only (weights, field) block lists
+# keyed by LevelField._key, at most _MEMO_BYTES of fields in all
+_MEMO = {}
+
+
+def _kept_measure(field, t, first=False):
+    """field.measure(t), on kept blocks where _MEMO holds them.
+
+    ``first`` marks a call's level-0 field: if it is not kept, the call
+    starts a new family and _MEMO is cleared first.  A field that does
+    not fit in what is left of _MEMO_BYTES streams.
+    """
+    key = field._key()
+    held = _MEMO.get(key)
+    if held is None:
+        if first:
+            _MEMO.clear()
+        kept = sum(f.nbytes for blocks in _MEMO.values() for _, f in blocks)
+        if kept + field.nbytes > _MEMO_BYTES:
+            return field.measure(t)
+        held = _MEMO[key] = list(field.blocks())
+        for block in held:
+            for a in block:
+                a.flags.writeable = False
+    return field._mass(held, t)
+
+
 def _refined(fn, rel_tol, max_level):
     prev = fn(0)
     for level in range(1, max_level + 1):
@@ -458,18 +512,23 @@ def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, max_level=5, check_r_
     {tau|phi'| > t} on the annulus r_max < |z| <= r_push, integrated on
     the converged level's u step (0.0 where r_push = r_max or where the
     set stays inside r_max).  The caller owns the truncation decision.
+
+    The fields of the last call family are kept (_kept_measure), so a
+    sweep over t on one (tau_prof, deriv, r_max) builds each once.
     """
     if not t > 0.0:
         raise ValueError(f"level t must be positive, got {t}")
     val, err, level = _refined(
-        lambda lv: LevelField(tau_prof, deriv, r_max, lv).measure(t), rel_tol, max_level
+        lambda lv: _kept_measure(LevelField(tau_prof, deriv, r_max, lv), t, first=lv == 0),
+        rel_tol,
+        max_level,
     )
     delta = None
     if check_r_max:
         r_push = _r_push(tau_prof, r_max)
         delta = 0.0
         if r_push > r_max:
-            delta = LevelField._annulus(tau_prof, deriv, r_max, r_push, level).measure(t)
+            delta = _kept_measure(LevelField._annulus(tau_prof, deriv, r_max, r_push, level), t)
     return MeasureResult(val, refine_error=err, r_max_delta=delta, level=level)
 
 
@@ -806,12 +865,18 @@ def _cover_counts(grid, test, centers, taus, delta, b):
     return counts, covered
 
 
+# besov_sum evaluates the disks of this many centers at a time; all of
+# geometry's lattice at once (3,705 centers x 128 nodes) peaked at 43 MiB
+_BESOV_CHUNK = 256
+
+
 def besov_sum(lattice, deriv, p):
     """Sum over lattice cells of (cell average of tau|phi'|)^p weighted
     by the cell's lambda-measure int dA/tau^2.
 
     Cell integrals run on a local polar Gauss-Legendre x uniform-angle
-    grid over each disk, clipped to {|z| <= r_max}.
+    grid over each disk, clipped to {|z| <= r_max}, for _BESOV_CHUNK
+    centers at a time; the terms are summed largest first.
     """
     if not p > 0.0:
         raise ValueError(f"besov_sum needs p > 0, got {p}")
@@ -824,20 +889,22 @@ def besov_sum(lattice, deriv, p):
     local = (s[:, None] * np.exp(1j * psi)[None, :]).ravel()
     wloc = (ws[:, None] * s[:, None] * np.full((1, 16), 2.0 * np.pi / 16.0)).ravel()
 
-    z = lattice.centers[:, None] + lattice.radii[:, None] * local[None, :]
-    rr = np.abs(z)
     lim = min(lattice.r_max, tau_prof.r_hi)
-    mask = rr <= lim
-    tz = np.zeros_like(rr)
-    tz[mask] = tau_prof(rr[mask])
-    fz = np.zeros_like(rr)
-    fz[mask] = tz[mask] * deriv(z[mask])
-    wm = np.where(mask, wloc[None, :], 0.0)
-    rho2 = lattice.radii**2
-    area = rho2 * wm.sum(axis=1)
-    mu = rho2 * (fz * wm).sum(axis=1)
-    lam_cells = rho2 * (wm / np.where(mask, tz, 1.0) ** 2).sum(axis=1)
-    ok = area > 0.0
-    avg = np.zeros(len(area))
-    avg[ok] = mu[ok] / area[ok]
-    return float(np.sum(np.sort(avg[ok] ** p * lam_cells[ok])[::-1]))
+    terms = [np.zeros(0)]
+    for lo in range(0, len(lattice), _BESOV_CHUNK):
+        radii = lattice.radii[lo : lo + _BESOV_CHUNK]
+        z = lattice.centers[lo : lo + _BESOV_CHUNK, None] + radii[:, None] * local[None, :]
+        rr = np.abs(z)
+        mask = rr <= lim
+        tz = np.zeros_like(rr)
+        tz[mask] = tau_prof(rr[mask])
+        fz = np.zeros_like(rr)
+        fz[mask] = tz[mask] * deriv(z[mask])
+        wm = np.where(mask, wloc[None, :], 0.0)
+        rho2 = radii**2
+        area = rho2 * wm.sum(axis=1)
+        mu = rho2 * (fz * wm).sum(axis=1)
+        lam_cells = rho2 * (wm / np.where(mask, tz, 1.0) ** 2).sum(axis=1)
+        ok = area > 0.0
+        terms.append((mu[ok] / area[ok]) ** p * lam_cells[ok])
+    return float(np.sum(np.sort(np.concatenate(terms))[::-1]))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from bhl import rearrangement
 from bhl.weights import RadialWeight, compute_moments
 
 
@@ -19,3 +20,12 @@ def std25():
 @pytest.fixture(scope="session")
 def explog11():
     return compute_moments(RadialWeight.explog(1.0, 1.0), 2000)
+
+
+@pytest.fixture(autouse=True)
+def _clear_field_memo():
+    # level_measure keeps the fields of its last call family; a test that
+    # counts field builds must not depend on what an earlier test kept
+    rearrangement._MEMO.clear()
+    yield
+    rearrangement._MEMO.clear()

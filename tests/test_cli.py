@@ -205,6 +205,13 @@ def test_rearrange_run(tmp_path):
     assert any("log-log slope" in l for l in lines)
 
 
+def test_rearrange_rows_start_and_end_at_the_configured_levels(tmp_path):
+    # logspace alone gives 0.29999999999999993 for t_lo = 0.3
+    _, out = run(tmp_path, REARRANGE, "rearrange", "r.csv")
+    rows = [l.split(",") for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
+    assert rows[0][0] == cli._fmt(0.3) and rows[-1][0] == cli._fmt(1.5)
+
+
 def test_rearrange_deterministic_bytes(tmp_path):
     _, out1 = run(tmp_path, REARRANGE, "rearrange", "a.csv")
     _, out2 = run(tmp_path, REARRANGE, "rearrange", "b.csv")

@@ -260,6 +260,94 @@ def test_r_max_delta_annulus_is_no_wider_than_the_disk(tau0, r_max, monkeypatch)
     assert max(built) <= 1024 * 2**R.level + 1, (built, R.level)
 
 
+def _ce_profile():
+    # a fresh profile object per call, as the benchmark makes them
+    return TauProfile.user_supplied(
+        lambda r: (1.0 - np.asarray(r, float)) / (1.0 - np.log1p(-np.asarray(r, float)))
+    )
+
+
+def _kept_bytes():
+    return sum(f.nbytes for held in rearrangement._MEMO.values() for _, f in held)
+
+
+def _ce_sweep(clear):
+    out = []
+    for t in np.logspace(-3, -1, 13):
+        if clear:
+            rearrangement._MEMO.clear()
+        R = level_measure(_ce_profile(), SymbolDerivative.ce_family(1.5), float(t), 0.99)
+        out.append((float(R), R.level, R.refine_error, R.r_max_delta))
+    return out
+
+
+def test_level_measure_kept_fields_give_the_same_bits():
+    # criterion 10's 13 levels, on fields kept across calls and on
+    # fields built afresh for every call
+    cleared = _ce_sweep(clear=True)
+    assert _ce_sweep(clear=False) == cleared
+    assert _kept_bytes() > 0
+
+
+def _record_field_builds(monkeypatch):
+    built = []
+    real = rearrangement._field_rows
+
+    def recording(deriv, r, tau, theta):
+        built.append((len(theta), len(r)))
+        return real(deriv, r, tau, theta)
+
+    monkeypatch.setattr(rearrangement, "_field_rows", recording)
+    return built
+
+
+def test_level_measure_builds_a_family_once(monkeypatch):
+    built = _record_field_builds(monkeypatch)
+    ce = SymbolDerivative.ce_family(1.5)
+    level_measure(_ce_profile(), ce, 0.01, 0.99)
+    # levels 0 and 1 and the level-1 annulus, 17.7 MB
+    assert built == [(385, 1025), (769, 2049), (769, 310)], built
+    kept = _kept_bytes()
+    assert kept == 8 * (385 * 1025 + 769 * 2049 + 769 * 310)
+    built.clear()
+    level_measure(_ce_profile(), SymbolDerivative.ce_family(1.5), 0.02, 0.99)
+    assert built == [] and _kept_bytes() == kept
+    # a call of another family clears the memo before it keeps its own
+    level_measure(TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 1.0]), 0.5, 0.99)
+    assert {key[0] for key in rearrangement._MEMO} == {"poly"}
+    built.clear()
+    level_measure(_ce_profile(), ce, 0.02, 0.99)
+    assert len(built) == 3, built
+
+
+def test_level_measure_streams_a_field_over_the_memo_budget():
+    tau, ce = TauProfile.ce(1.0), SymbolDerivative.ce_family(1.5)
+    level_measure(tau, ce, 0.01, 0.99, check_r_max=False)
+    kept = _kept_bytes()
+    assert kept + LevelField(tau, ce, 0.99, 2).nbytes > rearrangement._MEMO_BYTES
+    tracemalloc.start()
+    try:
+        # levels 0 and 1 are kept; level 2 (1,537 x 4,097, 50 MB) streams
+        with pytest.raises(NonConvergedError):
+            level_measure(tau, ce, 0.01, 0.99, rel_tol=1e-12, max_level=2, check_r_max=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rearrangement._MEMO) == 2 and _kept_bytes() == kept
+    assert peak < 2 * 2**20, peak
+
+
+def test_level_measure_kept_arrays_refuse_writes(tau0):
+    level_measure(tau0, SymbolDerivative.polynomial([1.0, 1.0]), 0.5, 0.99)
+    blocks = [block for held in rearrangement._MEMO.values() for block in held]
+    assert blocks
+    for wts, f in blocks:
+        with pytest.raises(ValueError):
+            f[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            wts[0] = 0.0
+
+
 def test_ce_measure_log_slope():
     # tau = (1-r)/log(e/(1-r)), gamma = 1.5: the level sets of the
     # boundary spike carry a known log-log slope near -1.2
@@ -374,14 +462,7 @@ def test_rearrangement_plus_sweep_rebuilt_field_matches_held(tau0, case, monkeyp
 
 def test_rearrangement_plus_builds_each_level_once(tau0, monkeypatch):
     # R+ bisects on the field its level choice built, not on a rebuild
-    built = []
-    real = rearrangement._field_rows
-
-    def recording(deriv, r, tau, theta):
-        built.append((len(theta), len(r)))
-        return real(deriv, r, tau, theta)
-
-    monkeypatch.setattr(rearrangement, "_field_rows", recording)
+    built = _record_field_builds(monkeypatch)
     deriv = SymbolDerivative.polynomial([1.0, 1.0])
     rearrangement_plus(tau0, deriv, 3.0, 0.99)
     # level L has 256 * 2**L rows and 1024 * 2**L + 1 columns; bloch_norm's
@@ -779,6 +860,29 @@ def test_besov_sum_grows_toward_boundary(tau0, dz):
     vals = [besov_sum(build_lattice(tau0, 0.2, rm, b=1.5), dz, 1.0)
             for rm in (0.9, 0.99)]
     assert vals[1] > 1.8 * vals[0]  # p=1 Besov mass of phi=z diverges
+
+
+@pytest.mark.parametrize("c", [0.1, 0.3])
+def test_besov_sum_chunks_keep_the_bits(lat01, c, monkeypatch):
+    # geometry's lattice and symbol; one chunk is the whole-array sum
+    deriv = SymbolDerivative.polynomial([1.0, 2.0 * c])
+    got = besov_sum(lat01, deriv, 2.0)
+    for chunk in (len(lat01), 7):
+        monkeypatch.setattr(rearrangement, "_BESOV_CHUNK", chunk)
+        assert besov_sum(lat01, deriv, 2.0) == got
+
+
+def test_besov_sum_peak_memory(lat01):
+    # geometry's lattice: 3,705 centers x 128 nodes at once peaked at
+    # 43 MiB, 256 centers at a time at 3.3 MiB
+    deriv = SymbolDerivative.polynomial([1.0, 0.6])
+    tracemalloc.start()
+    try:
+        besov_sum(lat01, deriv, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
 
 
 def test_besov_sum_rejects_bad_p(tau0, dz):
