@@ -20,11 +20,13 @@ its mass in a spike of angular width ~ (1-r) around theta = 0, so its
 angular mesh is log-graded toward the singular angle; a uniform mesh
 aliases the spike and converges to wrong answers while looking stable.
 
-A sweep over t reuses its fields: level_measure keeps the fields of its
-last call family (one tau profile, symbol and r_max, compared by value)
-while they fit in _MEMO_BYTES (32 MiB), so criterion 10's CE sweep and
-``bhl rearrange`` build each level's field once.  At most that budget
-stays held, for one family; a call of another family releases it.
+Level fields have one hold rule: a field of at most _HOLD_BYTES
+(32 MiB) is held whole, built once and read-only, and level_measure
+keeps the held fields of its last call family (one tau profile, symbol
+and r_max, compared by value) while they fit in _HOLD_BYTES in all.
+level_measure, rearrangement_plus and trace_integral read that family,
+so a sweep over t builds each level's field once and an R+ or trace
+after it builds none.  A call of another family releases it.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ import numpy as np
 
 from .errors import CoveringError, NonConvergedError, WeightDomainError
 
-
-# LevelField.rplus holds its field across its whole-field probes up to
-# this size; finer fields (0.5 GiB for phi = z + c z^2 at level 4) are
-# rebuilt per probe
-_FIELD_BYTES = 256 * 2**20
 
 # |w|^2 of the Cauchy-type kernel is a normal, finite double while
 # |log |w|| stays below this (|w|^2 within 1e-295 and 1e295)
@@ -58,11 +55,11 @@ _BLOCK_ELEMS = 2**14
 # bit of R(t) and the traces, does not depend on the chunk size
 _DOT_ROWS = 256
 
-# level_measure keeps the (weights, field) blocks of its last call
-# family's fields up to this many bytes in all; the CE sweep keeps its
+# a level field is held (LevelField._hold) up to this many bytes, and
+# level_measure keeps at most this many in all; the CE sweep keeps its
 # levels 0 and 1 and the level-1 annulus (17.7 MB), and a CE level 2
-# (1,537 x 4,097, 50 MB) streams as LevelField.measure does
-_MEMO_BYTES = 32 * 2**20
+# (50 MB) or a polynomial level 2 (33.6 MB) streams, rebuilt per use
+_HOLD_BYTES = 32 * 2**20
 
 # LevelField.rplus probes a held field whole for this many bisection
 # steps, then only the cells that straddle its bracket; on the first
@@ -88,6 +85,8 @@ class SymbolDerivative:
         c = np.atleast_1d(np.asarray(coeffs))
         if c.ndim != 1 or len(c) == 0:
             raise ValueError("coeffs of phi' must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"coeffs of phi' must be finite, got {c}")
         if not np.iscomplexobj(c) or np.all(c.imag == 0.0):
             c = c.real.astype(float)
         return cls("poly", coeffs=c)
@@ -268,12 +267,11 @@ class LevelField:
     """tau|phi'| on the polar grid of one dyadic mesh level.
 
     ``dens`` is dA/tau^2 per du dtheta along the u axis and ``blocks()``
-    yields (weights, field) pairs of cache-sized chunks of angular rows
+    gives (weights, field) pairs of cache-sized chunks of angular rows
     (_BLOCK_ELEMS values each), field being tau|phi'| on those rows.  A
     radial modulus is one row of weight 2 pi.  The blocks are built
-    lazily, so ``measure`` and ``trace`` hold one block at a time;
-    ``rplus`` holds the whole field across its whole-field probes while
-    it fits in _FIELD_BYTES.
+    lazily, one at a time, until ``_hold`` (which ``rplus`` calls)
+    keeps the whole field read-only, once and only within _HOLD_BYTES.
     """
 
     def __init__(self, tau_prof, deriv, r_max, level):
@@ -311,6 +309,7 @@ class LevelField:
             self._theta, self._wts = None, np.array([2.0 * np.pi])
         else:
             self._theta, self._wts = _theta_cells(deriv, r_max, level)
+        self._held = None
 
     @property
     def nbytes(self):
@@ -328,8 +327,21 @@ class LevelField:
         )
 
     def blocks(self):
-        for lo, f in _field_rows(self._deriv, self._r, self._tau, self._theta):
-            yield self._wts[lo : lo + len(f)], f
+        """The held list of (weights, field) blocks, or an iterator that builds them."""
+        if self._held is not None:
+            return self._held
+        rows = _field_rows(self._deriv, self._r, self._tau, self._theta)
+        return ((self._wts[lo : lo + len(f)], f) for lo, f in rows)
+
+    def _hold(self):
+        """Keep the whole field read-only, built once, if it fits in _HOLD_BYTES; returns self."""
+        if self._held is None and self.nbytes <= _HOLD_BYTES:
+            held = list(self.blocks())
+            for block in held:
+                for a in block:
+                    a.flags.writeable = False
+            self._held = held
+        return self
 
     def _row_sum(self, per_row):
         """Row weights times per-row values, over all rows, in _DOT_ROWS groups."""
@@ -358,25 +370,16 @@ class LevelField:
             np.add.at(I, ii, _crossing_mass(f0, f[ii, jj + 1], d0, d1, self.du, t) - counted)
         return I
 
-    def _whole(self):
-        """The list of all blocks if the field fits in _FIELD_BYTES, else None."""
-        if self.nbytes <= _FIELD_BYTES:
-            return list(self.blocks())
-        return None
-
-    def _mass(self, blocks, t):
-        return self._row_sum([self._slice_integrals(f, t) for _, f in blocks])
-
     def measure(self, t):
         """R(t) on this level: the dA/tau^2 mass of {tau|phi'| > t}."""
-        return self._mass(self.blocks(), t)
+        return self._row_sum([self._slice_integrals(f, t) for _, f in self.blocks()])
 
     def trace(self, h):
         """int h(tau|phi'|) dA/tau^2 on this level."""
         return self._row_sum([(np.asarray(h(f)) * self._wu).sum(axis=1) for _, f in self.blocks()])
 
-    def _straddling(self, blocks, cell, t_lo, t_hi):
-        """Split the cells of (weights, field) blocks by the bracket (t_lo, t_hi].
+    def _straddling(self, cell, t_lo, t_hi):
+        """Split the cells of the field by the bracket (t_lo, t_hi].
 
         ``cell`` is each u cell's whole mass.  Returns the mass of the
         cells above the bracket (both nodes > t_hi), which is whole at
@@ -386,7 +389,7 @@ class LevelField:
         """
         above = []
         parts = []
-        for wts, f in blocks:
+        for wts, f in self.blocks():
             low = np.minimum(f[:, :-1], f[:, 1:])
             above.append(((low > t_hi) * cell).sum(axis=1))
             meets = low <= t_hi
@@ -405,22 +408,17 @@ class LevelField:
         R < x the sup runs over an empty set and 0 is returned.
 
         The field is probed whole for the first _HELD_STEPS bisection
-        steps only, held if it fits in _FIELD_BYTES and rebuilt per
-        probe if not; after that only the cells whose range meets the
-        bracket are kept, and they drop out as it shrinks.
+        steps only, held (_hold) if it fits in _HOLD_BYTES and rebuilt
+        per probe if not; after that only the cells whose range meets
+        the bracket are kept, and they drop out as it shrinks.
         """
         if not x > 0.0:
             raise ValueError(f"rplus needs x > 0, got {x}")
+        if not 0.0 <= t_max < np.inf:
+            raise ValueError(f"rplus needs 0 <= t_max < inf, got {t_max}")
         if t_max == 0.0:
             return 0.0
-        return self._bisect(self._whole(), x, t_max, iters)
-
-    def _bisect(self, held, x, t_max, iters):
-        """rplus on the blocks ``held`` of this field, or on rebuilt ones if None."""
-        if held is not None:
-            R = lambda t: self._mass(held, t)
-        else:
-            R = self.measure
+        R = self._hold().measure
         t_hi = t_max * (1.0 + 1e-9)
         if R(t_hi) >= x:
             return t_hi
@@ -437,9 +435,7 @@ class LevelField:
             else:
                 t_hi = mid
         cell = 0.5 * self.du * (self.dens[:-1] + self.dens[1:])
-        blocks = self.blocks() if held is None else held
-        full, f0, f1, jj, wr = self._straddling(blocks, cell, t_lo, t_hi)
-        del held, blocks, R  # only the gathered cells are probed from here
+        full, f0, f1, jj, wr = self._straddling(cell, t_lo, t_hi)
         for _ in range(iters - whole):
             mid = np.sqrt(t_lo * t_hi)
             a0 = f0 > mid
@@ -460,34 +456,19 @@ class LevelField:
         return float(t_hi)
 
 
-# level_measure's kept fields: read-only (weights, field) block lists
-# keyed by LevelField._key, at most _MEMO_BYTES of fields in all
+# level_measure's kept family: held LevelFields keyed by
+# LevelField._key, at most _HOLD_BYTES in all; only level_measure writes it
 _MEMO = {}
 
 
-def _kept_measure(field, t, first=False):
-    """field.measure(t), on kept blocks where _MEMO holds them.
-
-    ``first`` marks a call's level-0 field: if it is not kept, the call
-    starts a new family and _MEMO is cleared first.  A field that does
-    not fit in what is left of _MEMO_BYTES streams.
-    """
-    key = field._key()
-    held = _MEMO.get(key)
-    if held is None:
-        if first:
-            _MEMO.clear()
-        kept = sum(f.nbytes for blocks in _MEMO.values() for _, f in blocks)
-        if kept + field.nbytes > _MEMO_BYTES:
-            return field.measure(t)
-        held = _MEMO[key] = list(field.blocks())
-        for block in held:
-            for a in block:
-                a.flags.writeable = False
-    return field._mass(held, t)
+def _kept(field):
+    """The held field _MEMO keeps for ``field``'s key, else ``field`` itself."""
+    return _MEMO.get(field._key(), field)
 
 
 def _refined(fn, rel_tol, max_level):
+    if not max_level >= 1:
+        raise ValueError(f"max_level must be at least 1, got {max_level}")
     prev = fn(0)
     for level in range(1, max_level + 1):
         cur = fn(level)
@@ -513,13 +494,23 @@ def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, max_level=5, check_r_
     the converged level's u step (0.0 where r_push = r_max or where the
     set stays inside r_max).  The caller owns the truncation decision.
 
-    The fields of the last call family are kept (_kept_measure), so a
+    The held fields of the last call family are kept in _MEMO, so a
     sweep over t on one (tau_prof, deriv, r_max) builds each once.
     """
     if not t > 0.0:
         raise ValueError(f"level t must be positive, got {t}")
+
+    def measure(field, first=False):
+        kept = _kept(field)
+        if kept is field:
+            if first:  # a level-0 field not kept starts a new family
+                _MEMO.clear()
+            if sum(f.nbytes for f in _MEMO.values()) + field.nbytes <= _HOLD_BYTES:
+                _MEMO[field._key()] = field._hold()
+        return kept.measure(t)
+
     val, err, level = _refined(
-        lambda lv: _kept_measure(LevelField(tau_prof, deriv, r_max, lv), t, first=lv == 0),
+        lambda lv: measure(LevelField(tau_prof, deriv, r_max, lv), first=lv == 0),
         rel_tol,
         max_level,
     )
@@ -528,7 +519,7 @@ def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, max_level=5, check_r_
         r_push = _r_push(tau_prof, r_max)
         delta = 0.0
         if r_push > r_max:
-            delta = _kept_measure(LevelField._annulus(tau_prof, deriv, r_max, r_push, level), t)
+            delta = measure(LevelField._annulus(tau_prof, deriv, r_max, r_push, level))
     return MeasureResult(val, refine_error=err, r_max_delta=delta, level=level)
 
 
@@ -542,25 +533,24 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4, iters=48):
 
     The mesh level is the first one on which R(T/8) converges to
     rel_tol, T the sup of tau|phi'|; LevelField.rplus then bisects on
-    that one level, on the field the level choice built.  Only the
-    current level's field is held, and only if it fits in _FIELD_BYTES.
+    that one level.  Levels come from level_measure's kept family
+    (_kept) or are built, the current one held if it fits in _HOLD_BYTES.
     """
     if not x > 0.0:
         raise ValueError(f"rearrangement_plus needs x > 0, got {x}")
     T = bloch_norm(tau_prof, deriv, r_max=r_max)
     if T == 0.0:
         return 0.0
-    field = held = None
+    field = None
 
     def measure(level):
-        nonlocal field, held
-        held = None  # release level - 1's field before level's is built
-        field = LevelField(tau_prof, deriv, r_max, level)
-        held = field._whole()
-        return field.measure(T / 8.0) if held is None else field._mass(held, T / 8.0)
+        nonlocal field
+        field = None  # release level - 1's field before level's is built
+        field = _kept(LevelField(tau_prof, deriv, r_max, level))._hold()
+        return field.measure(T / 8.0)
 
     _refined(measure, rel_tol, 5)
-    return field._bisect(held, x, T, iters)
+    return field.rplus(x, T, iters)
 
 
 def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
@@ -581,7 +571,7 @@ def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
     if np.any(mids > 0.5 * (hp[:-1] + hp[1:]) + 1e-9 * max(1.0, float(hp[-1]))):
         raise ValueError("h fails midpoint convexity on the spot-check grid")
     val, err, level = _refined(
-        lambda lv: LevelField(tau_prof, deriv, r_max, lv).trace(h), rel_tol, max_level
+        lambda lv: _kept(LevelField(tau_prof, deriv, r_max, lv)).trace(h), rel_tol, max_level
     )
     return MeasureResult(val, refine_error=err, r_max_delta=None, level=level)
 

@@ -81,3 +81,14 @@ def test_summary_within_bound_at_the_edge_and_failures():
     assert entry["all_correct"] is False and entry["failed_ops"] == 2
     runs[1]["result"]["metrics"]["wall_s"]["value"] = 2.5001
     assert bench_pairs._summary(runs, bounds)["geometry"]["wall_s"]["within_bound"] is False
+
+
+def test_src_lines_per_side_null_where_runs_disagree():
+    def run(side, lines):
+        return dict(side=side, env={"src_bhl_lines": lines})
+
+    runs = [run("parent", 3085), run("change", 3075), run("parent", 3085)]
+    assert bench_pairs._src_lines(runs) == {"parent": 3085, "change": 3075}
+    runs.append(run("change", 3076))
+    assert bench_pairs._src_lines(runs) == {"parent": 3085, "change": None}
+    assert bench_pairs._src_lines([]) == {"parent": None, "change": None}

@@ -208,6 +208,25 @@ def test_level_measure_non_convergence_reported(tau0, dz):
         level_measure(tau0, dz, 0.5, 0.999, rel_tol=1e-12, max_level=1)
 
 
+@pytest.mark.parametrize("max_level", [0, -1])
+def test_max_level_below_one_is_rejected(tau0, max_level, monkeypatch):
+    built = _record_field_builds(monkeypatch)
+    deriv = SymbolDerivative.polynomial([1.0, 0.6])
+    with pytest.raises(ValueError, match="max_level"):
+        level_measure(tau0, deriv, 0.5, 0.99, max_level=max_level)
+    assert built == []
+    with pytest.raises(ValueError, match="max_level"):
+        trace_integral(tau0, deriv, lambda x: np.asarray(x) ** 2, 0.99, max_level=max_level)
+    # only bloch_norm's sup grid (256 x 2,049) and zooms ran, no level field
+    assert all(n in (2049, 17) for _, n in built), built
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, np.nan], [1.0, np.inf], [-np.inf], [1.0, 1j * np.inf]])
+def test_polynomial_rejects_non_finite_coefficients(coeffs):
+    with pytest.raises(ValueError, match="finite"):
+        SymbolDerivative.polynomial(coeffs)
+
+
 @pytest.mark.parametrize("t", [0.01, 0.02, 0.03])
 def test_r_max_delta_closed_form(tau0, dz, t):
     # lambda{sqrt(pi)(1-r^2) > t} on r_max < |z| <= r_b is
@@ -268,7 +287,7 @@ def _ce_profile():
 
 
 def _kept_bytes():
-    return sum(f.nbytes for held in rearrangement._MEMO.values() for _, f in held)
+    return sum(field.nbytes for field in rearrangement._MEMO.values())
 
 
 def _ce_sweep(clear):
@@ -324,7 +343,7 @@ def test_level_measure_streams_a_field_over_the_memo_budget():
     tau, ce = TauProfile.ce(1.0), SymbolDerivative.ce_family(1.5)
     level_measure(tau, ce, 0.01, 0.99, check_r_max=False)
     kept = _kept_bytes()
-    assert kept + LevelField(tau, ce, 0.99, 2).nbytes > rearrangement._MEMO_BYTES
+    assert kept + LevelField(tau, ce, 0.99, 2).nbytes > rearrangement._HOLD_BYTES
     tracemalloc.start()
     try:
         # levels 0 and 1 are kept; level 2 (1,537 x 4,097, 50 MB) streams
@@ -339,7 +358,7 @@ def test_level_measure_streams_a_field_over_the_memo_budget():
 
 def test_level_measure_kept_arrays_refuse_writes(tau0):
     level_measure(tau0, SymbolDerivative.polynomial([1.0, 1.0]), 0.5, 0.99)
-    blocks = [block for held in rearrangement._MEMO.values() for block in held]
+    blocks = [block for field in rearrangement._MEMO.values() for block in field.blocks()]
     assert blocks
     for wts, f in blocks:
         with pytest.raises(ValueError):
@@ -406,7 +425,7 @@ def _rplus_probe_by_probe(tau_prof, deriv, x, r_max, iters, hold=False):
 
 @pytest.mark.parametrize(
     "symbol, field_bytes",
-    [("poly", rearrangement._FIELD_BYTES), ("ce", rearrangement._FIELD_BYTES), ("poly", 0)],
+    [("poly", rearrangement._HOLD_BYTES), ("ce", rearrangement._HOLD_BYTES), ("poly", 0)],
     ids=["poly-held", "ce-held", "poly-rebuilt"],
 )
 def test_rearrangement_plus_matches_probe_by_probe(tau0, symbol, field_bytes, monkeypatch):
@@ -419,7 +438,7 @@ def test_rearrangement_plus_matches_probe_by_probe(tau0, symbol, field_bytes, mo
             lambda r: (1.0 - np.asarray(r, float)) / (1.0 - np.log1p(-np.asarray(r, float)))
         )
         deriv, x, r_max = SymbolDerivative.ce_family(1.5), 30.0, 0.9
-    monkeypatch.setattr(rearrangement, "_FIELD_BYTES", field_bytes)
+    monkeypatch.setattr(rearrangement, "_HOLD_BYTES", field_bytes)
     rp = rearrangement_plus(tau, deriv, x, r_max, iters=16)
     assert rp == _rplus_probe_by_probe(tau, deriv, x, r_max, 16)
 
@@ -450,13 +469,13 @@ def test_rearrangement_plus_sweep_matches_whole_field_bisection(tau0, case):
 
 @pytest.mark.parametrize("case", ["c=0.1", "c=0.5", "ce", "radial"])
 def test_rearrangement_plus_sweep_rebuilt_field_matches_held(tau0, case, monkeypatch):
-    # a field over _FIELD_BYTES runs the same algorithm, rebuilt for each
+    # a field over _HOLD_BYTES runs the same algorithm, rebuilt for each
     # whole-field step and once more to gather the straddling cells, so
     # over 48 steps it gives the held field's bits, which the sweep above
     # holds within 1e-12 of probing all cells
     tau, deriv, xs, r_max = _sweep_case(tau0, case)
     held = [rearrangement_plus(tau, deriv, x, r_max, iters=48) for x in xs]
-    monkeypatch.setattr(rearrangement, "_FIELD_BYTES", 0)
+    monkeypatch.setattr(rearrangement, "_HOLD_BYTES", 0)
     assert [rearrangement_plus(tau, deriv, x, r_max, iters=48) for x in xs] == held
 
 
@@ -469,6 +488,35 @@ def test_rearrangement_plus_builds_each_level_once(tau0, monkeypatch):
     # coarse grid is 256 x 2049 and its zooms 17 x 17
     levels = [(m, n) for m, n in built if n == 4 * m + 1]
     assert levels == [(256, 1025), (512, 2049)], levels
+
+
+def _poly_family():
+    # fresh objects equal by value, as the benchmark makes them
+    return TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6])
+
+
+def test_rplus_and_trace_read_the_kept_family(monkeypatch):
+    R = level_measure(*_poly_family(), 0.5, 0.99)
+    assert R.level == 1
+    built = _record_field_builds(monkeypatch)
+    rp = rearrangement_plus(*_poly_family(), float(R), 0.99)
+    tr = trace_integral(*_poly_family(), lambda x: np.asarray(x) ** 2, 0.99)
+    # bloch_norm's sup grid and zooms only: 256 x 1,025 and 512 x 2,049 are kept
+    assert [(m, n) for m, n in built if n == 4 * m + 1] == [], built
+    rearrangement._MEMO.clear()
+    assert rearrangement_plus(*_poly_family(), float(R), 0.99) == rp
+    assert trace_integral(*_poly_family(), lambda x: np.asarray(x) ** 2, 0.99) == tr
+
+
+def test_rplus_calls_on_one_field_build_it_once(monkeypatch):
+    tau, deriv = _poly_family()
+    field = LevelField(tau, deriv, 0.99, 0)
+    T = bloch_norm(tau, deriv, r_max=0.99)
+    built = _record_field_builds(monkeypatch)
+    rps = [field.rplus(x, T) for x in np.linspace(0.5, 5.0, 10)]
+    assert built == [(256, 1025)], built
+    fresh = [LevelField(tau, deriv, 0.99, 0).rplus(x, T) for x in np.linspace(0.5, 5.0, 10)]
+    assert rps == fresh
 
 
 def test_rearrangement_plus_peak_memory():
@@ -496,14 +544,14 @@ def test_rearrangement_plus_peak_memory():
 
 
 def test_rearrangement_plus_rebuilt_peak_memory(monkeypatch):
-    # a field over _FIELD_BYTES is never held: its whole-field steps and
+    # a field over _HOLD_BYTES is never held: its whole-field steps and
     # the gathering of the straddling cells stream cache-sized chunks
     tau, deriv, x, r_max = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.9, 0.99
     T = bloch_norm(tau, deriv, r_max=r_max)
     _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4, 5)
     field = LevelField(tau, deriv, r_max, level)
     field_bytes = len(field._wts) * len(field.dens) * 8
-    monkeypatch.setattr(rearrangement, "_FIELD_BYTES", 0)
+    monkeypatch.setattr(rearrangement, "_HOLD_BYTES", 0)
     tracemalloc.start()
     try:
         rearrangement_plus(tau, deriv, x, r_max)
@@ -635,6 +683,13 @@ def test_level_field_rplus_edges(tau0, dz):
     # a t_max below the sup: R >= x already at the top of the bracket
     assert field.rplus(0.5, 1.0) == 1.0 + 1e-9
     assert field.rplus(1e30, SP) == 0.0  # no t has R(t) that large
+
+
+@pytest.mark.parametrize("t_max", [np.nan, np.inf, -1.0])
+def test_level_field_rplus_rejects_bad_t_max(t_max):
+    field = LevelField(TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.99, 0)
+    with pytest.raises(ValueError, match="t_max"):
+        field.rplus(1.0, t_max)
 
 
 def test_trace_integral_closed_forms(tau0, dz):

@@ -16,6 +16,8 @@ per workload and end-to-end metric the (parent, change) pairs, each
 side's median and quartiles, how many pairs the change read lower, the
 metric's ``bound`` from ``BENCHMARK.json`` and ``within_bound``: whether
 the change's median is at most the parent's median times (1 + bound).
+``src_bhl_lines`` holds each side's line count of ``src/bhl`` from its
+runs' env lines, null for a side whose runs disagree.
 It is rewritten after every run, so an interrupted session keeps the
 runs made so far.
 """
@@ -96,6 +98,15 @@ def _summary(runs, bounds):
     return out
 
 
+def _src_lines(runs):
+    """Per side, the ``src_bhl_lines`` all its runs' env lines give, else None."""
+    out = {}
+    for side in SIDES:
+        seen = {r["env"].get("src_bhl_lines") for r in runs if r["side"] == side}
+        out[side] = seen.pop() if len(seen) == 1 else None
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -128,6 +139,7 @@ def main(argv=None):
                    f"python {platform.python_version()}",
         "parent_commit": None,
         "change_commit": None,
+        "src_bhl_lines": _src_lines([]),
         "summary": {},
         "runs": [],
     }
@@ -139,6 +151,7 @@ def main(argv=None):
         for s in SIDES:
             record[f"{s}_commit"] = next(
                 (r["env"]["commit"] for r in record["runs"] if r["side"] == s), None)
+        record["src_bhl_lines"] = _src_lines(record["runs"])
         record["summary"] = _summary(record["runs"], bounds)
         for r in record["runs"]:
             if r["trace"] == 1:
