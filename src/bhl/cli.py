@@ -140,8 +140,8 @@ class ExperimentConfig:
         if (ce_gamma is None) == (coeffs is None):
             raise ConfigError("[symbol]: give exactly one of coeffs or ce_gamma")
         if ce_gamma is not None:
-            if ce_gamma <= 1.0:
-                raise ConfigError(f"[symbol] ce_gamma: needs gamma > 1, got {ce_gamma}")
+            if not 1.0 < ce_gamma < np.inf:
+                raise ConfigError(f"[symbol] ce_gamma: needs 1 < gamma < inf, got {ce_gamma}")
             return SymbolDerivative.ce_family(ce_gamma)
         return SymbolDerivative.from_symbol(PolynomialSymbol(coeffs))
 

@@ -27,6 +27,10 @@ and r_max, compared by value) while they fit in _HOLD_BYTES in all.
 level_measure, rearrangement_plus and trace_integral read that family,
 so a sweep over t builds each level's field once and an R+ or trace
 after it builds none.  A call of another family releases it.
+
+The (tau, delta)-lattice is closed-form: its centers are the points of
+rings delta*tau apart, and build_lattice verifies its covering and
+measures its overlap on a ring grid eight times finer.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ class SymbolDerivative:
 
     Use the classmethods ``polynomial`` (coefficients of phi', constant
     first), ``from_symbol`` (hankel.PolynomialSymbol), or ``ce_family``
-    (phi'(z) = 1/((1-z) log^gamma(e/(1-z))), gamma > 1).
+    (phi'(z) = 1/((1-z) log^gamma(e/(1-z))), 1 < gamma < inf).
     """
 
     def __init__(self, kind, coeffs=None, gamma=None):
@@ -97,8 +101,8 @@ class SymbolDerivative:
 
     @classmethod
     def ce_family(cls, gamma):
-        if not gamma > 1.0:
-            raise WeightDomainError(f"ce family needs gamma > 1, got {gamma}")
+        if not 1.0 < gamma < np.inf:
+            raise WeightDomainError(f"ce family needs 1 < gamma < inf, got gamma={gamma}")
         return cls("ce", gamma=float(gamma))
 
     @property
@@ -416,6 +420,7 @@ class LevelField:
             raise ValueError(f"rplus needs x > 0, got {x}")
         if not 0.0 <= t_max < np.inf:
             raise ValueError(f"rplus needs 0 <= t_max < inf, got {t_max}")
+        _check_iters(iters)
         if t_max == 0.0:
             return 0.0
         R = self._hold().measure
@@ -528,6 +533,11 @@ def _r_push(tau_prof, r_max):
     return min(0.5 * (1.0 + r_max), tau_prof.r_hi)
 
 
+def _check_iters(iters):
+    if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
+
+
 def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4, iters=48):
     """R+(x) = sup { t : R(t) >= x }, by monotone bisection in log t.
 
@@ -538,6 +548,7 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4, iters=48):
     """
     if not x > 0.0:
         raise ValueError(f"rearrangement_plus needs x > 0, got {x}")
+    _check_iters(iters)
     T = bloch_norm(tau_prof, deriv, r_max=r_max)
     if T == 0.0:
         return 0.0
@@ -674,21 +685,21 @@ class _Rings(NamedTuple):
         return z
 
 
-def _rings(tau_prof, delta, r_start, r_max, phase):
-    """The lattice scan rings from r_start out to r_max.
+def _rings(tau_prof, step, r_start, r_max, phase):
+    """Rings from r_start out to r_max, step*tau(r) apart.
 
-    Rings are delta*tau(r)/8 apart and hold max(8, ceil(2 pi r / step))
-    points at angles 2 pi (j + phase)/M; every other ring is turned half
-    a cell.  A ring at r = 0 is the single point 0.
+    A ring at r holds max(8, ceil(2 pi r / (step tau(r)))) points at
+    angles 2 pi (j + phase)/M; every other ring is turned half a cell.
+    A ring at r = 0 is the single point 0.
     """
     radii, counts, offs = [], [], []
     r = r_start
     while r <= r_max:
-        step = delta * float(tau_prof(r)) / 8.0
+        h = step * float(tau_prof(r))
         offs.append(phase + 0.5 * (len(radii) % 2))
         radii.append(r)
-        counts.append(1 if r == 0.0 else max(8, int(np.ceil(2.0 * np.pi * r / step))))
-        r += step
+        counts.append(1 if r == 0.0 else max(8, int(np.ceil(2.0 * np.pi * r / h))))
+        r += h
     return _Rings.build(radii, counts, offs)
 
 
@@ -698,19 +709,19 @@ def _reach(rho):
     return rho * (1.0 + 1e-9) + 1e-15
 
 
-def _disk_candidates(grid, zc, rho, ring_lo=0):
+def _disk_candidates(grid, zc, rho):
     """(center, flat point) index pairs holding every grid point of the disks D(zc, rho).
 
-    A superset: on each ring from ring_lo on that comes within reach of
-    a center, the disk holds one arc, and its index window is taken from
-    the law of cosines, |p - z|^2 = (r - |z|)^2 + 4 r |z| sin^2(dtheta/2),
-    and widened by one point each side.  A ring at r = 0, a center at 0
+    A superset: on each ring that comes within reach of a center, the
+    disk holds one arc, and its index window is taken from the law of
+    cosines, |p - z|^2 = (r - |z|)^2 + 4 r |z| sin^2(dtheta/2), and
+    widened by one point each side.  A ring at r = 0, a center at 0
     and a ring that lies inside the disk give the whole ring.  The
     caller applies the exact disk test to the pairs.
     """
     a = np.abs(zc)
     reach = _reach(rho)
-    lo = np.maximum(np.searchsorted(grid.r, a - reach, side="left"), ring_lo)
+    lo = np.searchsorted(grid.r, a - reach, side="left")
     hi = np.searchsorted(grid.r, a + reach, side="right")
     nring = np.maximum(hi - lo, 0)
     # one row per (center, ring) pair
@@ -736,63 +747,30 @@ def _disk_candidates(grid, zc, rho, ring_lo=0):
 
 
 # _cover_counts takes the candidates of this many centers at a time;
-# build_lattice on the benchmark's lattice (3,705 centers) peaks at 69,
-# 12.7 and 9.7 MiB with all at once, 256 and 64, in about the same time
+# build_lattice on the benchmark's lattice (3,378 centers) peaks at 69.2,
+# 12.6 and 9.5 MiB with all at once, 256 and 64, in 0.055, 0.044 and
+# 0.047 s (fastest of 5 on a 2-core VM)
 _COVER_CHUNK = 64
 
 
-def _greedy_centers(tau_prof, delta, r_max):
-    """The greedy walk of build_lattice: its centers and their tau values.
-
-    A ring's free points are walked in a short loop, each new center
-    striking the points of its disk on its own ring (an arc of chord
-    2 r sin(dtheta/2) < delta*tau), and then the ring's centers strike
-    the later rings in one batch.
-    """
-    scan = _rings(tau_prof, delta, 0.0, r_max, 0.0)
-    pts = scan.points()
-    free = np.ones(len(pts), dtype=bool)
-    at, taus = [], []
-    for k, (r, M) in enumerate(zip(scan.r, scan.count)):
-        lo = scan.first[k]
-        ring, ring_free = pts[lo : lo + M], free[lo : lo + M]
-        new = len(at)
-        for j in np.flatnonzero(ring_free):
-            if not ring_free[j]:
-                continue
-            zc = ring[j]
-            tz = float(tau_prof(abs(zc)))
-            at.append(lo + j)
-            taus.append(tz)
-            # the disk's arc of its own ring, w points each side of j
-            reach = _reach(delta * tz)
-            w = M if 2.0 * r <= reach else int(np.ceil(np.arcsin(reach / (2 * r)) * M / np.pi)) + 1
-            near = np.arange(j - w, j + w + 1) % M
-            ring_free[near[np.abs(ring[near] - zc) < delta * tz]] = False
-        if len(at) > new:
-            zk = pts[at[new:]]
-            rho = delta * np.array(taus[new:])
-            ci, pt = _disk_candidates(scan, zk, rho, ring_lo=k + 1)
-            free[pt[np.abs(pts[pt] - zk[ci]) < rho[ci]]] = False
-    return pts[at], np.array(taus)
-
-
 def build_lattice(tau_prof, delta, r_max, b=1.25):
-    """Greedy (tau, delta)-lattice on {|z| <= r_max}, covering-verified.
+    """(tau, delta)-lattice on {|z| <= r_max} in closed form, covering-verified.
 
-    Scan rings are delta*tau/8 apart.  The scan points are walked in
-    ring order, and a point becomes a center iff it lies in no accepted
-    disk D(z_k, delta tau(z_k)): each new center strikes the scan points
-    its disk holds off the walk.  This makes the accepted set maximal on
-    the scan grid: separation >= delta*tau(z_k) gives the shrunk-disk
-    disjointness for any C >= 1, and maximality makes the b-dilated
-    disks cover as long as b >= 1 + C/8.  The selection never reads C.
-    Covering is then verified on an offset grid and the failure carries
+    The centers are the points of the rings delta*tau(r) apart
+    (_rings at step delta): the ring at r holds max(8, ceil(2 pi r /
+    (delta tau(r)))) centers, every other ring is turned half a cell,
+    the ring at r = 0 is the single center 0, and each disk has radius
+    delta*tau at its ring's radius.  Centers on a ring are at most
+    delta*tau apart and so are the rings, so the undilated disks cover,
+    up to the variation of tau over one step; adjacent centers are at
+    least 2 sin(pi/8) delta*tau ~ 0.765 delta*tau apart, on an 8-point
+    ring.  The centers never read C.  Covering is verified on rings
+    delta*tau/8 apart, offset from the lattice, and the failure carries
     an uncovered witness.
 
-    Both grids are rings, and a disk holds one arc of each ring it
-    meets, so the points of a disk come from index windows
-    (_disk_candidates) and the exact disk test, with no spatial tree.
+    A disk holds one arc of each verification ring it meets, so the
+    points of a disk come from index windows (_disk_candidates) and the
+    exact disk test, with no spatial tree.
     """
     if not 0.0 < delta <= 0.5:
         raise WeightDomainError(f"delta must lie in (0, 0.5], got {delta}")
@@ -807,19 +785,21 @@ def build_lattice(tau_prof, delta, r_max, b=1.25):
             f"needs b >= {1.0 + C / 8.0:.3f}"
         )
 
-    centers, taus = _greedy_centers(tau_prof, delta, r_max)
+    rings = _rings(tau_prof, delta, 0.0, r_max, 0.0)
+    centers = rings.points()
+    taus = np.repeat(np.asarray(tau_prof(rings.r), dtype=float), rings.count)
 
     # verification grid: rings offset by half a step, angles offset too,
     # after one point on the positive axis at the first ring's radius
     r0 = 0.5 * delta * float(tau_prof(0.0)) / 8.0
-    g = _rings(tau_prof, delta, r0, r_max, 0.25)
+    g = _rings(tau_prof, delta / 8.0, r0, r_max, 0.25)
     grid = _Rings.build(np.r_[r0, g.r], np.r_[1, g.count], np.r_[0.0, g.off])
     test = grid.points()
     counts, covered = _cover_counts(grid, test, centers, taus, delta, b)
     # rounding can put a point of the last ring just past r_max
     inside = np.abs(test) <= r_max
     if not np.all(covered | ~inside):
-        # maximality only guarantees coverage by the dilated disks
+        # the undilated disks cover only up to tau's variation over a step
         dil_miss = np.flatnonzero((counts == 0) & inside)
         if dil_miss.size:
             wz = complex(test[dil_miss[0]])
@@ -856,7 +836,7 @@ def _cover_counts(grid, test, centers, taus, delta, b):
 
 
 # besov_sum evaluates the disks of this many centers at a time; all of
-# geometry's lattice at once (3,705 centers x 128 nodes) peaked at 43 MiB
+# geometry's lattice at once (3,378 centers x 128 nodes) peaked at 40 MiB
 _BESOV_CHUNK = 256
 
 

@@ -1,5 +1,7 @@
 import argparse
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +94,33 @@ def test_src_lines_per_side_null_where_runs_disagree():
     runs.append(run("change", 3076))
     assert bench_pairs._src_lines(runs) == {"parent": 3085, "change": None}
     assert bench_pairs._src_lines([]) == {"parent": None, "change": None}
+
+
+def test_crashed_run_reports_its_stderr_and_keeps_earlier_runs(tmp_path, capsys):
+    # a checkout whose benchmark command passes on seed 0 and, on seed 1,
+    # writes to stderr and exits 3
+    script = (
+        "import json, sys\n"
+        "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+        "if seed == 1:\n"
+        "    print('\\n'.join(f'noise {i}' for i in range(30)), file=sys.stderr)\n"
+        "    print('boom: the last line', file=sys.stderr)\n"
+        "    sys.exit(3)\n"
+        "print('env: ' + json.dumps({'commit': None, 'src_bhl_lines': 1}))\n"
+        "m = {'wall_s': {'value': 1.0}}\n"
+        "print(json.dumps({'metrics': m, 'correct': True, 'failed': 0}))\n"
+    )
+    (tmp_path / "bench.py").write_text(script)
+    bench = {"command": [sys.executable, "bench.py"], "run_seconds": 1,
+             "end_to_end": [{"name": "wall_s", "bound": 0.25}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    out = tmp_path / "o.json"
+    code = bench_pairs.main([str(tmp_path), str(tmp_path), "--pairs", "geometry:0:2",
+                             "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    # seed 1 runs the change first
+    assert "change geometry seed 1" in err and "exit code 3" in err
+    assert "boom: the last line" in err and "noise 29" in err and "noise 0\n" not in err
+    record = json.loads(out.read_text())
+    assert [(r["side"], r["seed"]) for r in record["runs"]] == [("parent", 0), ("change", 0)]

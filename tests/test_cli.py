@@ -223,6 +223,65 @@ def test_rearrange_deterministic_bytes(tmp_path):
     assert float(footer["r_push"]) == 0.995
 
 
+def _rerun_bytes(tmp_path, text, command):
+    """Run a config twice: its exit codes, the CSV text and its footer."""
+    code1, out1 = run(tmp_path, text, command, "a.csv")
+    code2, out2 = run(tmp_path, text, command, "b.csv")
+    assert code1 == code2 == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    text = out1.read_text()
+    footer = dict(l[2:].split(": ", 1) for l in text.splitlines() if l.startswith("#"))
+    return text, footer
+
+
+# the README's rearrangement example
+REARRANGE_CE = """\
+[weight]
+kind = tau_ce
+alpha = 1.0
+
+[symbol]
+ce_gamma = 1.5
+
+[rearrange]
+r_max = 0.99
+t_lo = 1e-3
+t_hi = 1e-1
+points = 13
+"""
+
+
+def test_rearrange_readme_ce_config(tmp_path):
+    _, footer = _rerun_bytes(tmp_path, REARRANGE_CE, "rearrange")
+    assert footer["tau"] == "UserSupplied"
+    assert abs(float(footer["log-log slope"]) + 1.2) <= 0.06  # criterion 10's window
+
+
+def test_rearrange_tau_from_weight(tmp_path):
+    # kind = standard takes tau from the weight's moment table (tau_profile)
+    text = REARRANGE.replace("kind = tau_standard", "kind = standard")
+    _, footer = _rerun_bytes(tmp_path, text + "\n[truncation]\nn = 2000\n", "rearrange")
+    assert footer["tau"] == "FromWeight"
+
+
+def test_spectrum_explog(tmp_path):
+    explog = SPECTRUM_STD0.replace("kind = standard\nalpha = 0.0",
+                                   "kind = explog\nalpha = 1.0\nbeta = 1.0")
+    csv, footer = _rerun_bytes(tmp_path, explog.replace("n = 60", "n = 200"), "spectrum")
+    assert footer["weight"] == "RadialWeight.explog(alpha=1.0, beta=1.0)"
+    assert "exponent=0.75," in footer["law"]  # p = 2(1+beta)/(2+beta) = 4/3
+    assert footer["doubling test"] == "passed"
+    assert len([l for l in csv.splitlines()[1:] if not l.startswith("#")]) == 200
+
+
+@pytest.mark.parametrize("gamma", ["1.0", "0.5", "inf", "nan"])
+def test_ce_gamma_outside_one_to_inf_is_a_config_error(tmp_path, capsys, gamma):
+    code, _ = run(tmp_path, REARRANGE_CE.replace("ce_gamma = 1.5", f"ce_gamma = {gamma}"),
+                  "rearrange")
+    assert code == 2
+    assert "[symbol] ce_gamma" in capsys.readouterr().err
+
+
 def test_rearrange_r_max_beyond_profile(tmp_path):
     code, _ = run(tmp_path, REARRANGE.replace("0.99", "0.99999999999999"), "rearrange")
     assert code == 1  # numeric domain failure, not a config error

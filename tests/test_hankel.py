@@ -8,6 +8,7 @@ from bhl.hankel import (
     hz_squared_sequence,
     polynomial_gram,
 )
+from bhl.spectrum import singular_values
 from bhl.weights import MomentTable, RadialWeight, compute_moments
 
 
@@ -142,6 +143,22 @@ def test_gram_scale_invariance(std0):
                              rel_tol=std0.rel_tol)
         Gs = polynomial_gram(scaled, phi, 30).to_dense()
         np.testing.assert_allclose(Gs, G, rtol=1e-11, atol=1e-20)
+
+
+@pytest.mark.parametrize("shift, ratio_entries", [(690, 0), (640, 112)])
+def test_gram_deep_tail_log_path(std0, shift, ratio_entries):
+    # moments below 1e-280 take the log-difference path of _delta_log:
+    # every entry at a shift of 690, all but the first 112 at 640, so
+    # that one call mixes both paths
+    phi = PolynomialSymbol([1.0, 0.5])
+    G = polynomial_gram(std0, phi, 500)
+    s = singular_values(G, check_doubling=False).values
+    deep = MomentTable(std0.weight, std0.log_values - shift, rel_tol=std0.rel_tol)
+    assert np.count_nonzero(deep.values > 1e-280) == ratio_entries
+    Gd = polynomial_gram(deep, phi, 500)
+    assert np.max(np.abs(Gd.band - G.band)) <= 1e-12 * s[0] ** 2
+    sd = singular_values(Gd, check_doubling=False).values
+    np.testing.assert_allclose(sd, s, rtol=1e-8)
 
 
 def test_gram_insufficient_moments():

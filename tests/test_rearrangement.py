@@ -69,6 +69,13 @@ def test_ce_family_domain_and_stability():
     assert abs(g[0, 0] - ce(0.7 * np.exp(0.5j))) < 1e-12
 
 
+@pytest.mark.parametrize("gamma", [1.0, np.inf, np.nan])
+def test_ce_family_needs_finite_gamma_above_one(gamma):
+    # at gamma = inf the kernel gives nan level measures
+    with pytest.raises(WeightDomainError, match="gamma="):
+        SymbolDerivative.ce_family(gamma)
+
+
 @pytest.mark.parametrize("gamma", [1.1, 1.5, 3.0])
 def test_ce_abs_grid_matches_mpmath(gamma):
     # the real-arithmetic kernel against 30-digit complex arithmetic,
@@ -219,6 +226,26 @@ def test_max_level_below_one_is_rejected(tau0, max_level, monkeypatch):
         trace_integral(tau0, deriv, lambda x: np.asarray(x) ** 2, 0.99, max_level=max_level)
     # only bloch_norm's sup grid (256 x 2,049) and zooms ran, no level field
     assert all(n in (2049, 17) for _, n in built), built
+
+
+@pytest.mark.parametrize("iters", [0, -3, 2.5, 48.0, True, None])
+def test_iters_must_be_a_positive_integer(tau0, iters, monkeypatch):
+    # iters < 1 would skip every bisection step and return the bracket
+    # top (1.911 here, where R+ is 0.963); no level field is built first
+    built = _record_field_builds(monkeypatch)
+    deriv = SymbolDerivative.polynomial([1.0, 0.6])
+    with pytest.raises(ValueError, match="iters"):
+        rearrangement_plus(tau0, deriv, 1.0, 0.99, iters=iters)
+    with pytest.raises(ValueError, match="iters"):
+        LevelField(tau0, deriv, 0.99, 0).rplus(1.0, 1.9, iters=iters)
+    assert built == []
+
+
+def test_rearrangement_plus_of_the_zero_symbol_is_zero(tau0):
+    # bloch_norm's sup of a zero field is 0, and R+ of it is 0
+    zero = SymbolDerivative.polynomial([0.0])
+    assert bloch_norm(tau0, zero, r_max=0.99) == 0.0
+    assert rearrangement_plus(tau0, zero, 1.0, 0.99) == 0.0
 
 
 @pytest.mark.parametrize("coeffs", [[1.0, np.nan], [1.0, np.inf], [-np.inf], [1.0, 1j * np.inf]])
@@ -749,35 +776,21 @@ def test_build_lattice_standard_tau_invariants(lat01):
     assert np.all(d >= bound)
 
 
-def _ring_points_reference(tau_prof, delta, r_start, r_max, phase):
-    """The lattice ring points, one ring at a time, in scan order."""
+def _ring_points_reference(tau_prof, step, r_start, r_max, phase):
+    """Ring points step*tau(r) apart, one ring at a time, in ring order."""
     rings = []
     r, ring = r_start, 0
     while r <= r_max:
-        step = delta * float(tau_prof(r)) / 8.0
+        h = step * float(tau_prof(r))
         if r == 0.0:
             rings.append(np.array([0.0 + 0.0j]))
         else:
-            M = max(8, int(np.ceil(2.0 * np.pi * r / step)))
+            M = max(8, int(np.ceil(2.0 * np.pi * r / h)))
             th = 2.0 * np.pi * (np.arange(M) + phase + 0.5 * (ring % 2)) / M
             rings.append(r * np.exp(1j * th))
-        r += step
+        r += h
         ring += 1
     return np.concatenate(rings)
-
-
-def _greedy_lattice_reference(tau_prof, delta, r_max):
-    """Scan points in ring order; accept one iff no accepted disk holds it."""
-    pts = _ring_points_reference(tau_prof, delta, 0.0, r_max, 0.0)
-    zc = np.empty(len(pts), dtype=complex)
-    rad = np.empty(len(pts))
-    n = 0
-    for z in pts:
-        if not np.any(np.abs(z - zc[:n]) < rad[:n]):
-            zc[n] = z
-            rad[n] = delta * float(tau_prof(abs(z)))
-            n += 1
-    return zc[:n]
 
 
 _CONST_TAU = TauProfile.user_supplied(lambda r: np.full_like(np.asarray(r, float), 0.15), r_hi=0.9)
@@ -791,11 +804,10 @@ _CONST_TAU = TauProfile.user_supplied(lambda r: np.full_like(np.asarray(r, float
         (_CONST_TAU, 0.3, 0.6, 1.25),
         (TauProfile.ce(1.0), 0.25, 0.8, 1.5),
         (TauProfile.standard(0.0), 0.5, 0.9, 1.7),
-        # disks that hold whole rings of the later-ring batches and windows
-        # that wrap past angle 2 pi
+        # disks that hold whole verification rings and windows that wrap
+        # past angle 2 pi
         (_CONST_TAU, 0.5, 0.6, 1.25),
-        # tau grows 3-fold across a disk: centers whose disks hold their
-        # whole own ring (C = 201)
+        # tau grows 3-fold across a disk (C = 201)
         (TauProfile.user_supplied(lambda r: 0.004 + 4.0 * np.asarray(r, float), r_hi=0.9),
          0.5, 0.2, 26.2),
     ],
@@ -803,34 +815,38 @@ _CONST_TAU = TauProfile.user_supplied(lambda r: np.full_like(np.asarray(r, float
          "standard-0.5-0.9", "constant-0.5-0.6", "growing-0.5-0.2"],
 )
 def test_build_lattice_matches_brute_force_greedy(tau_prof, delta, r_max, b):
+    # the centers are the ring points at the lattice step delta, and the
+    # covering check passes
     lat = build_lattice(tau_prof, delta, r_max, b=b)
-    np.testing.assert_array_equal(lat.centers, _greedy_lattice_reference(tau_prof, delta, r_max))
+    np.testing.assert_array_equal(lat.centers, _ring_points_reference(tau_prof, delta, 0.0, r_max, 0.0))
 
 
 def test_build_lattice_selection_does_not_read_comparability(monkeypatch):
-    # the greedy rule never reads C; a measured C of 1 leaves the centers
-    # as they are (a neighbour search bounded by C would miss the disks
-    # of larger-tau centers further in)
+    # the ring rule never reads C; a measured C of 1 leaves the centers
+    # as they are
     monkeypatch.setattr(TauProfile, "measured_comparability", lambda self, delta, r_max: 1.0)
     tau = TauProfile.standard(0.0)
     for delta, r_max in ((0.25, 0.8), (0.2, 0.99)):
         lat = build_lattice(tau, delta, r_max, b=1.5)
         assert lat.comparability == 1.0
-        np.testing.assert_array_equal(lat.centers, _greedy_lattice_reference(tau, delta, r_max))
+        np.testing.assert_array_equal(lat.centers, _ring_points_reference(tau, delta, 0.0, r_max, 0.0))
 
 
 def test_build_lattice_covering_error_names_first_uncovered_point(monkeypatch):
-    # with C forced to 0, b = 1.02 passes the dilation check but the
-    # dilated disks miss verification points; the witness is the first
-    # one in ring order
+    # tau drops 10-fold at r = 0.2, so the small disks of the first ring
+    # past it leave gaps next to the large disks of the last ring inside;
+    # with C forced to 0, b = 1.02 passes the dilation check.  The witness
+    # is the first bare point in ring order
     monkeypatch.setattr(TauProfile, "measured_comparability", lambda self, delta, r_max: 0.0)
-    tau, delta, r_max, b = TauProfile.ce(1.0), 0.25, 0.8, 1.02
+    tau = TauProfile.user_supplied(lambda r: np.where(np.asarray(r, float) < 0.2, 0.15, 0.015),
+                                   r_hi=0.9)
+    delta, r_max, b = 0.3, 0.23, 1.02
     with pytest.raises(CoveringError) as err:
         build_lattice(tau, delta, r_max, b=b)
-    zc = _greedy_lattice_reference(tau, delta, r_max)
+    zc = _ring_points_reference(tau, delta, 0.0, r_max, 0.0)
     rad = np.array([b * delta * float(tau(abs(z))) for z in zc])
     r0 = 0.5 * delta * float(tau(0.0)) / 8.0
-    test = np.concatenate([[r0 + 0.0j], _ring_points_reference(tau, delta, r0, r_max, 0.25)])
+    test = np.concatenate([[r0 + 0.0j], _ring_points_reference(tau, delta / 8.0, r0, r_max, 0.25)])
     test = test[np.abs(test) <= r_max]
     bare = [w for w in test if not np.any(np.abs(w - zc) <= rad)]
     assert len(bare) > 0 and err.value.witness == bare[0]
@@ -838,8 +854,8 @@ def test_build_lattice_covering_error_names_first_uncovered_point(monkeypatch):
 
 
 def test_build_lattice_peak_memory(tau0):
-    # geometry's lattice: 308,660 scan points, 3,705 centers; candidates
-    # for all centers at once peaked at 69 MiB, 256 at a time at 12.7 MiB
+    # geometry's lattice: 3,378 centers; candidates for all centers at
+    # once peaked at 69 MiB, 256 at a time at 12.6 MiB
     tracemalloc.start()
     try:
         build_lattice(tau0, 0.1, 0.99)
@@ -850,7 +866,7 @@ def test_build_lattice_peak_memory(tau0):
 
 
 def test_cover_counts_matches_brute_force():
-    # on a scan grid (a ring at r = 0) and on a verification grid
+    # on rings from r = 0 (a one-point ring) and on a verification grid
     for r_start, phase in ((0.0, 0.0), (0.01, 0.25)):
         _check_cover_counts(r_start, phase)
 
@@ -858,9 +874,9 @@ def test_cover_counts_matches_brute_force():
 def _check_cover_counts(r_start, phase):
     tau = TauProfile.standard(0.0)
     delta, b = 0.25, 1.25
-    grid = _rings(tau, delta, r_start, 0.9, phase)
+    grid = _rings(tau, delta / 8.0, r_start, 0.9, phase)
     test = grid.points()
-    np.testing.assert_array_equal(test, _ring_points_reference(tau, delta, r_start, 0.9, phase))
+    np.testing.assert_array_equal(test, _ring_points_reference(tau, delta / 8.0, r_start, 0.9, phase))
     rng = np.random.default_rng(3)
     radius, angle = 0.9 * np.sqrt(rng.uniform(0, 1, 200)), 2.0 * np.pi * rng.uniform(0, 1, 200)
     centers = list(radius * np.exp(1j * angle))
@@ -928,8 +944,8 @@ def test_besov_sum_chunks_keep_the_bits(lat01, c, monkeypatch):
 
 
 def test_besov_sum_peak_memory(lat01):
-    # geometry's lattice: 3,705 centers x 128 nodes at once peaked at
-    # 43 MiB, 256 centers at a time at 3.3 MiB
+    # geometry's lattice: 3,378 centers x 128 nodes at once peaked at
+    # 40 MiB, 256 centers at a time at 3.3 MiB
     deriv = SymbolDerivative.polynomial([1.0, 0.6])
     tracemalloc.start()
     try:

@@ -19,7 +19,9 @@ the change's median is at most the parent's median times (1 + bound).
 ``src_bhl_lines`` holds each side's line count of ``src/bhl`` from its
 runs' env lines, null for a side whose runs disagree.
 It is rewritten after every run, so an interrupted session keeps the
-runs made so far.
+runs made so far.  A run that exits non-zero stops the script with exit
+status 1, after it prints the run's side, workload, seed and exit code
+and the last lines of its stderr; the JSON keeps the runs before it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+# how many of a failed run's last stderr lines are printed
+STDERR_TAIL = 20
 
 
 def _spec(text, fields):
@@ -145,7 +150,13 @@ def main(argv=None):
     }
     for i, (side, workload, seed, trace) in enumerate(plan):
         print(f"[{i + 1}/{len(plan)}] {side} {workload} seed {seed} trace {trace}", flush=True)
-        env, result = _run(checkouts[side], command, workload, seed, seconds, trace)
+        try:
+            env, result = _run(checkouts[side], command, workload, seed, seconds, trace)
+        except subprocess.CalledProcessError as e:
+            tail = e.stderr.rstrip().splitlines()[-STDERR_TAIL:]
+            print(f"{side} {workload} seed {seed} trace {trace}: exit code {e.returncode}; "
+                  f"last stderr lines:", *tail, sep="\n", file=sys.stderr)
+            return 1
         record["runs"].append(dict(side=side, workload=workload, seed=seed, trace=trace,
                                    env=env, result=result))
         for s in SIDES:
