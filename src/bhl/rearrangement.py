@@ -636,17 +636,15 @@ class Lattice:
     """(tau, delta)-lattice: centers with disks D(z_k, delta tau(z_k)).
 
     ``multiplicity`` is the measured maximum overlap count of the
-    b-dilated disks on the verification grid; ``comparability`` is the
-    measured tau-ratio constant C over delta*tau displacements.
+    b-dilated disks on the verification grid.
     """
 
-    def __init__(self, centers, radii, delta, b, multiplicity, comparability, r_max, tau_prof):
+    def __init__(self, centers, radii, delta, b, multiplicity, r_max, tau_prof):
         self.centers = centers
         self.radii = radii
         self.delta = delta
         self.b = b
         self.multiplicity = multiplicity
-        self.comparability = comparability
         self.r_max = r_max
         self.tau = tau_prof
 
@@ -656,7 +654,7 @@ class Lattice:
     def __repr__(self):
         return (
             f"Lattice(n={len(self)}, delta={self.delta}, b={self.b}, "
-            f"multiplicity={self.multiplicity}, C={self.comparability:.3f})"
+            f"multiplicity={self.multiplicity})"
         )
 
 
@@ -762,13 +760,15 @@ def build_lattice(tau_prof, delta, r_max, b=1.25):
     the ring at r = 0 is the single center 0, and each disk has radius
     delta*tau at its ring's radius.  Centers on a ring are at most
     delta*tau apart and so are the rings, so the undilated disks cover,
-    up to the variation of tau over one step; adjacent centers are at
-    least 2 sin(pi/8) delta*tau ~ 0.765 delta*tau apart, on an 8-point
-    ring.  The centers never read C.  Covering is verified on rings
-    delta*tau/8 apart, offset from the lattice, and the failure carries
-    an uncovered witness.
+    up to the variation of tau over one step.  Centers z_j, z_k are at
+    least 2 sin(pi/8) min(delta min(tau_j, tau_k), max(|z_j|, |z_k|))
+    apart, the spacing of an 8-point ring; the |z| term binds only on a
+    ring nearer 0 than its own step, which needs a tau growing outward.
 
-    A disk holds one arc of each verification ring it meets, so the
+    The b-dilated disks (1 <= b < inf) must cover the verification grid,
+    rings delta*tau/8 apart and offset from the lattice; a point they
+    miss raises CoveringError with the first such point as witness.  A
+    disk holds one arc of each verification ring it meets, so the
     points of a disk come from index windows (_disk_candidates) and the
     exact disk test, with no spatial tree.
     """
@@ -778,12 +778,8 @@ def build_lattice(tau_prof, delta, r_max, b=1.25):
         raise WeightDomainError(
             f"r_max must lie in (0, 1) within the profile reach {tau_prof.r_hi}"
         )
-    C = tau_prof.measured_comparability(delta, r_max)
-    if 1.0 + C / 8.0 > b:
-        raise WeightDomainError(
-            f"dilation b={b} cannot cover: measured comparability C={C:.3f} "
-            f"needs b >= {1.0 + C / 8.0:.3f}"
-        )
+    if not 1.0 <= b < np.inf:
+        raise WeightDomainError(f"dilation must satisfy 1 <= b < inf, got b={b}")
 
     rings = _rings(tau_prof, delta, 0.0, r_max, 0.0)
     centers = rings.points()
@@ -795,44 +791,40 @@ def build_lattice(tau_prof, delta, r_max, b=1.25):
     g = _rings(tau_prof, delta / 8.0, r0, r_max, 0.25)
     grid = _Rings.build(np.r_[r0, g.r], np.r_[1, g.count], np.r_[0.0, g.off])
     test = grid.points()
-    counts, covered = _cover_counts(grid, test, centers, taus, delta, b)
+    counts = _cover_counts(grid, test, centers, b * delta * taus)
     # rounding can put a point of the last ring just past r_max
     inside = np.abs(test) <= r_max
-    if not np.all(covered | ~inside):
-        # the undilated disks cover only up to tau's variation over a step
-        dil_miss = np.flatnonzero((counts == 0) & inside)
-        if dil_miss.size:
-            wz = complex(test[dil_miss[0]])
-            raise CoveringError(
-                f"dilated disks leave {dil_miss.size} verification points "
-                f"uncovered, first at {wz:.6f}",
-                witness=wz,
-            )
+    miss = np.flatnonzero((counts == 0) & inside)
+    if miss.size:
+        wz = complex(test[miss[0]])
+        raise CoveringError(
+            f"dilated disks leave {miss.size} verification points "
+            f"uncovered, first at {wz:.6f}",
+            witness=wz,
+        )
     mult = int(counts[inside].max()) if inside.any() else 0
-    return Lattice(centers, delta * taus, delta, b, mult, C, r_max, tau_prof)
+    return Lattice(centers, delta * taus, delta, b, mult, r_max, tau_prof)
 
 
-def _cover_counts(grid, test, centers, taus, delta, b):
-    """Per point of a ring grid (``test``, its points): how many b-dilated
-    disks hold it, and whether an undilated one does."""
+def _cover_counts(grid, test, centers, rho):
+    """Per point of a ring grid (``test``, its points): how many of the
+    disks D(centers[k], rho[k]) hold it."""
     counts = np.zeros(len(test), dtype=np.int32)
-    covered = np.zeros(len(test), dtype=bool)
     for lo in range(0, len(centers), _COVER_CHUNK):
         zc = centers[lo : lo + _COVER_CHUNK]
-        tz = taus[lo : lo + _COVER_CHUNK]
-        ci, pt = _disk_candidates(grid, zc, b * delta * tz)
+        rz = rho[lo : lo + _COVER_CHUNK]
+        ci, pt = _disk_candidates(grid, zc, rz)
         if not pt.size:
             continue
         d = test[pt]
         d -= zc[ci]
         d = np.abs(d)
-        covered[pt[d <= (delta * tz)[ci]]] = True
         # the points of one chunk of centers span one run of flat indices
         first = pt.min()
-        c = np.bincount(pt[d <= (b * delta * tz)[ci]] - first)
+        c = np.bincount(pt[d <= rz[ci]] - first)
         counts[first : first + len(c)] += c
         del ci, pt, d  # before the next chunk's candidates
-    return counts, covered
+    return counts
 
 
 # besov_sum evaluates the disks of this many centers at a time; all of

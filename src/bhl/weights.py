@@ -64,10 +64,10 @@ class RadialWeight:
 
     @classmethod
     def explog(cls, alpha, beta):
-        """w(r) = exp(-alpha / log(1/r^2)^beta), alpha > 0, beta > 0."""
-        if not (alpha > 0.0 and beta > 0.0):
+        """w(r) = exp(-alpha / log(1/r^2)^beta), 0 < alpha, beta < inf."""
+        if not (0.0 < alpha < np.inf and 0.0 < beta < np.inf):
             raise WeightDomainError(
-                f"explog weight needs alpha, beta > 0, got ({alpha}, {beta})"
+                f"explog weight needs 0 < alpha, beta < inf, got ({alpha}, {beta})"
             )
         return cls("explog", alpha=float(alpha), beta=float(beta))
 
@@ -148,7 +148,7 @@ class MomentTable:
     source : dict
         How the table was built: ``route`` (``product``, ``adaptive``,
         ``panel`` or ``custom``), the explog ``n_split`` (the first
-        index of the panel rule, past n_max on the adaptive route; None
+        index of the panel rule, n_max + 1 on the adaptive route; None
         for other families), and ``check_indices`` /
         ``check_diff``, the indices the table was cross-checked at
         against an independent quadrature and the worst relative
@@ -307,23 +307,29 @@ def _log_moments_explog_panels(w, ns):
     return np.log(np.pi) - En + np.log(xn) + out
 
 
-def _explog_panel_threshold(w):
+def _explog_panel_threshold(w, n_max):
     # panel quadrature is certified for t = a/x_n^b >= 10; below that the
     # integrand is too skewed for the fixed partition and the adaptive
-    # route takes over.  t is monotone increasing in n.
+    # route takes over.  With x_n = (a b/(n+1))^(1/(1+b)), t >= 10 iff
+    # n + 1 >= a b (10/a)^((1+b)/b): the first such n >= 8, capped at
+    # n_max + 1.  The bound is taken in logs, since it can pass the
+    # double range.
     a, b = w.alpha, w.beta
+    log_np1 = np.log(a) + np.log(b) + (1.0 + b) / b * np.log(10.0 / a)
+    if log_np1 > np.log(n_max + 2.0):
+        return n_max + 1
+    n = max(8, int(np.ceil(np.exp(log_np1))) - 1)
 
-    def t_of(n):
-        return a / _explog_saddle(w, n)[1] ** b
+    def sharp(n):
+        return a / _explog_saddle(w, n)[1] ** b >= 10.0
 
-    hi = 8
-    while t_of(hi) < 10.0:
-        hi *= 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if t_of(mid) < 10.0 else (lo, mid)
-    return max(hi, 8)
+    # where the bound is an integer (100 at a = b = 1) rounding can move n
+    # by one; t itself settles it
+    if n > 8 and sharp(n - 1):
+        n -= 1
+    elif not sharp(n):
+        n += 1
+    return min(n, n_max + 1)
 
 
 def _moment_custom(w, n, rel_tol):
@@ -409,8 +415,8 @@ def compute_moments(w, n_max, rel_tol=1e-12):
 
         log_values = np.empty(n_max + 1)
         errs = np.zeros(n_max + 1)
-        threshold = _explog_panel_threshold(w) if w.kind == "explog" else None
-        n_split = n_max + 1 if threshold is None else min(threshold, n_max + 1)
+        threshold = _explog_panel_threshold(w, n_max) if w.kind == "explog" else None
+        n_split = n_max + 1 if threshold is None else threshold
         for n in range(n_split):
             try:
                 if w.kind == "explog":
@@ -573,12 +579,18 @@ class TauProfile:
     @classmethod
     def standard(cls, alpha):
         """Closed-form tau of the standard weight: sqrt(pi/(alpha+1)) (1 - r^2)."""
+        if not -1.0 < alpha < np.inf:
+            raise WeightDomainError(
+                f"standard tau profile needs -1 < alpha < inf, got alpha={alpha}"
+            )
         c = np.sqrt(np.pi / (alpha + 1.0))
         return cls.user_supplied(lambda r: c * (1.0 - np.asarray(r, float) ** 2))
 
     @classmethod
     def ce(cls, alpha):
         """tau(r) = (1-r) / log^alpha(e/(1-r)), the Cauchy-type family's profile."""
+        if not 0.0 <= alpha < np.inf:
+            raise WeightDomainError(f"ce tau profile needs 0 <= alpha < inf, got alpha={alpha}")
         return cls.user_supplied(
             lambda r: (1.0 - np.asarray(r, float))
             / (1.0 - np.log1p(-np.asarray(r, float))) ** alpha
@@ -594,26 +606,11 @@ class TauProfile:
         hi = 1.0 - np.exp(np.linspace(np.log(0.08), np.log(1.0 - hi_end), 35))
         ratio_lo = self._fn(lo) / (1.0 - lo)
         ratio_hi = self._fn(hi) / (1.0 - hi)
-        if np.max(ratio_hi) > 10.0 * np.max(ratio_lo) + 1e-12:
+        if not np.max(ratio_hi) <= 10.0 * np.max(ratio_lo) + 1e-12:  # a nan ratio fails too
             raise WeightDomainError(
                 "tau profile violates tau(r) = O(1-r) near the boundary "
                 f"(ratio grows to {np.max(ratio_hi):.3e})"
             )
-
-    def measured_comparability(self, delta, r_max):
-        """Largest tau-ratio over radial displacements up to delta*tau(r).
-
-        This is the constant C of the covering lemma, measured on the
-        profile over [0, r_max] rather than derived analytically.
-        """
-        r = np.linspace(0.0, r_max, 2001)
-        t = self._fn(r)
-        C = 1.0
-        for sign in (-1.0, 1.0):
-            rp = np.clip(r + sign * delta * t, 0.0, min(r_max, self.r_hi))
-            tp = self._fn(rp)
-            C = max(C, float(np.max(t / tp)), float(np.max(tp / t)))
-        return C
 
 
 # tau_profile's u-grid spacing and its validation tolerance

@@ -85,6 +85,31 @@ def test_summary_within_bound_at_the_edge_and_failures():
     assert bench_pairs._summary(runs, bounds)["geometry"]["wall_s"]["within_bound"] is False
 
 
+def _walls(parent, change):
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        runs += [_run("parent", seed, p, 1.0), _run("change", seed, c, 1.0)]
+    return runs
+
+
+def test_summary_marks_unresolved_metrics():
+    wide, narrow = [1.0, 2.0, 3.0, 4.0], [2.0, 2.01, 2.02, 2.03]
+    bounds = {"wall_s": 0.25}
+
+    def resolved(parent, change, better=None):
+        entry = bench_pairs._summary(_walls(parent, change), bounds, better)["geometry"]
+        return entry["wall_s"]["resolved"]
+
+    # parent quartiles 1.75-3.25 over median 2.5 is a spread of 0.6 > 0.25
+    assert resolved(wide, [0.5, 0.6, 0.7, 1.5]) is False
+    # ... unless every change run beats every parent run
+    assert resolved(wide, [0.5, 0.6, 0.7, 0.99]) is True
+    assert resolved(wide, [4.5, 5.0, 6.0, 7.0]) is False
+    assert resolved(wide, [4.5, 5.0, 6.0, 7.0], {"wall_s": "higher"}) is True
+    # a spread of 0.0075 / 2.015 resolves the bound whatever the change reads
+    assert resolved(narrow, [1.0, 5.0, 2.0, 2.0]) is True
+
+
 def test_src_lines_per_side_null_where_runs_disagree():
     def run(side, lines):
         return dict(side=side, env={"src_bhl_lines": lines})

@@ -756,24 +756,29 @@ def test_build_lattice_constant_tau_multiplicity():
     )
     lat = build_lattice(tconst, 0.1, 0.8)
     assert lat.multiplicity <= 9
-    assert lat.comparability >= 1.0
     assert len(lat) == len(lat.centers) == len(lat.radii)
 
 
 def test_build_lattice_standard_tau_invariants(lat01):
+    assert lat01.multiplicity <= 12  # uniform bound independent of r_max
+    _check_separation(lat01)
+
+
+def _check_separation(lat):
+    """The spacing build_lattice states: |z_j - z_k| >= 2 sin(pi/8)
+    min(delta min(tau_j, tau_k), max(|z_j|, |z_k|)), as on an 8-point ring."""
     from scipy.spatial import cKDTree
 
-    lat = lat01
-    assert lat.multiplicity <= 12  # uniform bound independent of r_max
-    # separation: |z_j - z_k| >= delta * min(tau_j, tau_k) / (2C)
     zc = lat.centers
-    tz = lat.radii / lat.delta
+    rho = lat.radii
     tree = cKDTree(np.column_stack([zc.real, zc.imag]))
-    pairs = tree.query_pairs(float(lat.radii.max()), output_type="ndarray")
+    pairs = tree.query_pairs(float(rho.max()), output_type="ndarray")
     assert len(pairs) > 0
-    d = np.abs(zc[pairs[:, 0]] - zc[pairs[:, 1]])
-    bound = lat.delta * np.minimum(tz[pairs[:, 0]], tz[pairs[:, 1]]) / (2 * lat.comparability)
-    assert np.all(d >= bound)
+    j, k = pairs[:, 0], pairs[:, 1]
+    d = np.abs(zc[j] - zc[k])
+    near = np.minimum(np.minimum(rho[j], rho[k]), np.maximum(np.abs(zc[j]), np.abs(zc[k])))
+    # an 8-point ring of constant tau meets the bound exactly, up to rounding
+    assert np.all(d >= 2.0 * np.sin(np.pi / 8.0) * near * (1.0 - 1e-12))
 
 
 def _ring_points_reference(tau_prof, step, r_start, r_max, phase):
@@ -819,25 +824,13 @@ def test_build_lattice_matches_brute_force_greedy(tau_prof, delta, r_max, b):
     # covering check passes
     lat = build_lattice(tau_prof, delta, r_max, b=b)
     np.testing.assert_array_equal(lat.centers, _ring_points_reference(tau_prof, delta, 0.0, r_max, 0.0))
+    _check_separation(lat)
 
 
-def test_build_lattice_selection_does_not_read_comparability(monkeypatch):
-    # the ring rule never reads C; a measured C of 1 leaves the centers
-    # as they are
-    monkeypatch.setattr(TauProfile, "measured_comparability", lambda self, delta, r_max: 1.0)
-    tau = TauProfile.standard(0.0)
-    for delta, r_max in ((0.25, 0.8), (0.2, 0.99)):
-        lat = build_lattice(tau, delta, r_max, b=1.5)
-        assert lat.comparability == 1.0
-        np.testing.assert_array_equal(lat.centers, _ring_points_reference(tau, delta, 0.0, r_max, 0.0))
-
-
-def test_build_lattice_covering_error_names_first_uncovered_point(monkeypatch):
+def test_build_lattice_covering_error_names_first_uncovered_point():
     # tau drops 10-fold at r = 0.2, so the small disks of the first ring
-    # past it leave gaps next to the large disks of the last ring inside;
-    # with C forced to 0, b = 1.02 passes the dilation check.  The witness
-    # is the first bare point in ring order
-    monkeypatch.setattr(TauProfile, "measured_comparability", lambda self, delta, r_max: 0.0)
+    # past it leave gaps next to the large disks of the last ring inside.
+    # The witness is the first bare point in ring order
     tau = TauProfile.user_supplied(lambda r: np.where(np.asarray(r, float) < 0.2, 0.15, 0.015),
                                    r_hi=0.9)
     delta, r_max, b = 0.3, 0.23, 1.02
@@ -899,20 +892,23 @@ def _check_cover_counts(r_start, phase):
     centers = np.array(centers + [z for z, _ in edge])
     taus = np.array(taus + [t for _, t in edge])
     counts = np.zeros(len(test), dtype=int)
-    covered = np.zeros(len(test), dtype=bool)
     for zc, tz in zip(centers, taus):
-        d = np.abs(test - zc)
-        counts += d <= b * delta * tz
-        covered |= d <= delta * tz
-    got_counts, got_covered = _cover_counts(grid, test, centers, taus, delta, b)
-    np.testing.assert_array_equal(got_counts, counts)
-    np.testing.assert_array_equal(got_covered, covered)
+        counts += np.abs(test - zc) <= b * delta * tz
+    np.testing.assert_array_equal(_cover_counts(grid, test, centers, b * delta * taus), counts)
 
 
-def test_build_lattice_rejects_infeasible_dilation(tau0):
-    # delta=0.2 pushes the comparability constant past what b=1.25 covers
-    with pytest.raises(WeightDomainError):
-        build_lattice(tau0, 0.2, 0.99)
+def test_build_lattice_covers_where_the_greedy_bound_refused():
+    # b = 1.25 is below 1 + C/8 = 1.408 (C = 3.264, the largest tau ratio
+    # over a delta*tau step), a bound of the greedy walk; the ring
+    # lattice covers at b = 1.25 all the same
+    lat = build_lattice(TauProfile.standard(0.0), 0.2, 0.99, b=1.25)
+    assert len(lat) == 889 and lat.multiplicity == 9
+
+
+@pytest.mark.parametrize("b", [0.99, 0.0, np.nan, np.inf])
+def test_build_lattice_rejects_bad_dilation(tau0, b):
+    with pytest.raises(WeightDomainError, match="b="):
+        build_lattice(tau0, 0.2, 0.99, b=b)
 
 
 def test_build_lattice_rejects_bad_delta(tau0):

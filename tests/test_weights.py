@@ -114,10 +114,49 @@ def test_moment_table_source_records_route():
     assert panel.source["route"] == "panel"
     assert panel.source["check_indices"][0] == panel.source["n_split"] > 8
     assert panel.source["check_indices"][-1] == 300
+    # an adaptive-only table records n_split past n_max
     adaptive = compute_moments(RadialWeight.explog(1.0, 1.0), 20)
     assert adaptive.source == dict(
-        route="adaptive", n_split=panel.source["n_split"], check_indices=[], check_diff=None
+        route="adaptive", n_split=21, check_indices=[], check_diff=None
     )
+
+
+def _panel_threshold_reference(w):
+    """The first n >= 8 with t = a/x_n^b >= 10, by doubling and bisection."""
+    def t_of(n):
+        return w.alpha / weights._explog_saddle(w, n)[1] ** w.beta
+
+    hi = 8
+    while t_of(hi) < 10.0:
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if t_of(mid) < 10.0 else (lo, mid)
+    return max(hi, 8)
+
+
+def test_explog_panel_threshold_matches_bisection():
+    # a = b = 1 puts the bound n + 1 >= a b (10/a)^((1+b)/b) at the
+    # integer 100, where rounding in logs alone gives 100 instead of 99
+    cases = [(1.0, 1.0), (2.0, 0.5), (10.0, 2.0), (0.5, 3.0)]
+    cases += [(a, b) for a in np.geomspace(1e-2, 10.0, 9) for b in np.geomspace(0.1, 30.0, 9)]
+    checked = 0
+    for a, b in cases:
+        w = RadialWeight.explog(a, b)
+        ref = _panel_threshold_reference(w)
+        if ref > 10**7:
+            continue
+        checked += 1
+        for n_max in (10**7, ref, ref - 1):
+            assert weights._explog_panel_threshold(w, n_max) == min(ref, n_max + 1), (a, b, n_max)
+    assert checked > 60
+    assert weights._explog_panel_threshold(RadialWeight.explog(1.0, 1.0), 3000) == 99
+    # the bound is about 1e98 here and past the double range at (1e-3, 0.01);
+    # both tables are adaptive and record n_split = n_max + 1
+    for a in (1.0, 1e-3):
+        mt = compute_moments(RadialWeight.explog(a, 0.01), 10)
+        assert mt.source["route"] == "adaptive" and mt.source["n_split"] == 11
 
 
 def test_standard_spectrum_matches_mpmath_moments():
@@ -251,6 +290,21 @@ def test_closed_form_tau_profiles(std0):
     assert std.provenance == ce.provenance == "UserSupplied"
 
 
+def test_closed_form_tau_profiles_reject_bad_alpha():
+    # standard needs -1 < alpha < inf and ce 0 <= alpha < inf; standard(-1.5)
+    # would be nan everywhere, and ce(-1), growing like log(e/(1-r)), would
+    # pass the growth check
+    for make, alpha in [(TauProfile.standard, -1.5), (TauProfile.standard, -1.0),
+                        (TauProfile.standard, np.nan), (TauProfile.standard, np.inf),
+                        (TauProfile.ce, -1.0), (TauProfile.ce, np.nan), (TauProfile.ce, np.inf)]:
+        with pytest.raises(WeightDomainError, match="alpha="):
+            make(alpha)
+    assert TauProfile.ce(0.0)(0.5) == 0.5  # alpha = 0 is tau = 1 - r
+    # a nan ratio fails the growth check
+    with pytest.raises(WeightDomainError, match=r"O\(1-r\)"):
+        TauProfile.user_supplied(lambda r: np.full_like(np.asarray(r, float), np.nan))
+
+
 def test_growth_check_rejects_non_vanishing_tau():
     # constant tau is not O(1-r); allowed only when r_hi keeps it away
     # from the boundary
@@ -260,16 +314,6 @@ def test_growth_check_rejects_non_vanishing_tau():
         lambda r: np.full_like(np.asarray(r, float), 0.2), r_hi=0.9
     )
     assert prof(0.5) == 0.2
-
-
-def test_measured_comparability():
-    const = TauProfile.user_supplied(
-        lambda r: np.full_like(np.asarray(r, float), 0.1), r_hi=0.9
-    )
-    assert abs(const.measured_comparability(0.1, 0.8) - 1.0) < 1e-12
-    std = TauProfile.user_supplied(lambda r: SP * (1.0 - np.asarray(r) ** 2))
-    C = std.measured_comparability(0.1, 0.99)
-    assert 1.0 < C < 3.0
 
 
 def test_custom_weight_route():
@@ -294,6 +338,10 @@ def test_weight_constructors_reject_bad_parameters():
         RadialWeight.explog(0.0, 1.0)
     with pytest.raises(WeightDomainError):
         RadialWeight.explog(1.0, -2.0)
+    # an infinite parameter would make the panel threshold a nan
+    for alpha, beta in ((np.inf, 1.0), (1.0, np.inf)):
+        with pytest.raises(WeightDomainError, match="alpha, beta"):
+            RadialWeight.explog(alpha, beta)
 
 
 def test_moment_table_rejects_log_concavity(std0):

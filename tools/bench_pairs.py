@@ -16,6 +16,10 @@ per workload and end-to-end metric the (parent, change) pairs, each
 side's median and quartiles, how many pairs the change read lower, the
 metric's ``bound`` from ``BENCHMARK.json`` and ``within_bound``: whether
 the change's median is at most the parent's median times (1 + bound).
+``resolved`` is false when the parent's quartile spread over its median
+exceeds the bound, so that the runs cannot show a change of that size,
+unless every change run is better than every parent run in the metric's
+``better`` direction.
 ``src_bhl_lines`` holds each side's line count of ``src/bhl`` from its
 runs' env lines, null for a side whose runs disagree.
 It is rewritten after every run, so an interrupted session keeps the
@@ -67,9 +71,13 @@ def _quartiles(values):
     return [round(q[0], 4), round(q[2], 4)]
 
 
-def _summary(runs, bounds):
+def _summary(runs, bounds, better=None):
     """Per workload and per metric of ``bounds`` (name -> bound): the pairs,
-    each side's median and quartiles, and whether the change is within bound."""
+    each side's median and quartiles, whether the change is within bound,
+    and whether the parent's spread resolves the bound.  ``better`` maps a
+    metric to ``"lower"`` or ``"higher"``; a metric it leaves out is
+    better lower."""
+    better = better or {}
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs if r["trace"] == 0):
         by_seed = {}
@@ -85,16 +93,21 @@ def _summary(runs, bounds):
                 continue
             parent, change = [p[0] for p in pairs], [p[1] for p in pairs]
             p_med, c_med = statistics.median(parent), statistics.median(change)
+            p_q = _quartiles(parent)
+            sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
+            # every change run better than every parent run
+            separated = max(sign * v for v in change) < min(sign * v for v in parent)
             entry[name] = {
                 "parent_change_pairs": pairs,
                 "parent_median": round(p_med, 4),
                 "change_median": round(c_med, 4),
                 "median_change_frac": round(c_med / p_med - 1.0, 4),
-                "parent_quartiles": _quartiles(parent),
+                "parent_quartiles": p_q,
                 "change_quartiles": _quartiles(change),
                 "change_lower_in": sum(c < p for p, c in pairs),
                 "bound": bound,
                 "within_bound": c_med <= p_med * (1.0 + bound),
+                "resolved": (p_q[1] - p_q[0]) / p_med <= bound or separated,
             }
         results = [res for s in seeds for res in by_seed[s].values()]
         entry["all_correct"] = all(res["correct"] for res in results)
@@ -125,6 +138,7 @@ def main(argv=None):
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     command, seconds = bench["command"], bench["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    better = {m["name"]: m.get("better", "lower") for m in bench["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     plan = []
@@ -163,7 +177,7 @@ def main(argv=None):
             record[f"{s}_commit"] = next(
                 (r["env"]["commit"] for r in record["runs"] if r["side"] == s), None)
         record["src_bhl_lines"] = _src_lines(record["runs"])
-        record["summary"] = _summary(record["runs"], bounds)
+        record["summary"] = _summary(record["runs"], bounds, better)
         for r in record["runs"]:
             if r["trace"] == 1:
                 record.setdefault(f"trace_{r['workload']}_per_pass", {})[r["side"]] = {
