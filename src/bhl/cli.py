@@ -80,34 +80,29 @@ class ExperimentConfig:
         except ValueError:
             raise ConfigError(f"[{sec}] {key}: cannot parse {raw!r}")
 
+    def _param(self, key, kind, lo):
+        """A required [weight] parameter with lo < value < inf; nan fails too."""
+        v = self._get("weight", key, float)
+        if v is None or not lo < v < np.inf:
+            raise ConfigError(f"[weight] {key}: {kind} needs {lo:g} < {key} < inf, got {v}")
+        return v
+
     def weight(self):
         kind = self._get("weight", "kind", str, required=True).strip().lower()
-        alpha = self._get("weight", "alpha", float)
-        beta = self._get("weight", "beta", float)
         if kind == "standard":
-            if alpha is None or not alpha > -1.0:
-                raise ConfigError(f"[weight] alpha: standard needs alpha > -1, got {alpha}")
-            return RadialWeight.standard(alpha)
+            return RadialWeight.standard(self._param("alpha", kind, -1.0))
         if kind == "explog":
-            if alpha is None or beta is None or alpha <= 0.0 or beta <= 0.0:
-                raise ConfigError(
-                    f"[weight] alpha/beta: explog needs both > 0, got {alpha}, {beta}"
-                )
+            alpha, beta = self._param("alpha", kind, 0.0), self._param("beta", kind, 0.0)
             return RadialWeight.explog(alpha, beta)
         raise ConfigError(f"[weight] kind: unknown kind {kind!r} (standard | explog)")
 
     def tau(self):
         """Tau profile for rearrange runs: closed form or from the weight."""
         kind = self._get("weight", "kind", str, required=True).strip().lower()
-        alpha = self._get("weight", "alpha", float)
         if kind == "tau_standard":
-            if alpha is None or not alpha > -1.0:
-                raise ConfigError(f"[weight] alpha: tau_standard needs alpha > -1")
-            return TauProfile.standard(alpha)
+            return TauProfile.standard(self._param("alpha", kind, -1.0))
         if kind == "tau_ce":
-            if alpha is None or alpha <= 0.0:
-                raise ConfigError(f"[weight] alpha: tau_ce needs alpha > 0")
-            return TauProfile.ce(alpha)
+            return TauProfile.ce(self._param("alpha", kind, 0.0))
         w = self.weight()
         mt = compute_moments(w, self.n(), rel_tol=self.rel_tol())
         return tau_profile(w, mt)
@@ -212,7 +207,7 @@ def cmd_moments(cfg, out):
         ("ratio column", "m[n]/m[n-1], nan at n=0"),
         ("rel_tol achieved", _fmt(mt.rel_tol)),
         ("moment route", src["route"]),
-        ("n_split", "none" if src["n_split"] is None else str(src["n_split"])),
+        ("intervals", "none" if src["intervals"] is None else str(src["intervals"])),
         ("check indices", " ".join(map(str, src["check_indices"])) or "none"),
         ("check rel diff", "none" if src["check_diff"] is None else _fmt(src["check_diff"])),
     ])

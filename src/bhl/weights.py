@@ -57,18 +57,16 @@ class RadialWeight:
 
     @classmethod
     def standard(cls, alpha):
-        """w_a(r) = (a+1)/pi * (1-r^2)^a, alpha > -1."""
-        if not alpha > -1.0:
-            raise WeightDomainError(f"standard weight needs alpha > -1, got {alpha}")
+        """w_a(r) = (a+1)/pi * (1-r^2)^a, -1 < alpha < inf."""
+        if not -1.0 < alpha < np.inf:
+            raise WeightDomainError(f"standard weight needs -1 < alpha < inf, got alpha={alpha}")
         return cls("standard", alpha=float(alpha))
 
     @classmethod
     def explog(cls, alpha, beta):
         """w(r) = exp(-alpha / log(1/r^2)^beta), 0 < alpha, beta < inf."""
         if not (0.0 < alpha < np.inf and 0.0 < beta < np.inf):
-            raise WeightDomainError(
-                f"explog weight needs 0 < alpha, beta < inf, got ({alpha}, {beta})"
-            )
+            raise WeightDomainError(f"explog needs 0 < alpha, beta < inf, got ({alpha}, {beta})")
         return cls("explog", alpha=float(alpha), beta=float(beta))
 
     @classmethod
@@ -99,9 +97,7 @@ class RadialWeight:
         if self.kind == "standard":
             return (self.alpha + 1.0) / np.pi * (1.0 - r * r) ** self.alpha
         if self.kind == "explog":
-            with np.errstate(divide="ignore"):
-                x = -2.0 * np.log(r)  # log(1/r^2); infinite at r=0, weight -> 1
-                return np.exp(-self.alpha / x**self.beta)
+            return np.exp(self.log_density(r))
         return np.asarray(self.profile(r), dtype=float)
 
     def log_density(self, r):
@@ -116,7 +112,7 @@ class RadialWeight:
                 )
         if self.kind == "explog":
             with np.errstate(divide="ignore"):
-                x = -2.0 * np.log(r)
+                x = -2.0 * np.log(r)  # log(1/r^2); infinite at r=0, weight -> 1
                 return -self.alpha / x**self.beta
         with np.errstate(divide="ignore"):
             return np.log(np.asarray(self.profile(r), dtype=float))
@@ -146,13 +142,13 @@ class MomentTable:
         quadrature error estimate or sampled cross-check difference if
         that came out worse.
     source : dict
-        How the table was built: ``route`` (``product``, ``adaptive``,
-        ``panel`` or ``custom``), the explog ``n_split`` (the first
-        index of the panel rule, n_max + 1 on the adaptive route; None
-        for other families), and ``check_indices`` /
-        ``check_diff``, the indices the table was cross-checked at
-        against an independent quadrature and the worst relative
-        difference found there (empty / None when nothing was sampled).
+        How the table was built: ``route`` (``product``, ``trapezoid``
+        or ``custom``), ``intervals`` (the largest trapezoid interval
+        count any explog entry needed; None for other routes), and
+        ``check_indices`` / ``check_diff``, the indices the table was
+        cross-checked at against an independent quadrature and the
+        worst relative difference found there (empty / None when
+        nothing was sampled).
     convention : str
         The dA / moment normalization marker.
     """
@@ -258,8 +254,8 @@ def _explog_saddle(w, n):
 
 
 def _log_moment_explog_adaptive(w, n, rel_tol):
-    # normalize by the peak value at the saddle so the integrand is O(1),
-    # then integrate each side adaptively.  Returns (log m[n], rel err).
+    # log m[n]: normalize by the peak value at the saddle so the integrand
+    # is O(1), then integrate each side adaptively
     a, b = w.alpha, w.beta
     np1, xn, En = _explog_saddle(w, n)
     t = a / xn**b
@@ -270,66 +266,81 @@ def _log_moment_explog_adaptive(w, n, rel_tol):
     # cap the right limit where the integrand is below double range; the
     # semi-infinite transform misses the increasingly narrow peak at xn
     x_hi = xn * (1.0 + max(8.0, 760.0 / (b * t)))
-    v1, e1 = quad(g, 0.0, xn, epsrel=0.1 * rel_tol, **_QUAD_OPTS)
-    v2, e2 = quad(g, xn, x_hi, epsrel=0.1 * rel_tol, **_QUAD_OPTS)
-    return np.log(np.pi) - En + np.log(v1 + v2), (e1 + e2) / (v1 + v2)
+    opts = dict(epsrel=0.1 * rel_tol, **_QUAD_OPTS)
+    v = quad(g, 0.0, xn, **opts)[0] + quad(g, xn, x_hi, **opts)[0]
+    return np.log(np.pi) - En + np.log(v)
 
 
-def _log_moments_explog_panels(w, ns):
-    """log m[n] for an array of indices, by panel Gauss-Legendre.
+# the explog trapezoid rule's most intervals, and its nodes per numpy pass
+_EXPLOG_CAP = 2**14
+_EXPLOG_BLOCK = 2**16
 
-    In u = x/x_n - 1 the normalized integrand is exp(-t*h(u)) with
-    h(u) = b*u + (1+u)^(-b) - 1 and t = a/x_n^b, so a fixed panel
-    partition of u in [-1, U] with U = max(8, 80/(b*t_min)) resolves
-    every n in the batch at machine accuracy once t_min >= ~10.
+
+def _bisect(inside, a, b, steps=24):
+    """Per entry, where ``inside`` turns false between a (inside) and b (outside)."""
+    for _ in range(steps):
+        mid = 0.5 * (a + b)
+        ok = inside(mid)
+        a, b = np.where(ok, mid, a), np.where(ok, b, mid)
+    return a
+
+
+def _log_moments_explog(w, ns, rel_tol):
+    """log m[n] for an array of indices, by a self-refining trapezoid rule.
+
+    With s = log(x/x_n) and t = a/x_n^b the moment is
+    pi x_n e^(-E_n) int exp(g(s)) ds, g(s) = s - t b expm1(s) - t expm1(-b s).
+    g is strictly concave, so {g >= max g - 45} is one interval, and
+    bisection finds its ends per index.  On it the trapezoid rule starts
+    with 64 intervals and halves its step per index until two successive
+    sums agree to 0.1 * rel_tol.  Returns log m, the worst last relative
+    halving difference and the largest interval count reached.
     """
     a, b = w.alpha, w.beta
-    ns = np.asarray(ns)
-    np1, xn, En = _explog_saddle(w, ns)
+    _, xn, En = _explog_saddle(w, ns)
     t = a / xn**b
 
-    nodes, wts = np.polynomial.legendre.leggauss(48)
-    bps = [-1.0, -0.8, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
-    u_hi = max(8.0, 80.0 / (b * float(np.min(t))))
-    while bps[-1] < u_hi:
-        bps.append(bps[-1] * 2.0)
+    def g(s, t=t):
+        return s - t * (b * np.expm1(s) + np.expm1(-b * s))
 
-    out = np.empty(len(ns))
-    for lo in range(0, len(ns), 65536):
-        tc = t[lo : lo + 65536]
-        total = np.zeros_like(tc)
-        for u0, u1 in zip(bps[:-1], bps[1:]):
-            mid, half = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
-            u = mid + half * nodes
-            h = b * u + (1.0 + u) ** (-b) - 1.0
-            total += half * (np.exp(-np.outer(tc, h)) @ wts)
-        out[lo : lo + 65536] = np.log(total)
-    return np.log(np.pi) - En + np.log(xn) + out
+    # g'(s) = 1 - t b (e^s - e^(-b s)) is 1 at s = 0 and <= 0 at log1p(1/(t b))
+    peak = _bisect(lambda s: t * b * (np.exp(s) - np.exp(-b * s)) < 1.0,
+                   np.zeros_like(t), np.log1p(1.0 / (t * b)))
+    top = g(peak)
+    ends = []
+    for d in (np.full_like(t, -1.0), np.full_like(t, 1.0)):
+        while np.any(out := g(peak + d) > top - 45.0):
+            d[out] *= 2.0
+        ends.append(_bisect(lambda s: g(s) > top - 45.0, peak, peak + d))
+    lo, hi = ends
 
+    def node_sum(rows, offsets, h):
+        # sum of exp(g - top) at lo + h * offsets; the end values, e^-45 of
+        # the peak, are below its rounding, so this is the trapezoid sum
+        out = np.empty(len(rows))
+        step = max(1, _EXPLOG_BLOCK // len(offsets))
+        for i in range(0, len(rows), step):
+            r = rows[i : i + step]
+            s = lo[r, None] + h[r, None] * offsets
+            out[i : i + step] = np.exp(g(s, t[r, None]) - top[r, None]).sum(axis=1)
+        return out
 
-def _explog_panel_threshold(w, n_max):
-    # panel quadrature is certified for t = a/x_n^b >= 10; below that the
-    # integrand is too skewed for the fixed partition and the adaptive
-    # route takes over.  With x_n = (a b/(n+1))^(1/(1+b)), t >= 10 iff
-    # n + 1 >= a b (10/a)^((1+b)/b): the first such n >= 8, capped at
-    # n_max + 1.  The bound is taken in logs, since it can pass the
-    # double range.
-    a, b = w.alpha, w.beta
-    log_np1 = np.log(a) + np.log(b) + (1.0 + b) / b * np.log(10.0 / a)
-    if log_np1 > np.log(n_max + 2.0):
-        return n_max + 1
-    n = max(8, int(np.ceil(np.exp(log_np1))) - 1)
-
-    def sharp(n):
-        return a / _explog_saddle(w, n)[1] ** b >= 10.0
-
-    # where the bound is an integer (100 at a = b = 1) rounding can move n
-    # by one; t itself settles it
-    if n > 8 and sharp(n - 1):
-        n -= 1
-    elif not sharp(n):
-        n += 1
-    return min(n, n_max + 1)
+    k = 64
+    h = (hi - lo) / k
+    rows = np.arange(len(t))
+    total = h * node_sum(rows, np.arange(k + 1.0), h)
+    est = np.zeros(len(t))
+    while rows.size:
+        if k >= _EXPLOG_CAP:
+            raise QuadratureError(
+                f"{w!r}: trapezoid rule not converged at n={int(ns[rows[0]])} with "
+                f"{k} intervals, last halving difference {est[rows[0]]:.2e}"
+            )
+        finer = 0.5 * (total[rows] + h[rows] * node_sum(rows, np.arange(k) + 0.5, h))
+        est[rows] = np.abs(1.0 - total[rows] / finer)
+        total[rows], h[rows], k = finer, 0.5 * h[rows], 2 * k
+        rows = rows[~(est[rows] <= 0.1 * rel_tol)]  # a nan difference refines on
+    return np.log(np.pi) + np.log(xn) - En + top + np.log(total), float(est.max()), k
 
 
 def _moment_custom(w, n, rel_tol):
@@ -381,11 +392,11 @@ def compute_moments(w, n_max, rel_tol=1e-12):
     quadrature cross-checks it at sampled indices.  Where a factor rounds
     to 1 before n_max (alpha = -1 + 1e-12 at n ~ 9000), no double table
     is strictly decreasing and WeightDomainError names alpha.  The
-    ExpLog family runs per-index adaptive quadrature only below a
-    sharpness threshold and a vectorized panel rule above it; the two
-    routes are cross-checked on sample indices of every table built.
-    Custom weights run per-index quadrature.  ``MomentTable.source``
-    records the route and the check.
+    ExpLog family runs one trapezoid rule in log x for every index,
+    vectorized over n, which refines each entry until two successive
+    step halvings agree to 0.1 * rel_tol; per-index adaptive quadrature
+    cross-checks it at sampled indices.  Custom weights run per-index
+    quadrature.  ``MomentTable.source`` records the route and the check.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -410,34 +421,27 @@ def compute_moments(w, n_max, rel_tol=1e-12):
                 log_values, lambda n: np.log(_moment_standard(w, n, rel_tol)[0]),
                 1, n_max, rel_tol, "standard moment product disagrees with QAWS quadrature",
             )
-            source = dict(route="product", n_split=None, check_indices=ns, check_diff=est)
+            source = dict(route="product", intervals=None, check_indices=ns, check_diff=est)
             return MomentTable(w, log_values, max(rel_tol, est), source)
 
+        if w.kind == "explog":
+            log_values, est, intervals = _log_moments_explog(w, np.arange(n_max + 1), rel_tol)
+            ns, diff = _cross_check(
+                log_values, lambda n: _log_moment_explog_adaptive(w, n, rel_tol),
+                1, n_max, rel_tol, f"{w!r}: trapezoid rule disagrees with adaptive quadrature",
+            )
+            source = dict(route="trapezoid", intervals=intervals, check_indices=ns, check_diff=diff)
+            return MomentTable(w, log_values, max(rel_tol, est, diff), source)
+
         log_values = np.empty(n_max + 1)
-        errs = np.zeros(n_max + 1)
-        threshold = _explog_panel_threshold(w, n_max) if w.kind == "explog" else None
-        n_split = n_max + 1 if threshold is None else threshold
-        for n in range(n_split):
+        for n in range(n_max + 1):
             try:
-                if w.kind == "explog":
-                    log_values[n], errs[n] = _log_moment_explog_adaptive(w, n, rel_tol)
-                else:
-                    log_values[n] = np.log(_moment_custom(w, n, rel_tol))
+                log_values[n] = np.log(_moment_custom(w, n, rel_tol))
             except Exception as exc:  # pragma: no cover - quadpack failures are rare
                 raise QuadratureError(f"moment quadrature failed at n={n}: {exc}") from exc
-        est = float(np.max(errs[:n_split]))
-        route, ns, diff = "custom" if w.kind == "custom" else "adaptive", [], None
 
-        if n_split <= n_max:
-            log_values[n_split:] = _log_moments_explog_panels(w, np.arange(n_split, n_max + 1))
-            ns, diff = _cross_check(
-                log_values, lambda n: _log_moment_explog_adaptive(w, n, rel_tol)[0],
-                n_split, n_max, rel_tol, "explog panel quadrature disagrees with adaptive route",
-            )
-            route, est = "panel", max(est, diff)
-
-    source = dict(route=route, n_split=threshold, check_indices=ns, check_diff=diff)
-    return MomentTable(w, log_values, max(rel_tol, est), source)
+    source = dict(route="custom", intervals=None, check_indices=[], check_diff=None)
+    return MomentTable(w, log_values, rel_tol, source)
 
 
 def _log_kernel_norm_sq(mt, r, tail_tol):

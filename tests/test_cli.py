@@ -48,7 +48,8 @@ def test_moments_deterministic_bytes(tmp_path):
 
 def test_moments_footer_records_route(tmp_path):
     explog = "[weight]\nkind = explog\nalpha = 1.0\nbeta = 1.0\n\n[truncation]\nn = 300\n"
-    for text, route in ((MOMENTS_STD0.replace("n = 5", "n = 500"), "product"), (explog, "panel")):
+    for text, route in ((MOMENTS_STD0.replace("n = 5", "n = 500"), "product"),
+                        (explog, "trapezoid")):
         _, out1 = run(tmp_path, text, "moments", "a.csv")
         _, out2 = run(tmp_path, text, "moments", "b.csv")
         assert out1.read_bytes() == out2.read_bytes()
@@ -57,12 +58,10 @@ def test_moments_footer_records_route(tmp_path):
         )
         assert footer["moment route"] == route
         idx = [int(n) for n in footer["check indices"].split()]
-        assert len(idx) == 6 and idx[-1] == (500 if route == "product" else 300)
+        assert len(idx) == 6 and idx[0] == 1 and idx[-1] == (500 if route == "product" else 300)
         assert 0.0 <= float(footer["check rel diff"]) <= 1e-12
-        if route == "product":
-            assert footer["n_split"] == "none" and idx[0] == 1
-        else:
-            assert int(footer["n_split"]) == idx[0]
+        assert footer["intervals"] == ("none" if route == "product" else "128")
+        assert "n_split" not in footer
 
 
 def test_output_section_fallback(tmp_path):
@@ -98,6 +97,28 @@ def test_config_missing_truncation(tmp_path):
 def test_config_bad_weight_parameters(tmp_path):
     code, _ = run(tmp_path, MOMENTS_STD0.replace("0.0", "-2.0"), "moments")
     assert code == 2
+
+
+# a nan or infinite weight parameter is a config error that names the
+# field, not a numerical failure (exit 1) in the weight or tau profile
+@pytest.mark.parametrize("kind, field, value, command", [
+    ("standard", "alpha", "inf", "moments"),
+    ("explog", "alpha", "inf", "moments"),
+    ("explog", "alpha", "nan", "moments"),
+    ("explog", "beta", "inf", "moments"),
+    ("explog", "beta", "nan", "moments"),
+    ("tau_standard", "alpha", "inf", "rearrange"),
+    ("tau_ce", "alpha", "inf", "rearrange"),
+    ("tau_ce", "alpha", "nan", "rearrange"),
+])
+def test_non_finite_weight_parameter_is_a_config_error(tmp_path, capsys, kind, field, value,
+                                                       command):
+    params = {"alpha": "1.0", "beta": "1.0", field: value}
+    text = (f"[weight]\nkind = {kind}\nalpha = {params['alpha']}\nbeta = {params['beta']}\n"
+            "\n[symbol]\ncoeffs = 1.0\n\n[truncation]\nn = 5\n")
+    code, _ = run(tmp_path, text, command)
+    assert code == 2
+    assert f"[weight] {field}" in capsys.readouterr().err
 
 
 def test_unknown_command_rejected(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bhl import weights
 from bhl.errors import (
+    BhlError,
     InsufficientMomentsError,
     LogConvexityError,
     QuadratureError,
@@ -27,8 +28,8 @@ from bhl.weights import (
 SP = np.sqrt(np.pi)
 
 # Frozen oracle value: m[10] for the explog(1,1) weight, computed by
-# adaptive quadrature of 2*pi*int r^21 exp(-1/log(1/r^2)) dr and
-# cross-checked against the saddle-point panel route before freezing.
+# adaptive quadrature of 2*pi*int r^21 exp(-1/log(1/r^2)) dr.  The table
+# builds it by the trapezoid rule in log x, an independent route.
 EXPLOG11_M10 = 0.0012788050211520875
 
 
@@ -106,57 +107,118 @@ def test_standard_near_minus_one_is_a_domain_error():
 def test_moment_table_source_records_route():
     std = compute_moments(RadialWeight.standard(0.3), 500)
     assert std.source == dict(
-        route="product", n_split=None, check_indices=[1, 3, 12, 41, 144, 500],
+        route="product", intervals=None, check_indices=[1, 3, 12, 41, 144, 500],
         check_diff=std.source["check_diff"],
     )
     assert 0.0 <= std.source["check_diff"] <= 1e-14
-    panel = compute_moments(RadialWeight.explog(1.0, 1.0), 300)
-    assert panel.source["route"] == "panel"
-    assert panel.source["check_indices"][0] == panel.source["n_split"] > 8
-    assert panel.source["check_indices"][-1] == 300
-    # an adaptive-only table records n_split past n_max
-    adaptive = compute_moments(RadialWeight.explog(1.0, 1.0), 20)
-    assert adaptive.source == dict(
-        route="adaptive", n_split=21, check_indices=[], check_diff=None
-    )
+    # every explog index takes the trapezoid rule; the adaptive route checks
+    # it over [1, n_max]
+    for n_max, idx in ((300, [1, 3, 9, 30, 95, 300]), (20, [1, 3, 6, 10, 20])):
+        ex = compute_moments(RadialWeight.explog(1.0, 1.0), n_max)
+        assert ex.source == dict(
+            route="trapezoid", intervals=128, check_indices=idx,
+            check_diff=ex.source["check_diff"],
+        )
+        assert 0.0 <= ex.source["check_diff"] <= 1e-13
 
 
-def _panel_threshold_reference(w):
-    """The first n >= 8 with t = a/x_n^b >= 10, by doubling and bisection."""
-    def t_of(n):
-        return w.alpha / weights._explog_saddle(w, n)[1] ** w.beta
+def _mp_log_moment_explog(alpha, beta, n):
+    """25-digit log m[n] of explog(alpha, beta), and the gap of two mpmath rules.
 
-    hi = 8
-    while t_of(hi) < 10.0:
-        hi *= 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if t_of(mid) < 10.0 else (lo, mid)
-    return max(hi, 8)
+    The integrand exp(-(n+1)x - a/x^b) in x = log(1/r^2) is normalized
+    by its value at the saddle x_n.  Its mass sits near x_n, within a few
+    1/(n+1), and, where a b is small, out at x ~ 1 and over the decades
+    below.  The split points cover all three: multiples of x_n spread by
+    the peak's width, multiples of 1/(n+1), and fixed decades.
+    """
+    with mpmath.workdps(25):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        np1 = n + 1
+        xn = (a * b / np1) ** (1 / (1 + b))
+        En = np1 * xn + a / xn**b
+        width = 1 / mpmath.sqrt(a / xn**b * b * (1 + b))
+        pts = {xn * mpmath.exp(width * k) for k in (-64, -16, -4, -1, 0, 1, 4, 16, 64)}
+        pts |= {mpmath.mpf(k) / np1 for k in (1, 4, 16, 64)}
+        pts |= {mpmath.mpf(10) ** j for j in (-64, -48, -32, -24, -16, -12, *range(-10, 3))}
+        # split points below 1e-64 or above 100 would only cut up mass a double
+        # cannot see
+        pts = [mpmath.mpf(0), *sorted(p for p in pts if 1e-64 <= p <= 100), mpmath.inf]
+
+        def f(x):
+            return mpmath.exp(En - np1 * x - a / x**b) if x > 0 else mpmath.mpf(0)
+
+        ts = mpmath.quad(f, pts, method="tanh-sinh")
+        gl = mpmath.quad(f, pts, method="gauss-legendre")
+        return float(mpmath.log(mpmath.pi) - En + mpmath.log(ts)), float(abs(gl / ts - 1))
 
 
-def test_explog_panel_threshold_matches_bisection():
-    # a = b = 1 puts the bound n + 1 >= a b (10/a)^((1+b)/b) at the
-    # integer 100, where rounding in logs alone gives 100 instead of 99
-    cases = [(1.0, 1.0), (2.0, 0.5), (10.0, 2.0), (0.5, 3.0)]
-    cases += [(a, b) for a in np.geomspace(1e-2, 10.0, 9) for b in np.geomspace(0.1, 30.0, 9)]
-    checked = 0
-    for a, b in cases:
-        w = RadialWeight.explog(a, b)
-        ref = _panel_threshold_reference(w)
-        if ref > 10**7:
-            continue
-        checked += 1
-        for n_max in (10**7, ref, ref - 1):
-            assert weights._explog_panel_threshold(w, n_max) == min(ref, n_max + 1), (a, b, n_max)
-    assert checked > 60
-    assert weights._explog_panel_threshold(RadialWeight.explog(1.0, 1.0), 3000) == 99
-    # the bound is about 1e98 here and past the double range at (1e-3, 0.01);
-    # both tables are adaptive and record n_split = n_max + 1
-    for a in (1.0, 1e-3):
-        mt = compute_moments(RadialWeight.explog(a, 0.01), 10)
-        assert mt.source["route"] == "adaptive" and mt.source["n_split"] == 11
+# the corners of [1e-3, 10] x [0.05, 30], and beta = 0.25, where the
+# adaptive route is up to 6e-14 off in log m
+@pytest.mark.parametrize("alpha, beta", [(1e-3, 0.05), (1e-3, 30.0), (10.0, 0.05),
+                                         (10.0, 30.0), (1.0, 0.25)])
+def test_explog_trapezoid_matches_mpmath(alpha, beta):
+    ns = np.array([0, 1, 7, 50, 500, 3000, 8000, 20000])
+    w = RadialWeight.explog(alpha, beta)
+    got, est, _ = weights._log_moments_explog(w, ns, 1e-12)
+    assert est <= 1e-13
+    for n, lm in zip(ns, got):
+        ref, gap = _mp_log_moment_explog(alpha, beta, n)
+        assert gap <= 1e-17, (n, gap)
+        assert abs(lm - ref) <= 1e-14 * max(1.0, abs(ref)), (n, lm, ref)
+    # a table entry is the same rule on the same index
+    assert np.array_equal(compute_moments(w, 50).log_values[ns[:4]], got[:4])
+
+
+# the tables that raised QuadratureError under the former panel rule at
+# n = 3000 (rel diffs 2e-10 to 9e-9 against the adaptive route)
+@pytest.mark.parametrize("alpha, beta", [(6.23, 0.0596), (10.0, 0.05), (1e-3, 30.0),
+                                         (0.1, 30.0), (10.0, 30.0)])
+def test_explog_former_panel_failures_build(alpha, beta):
+    mt = compute_moments(RadialWeight.explog(alpha, beta), 3000)
+    assert mt.source["route"] == "trapezoid" and mt.source["check_indices"][-1] == 3000
+    assert mt.source["check_diff"] <= 1e-12 and mt.rel_tol == 1e-12
+    assert mt.source["intervals"] <= 1024
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    log_alpha=st.floats(min_value=-3.0, max_value=1.0),
+    log_beta=st.floats(min_value=-2.0, max_value=np.log10(30.0)),
+    n_max=st.integers(min_value=1, max_value=3000),
+)
+@example(log_alpha=-3.0, log_beta=-2.0, n_max=10)  # explog(1e-3, 0.01)
+@example(log_alpha=0.0, log_beta=-2.0, n_max=10)  # explog(1, 0.01)
+@example(log_alpha=1.0, log_beta=np.log10(30.0), n_max=3000)
+def test_explog_table_valid_across_parameters(log_alpha, log_beta, n_max):
+    # every point builds a decreasing, log-convex table, or raises a typed
+    # error that names the weight
+    w = RadialWeight.explog(10.0**log_alpha, 10.0**log_beta)
+    try:
+        mt = compute_moments(w, n_max)
+    except BhlError as exc:
+        assert repr(w) in str(exc)
+        return
+    lv = mt.log_values
+    assert np.all(np.diff(lv) < 0.0)
+    if n_max > 1:
+        assert np.min(lv[:-2] + lv[2:] - 2.0 * lv[1:-1]) >= -8.0 * mt.rel_tol
+    assert mt.source["route"] == "trapezoid" and mt.source["check_diff"] <= 1e-12
+
+
+def test_explog_trapezoid_cap_names_the_weight(monkeypatch):
+    # beta = 30 needs 1024 intervals at n = 3000
+    monkeypatch.setattr(weights, "_EXPLOG_CAP", 512)
+    with pytest.raises(QuadratureError, match=r"explog\(alpha=10\.0, beta=30\.0\).* at n=\d+ with 512"):
+        compute_moments(RadialWeight.explog(10.0, 30.0), 3000)
+
+
+def test_explog_cross_check_is_live(monkeypatch):
+    real = weights._log_moment_explog_adaptive
+
+    monkeypatch.setattr(weights, "_log_moment_explog_adaptive",
+                        lambda w, n, rel_tol: real(w, n, rel_tol) + 1e-8)
+    with pytest.raises(QuadratureError, match=r"explog\(alpha=1\.0, beta=1\.0\): .* at n=1: rel diff 1\.0\de-08"):
+        compute_moments(RadialWeight.explog(1.0, 1.0), 300)
 
 
 def test_standard_spectrum_matches_mpmath_moments():
@@ -338,10 +400,16 @@ def test_weight_constructors_reject_bad_parameters():
         RadialWeight.explog(0.0, 1.0)
     with pytest.raises(WeightDomainError):
         RadialWeight.explog(1.0, -2.0)
-    # an infinite parameter would make the panel threshold a nan
-    for alpha, beta in ((np.inf, 1.0), (1.0, np.inf)):
+    for alpha, beta in ((np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)):
         with pytest.raises(WeightDomainError, match="alpha, beta"):
             RadialWeight.explog(alpha, beta)
+
+
+@pytest.mark.parametrize("alpha", [np.inf, np.nan])
+def test_standard_weight_rejects_non_finite_alpha(alpha):
+    # inf used to pass and fail later as a nan quadrature cross-check
+    with pytest.raises(WeightDomainError, match=f"alpha={alpha}"):
+        RadialWeight.standard(alpha)
 
 
 def test_moment_table_rejects_log_concavity(std0):
