@@ -148,8 +148,9 @@ class ExperimentConfig:
 
     def rel_tol(self):
         v = self._get("quadrature", "rel_tol", float, default=1e-12)
-        if not 0.0 < v <= 1e-6:
-            raise ConfigError(f"[quadrature] rel_tol: must lie in (0, 1e-6], got {v}")
+        # compute_moments takes (1e-14, 1e-3); above 1e-6 is too loose a table
+        if not 1e-14 < v <= 1e-6:
+            raise ConfigError(f"[quadrature] rel_tol: must lie in (1e-14, 1e-6], got {v}")
         return v
 
     def rearrange_params(self):

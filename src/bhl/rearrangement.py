@@ -21,12 +21,19 @@ angular mesh is log-graded toward the singular angle; a uniform mesh
 aliases the spike and converges to wrong answers while looking stable.
 
 Level fields have one hold rule: a field of at most _HOLD_BYTES
-(32 MiB) is held whole, built once and read-only, and level_measure
-keeps the held fields of its last call family (one tau profile, symbol
-and r_max, compared by value) while they fit in _HOLD_BYTES in all.
-level_measure, rearrangement_plus and trace_integral read that family,
-so a sweep over t builds each level's field once and an R+ or trace
-after it builds none.  A call of another family releases it.
+(32 MiB) is held whole, built once as one read-only array, and
+level_measure keeps the held fields of its last call family (one tau
+profile, symbol and r_max, compared by value) while they fit in
+_HOLD_BYTES in all.  level_measure, rearrangement_plus and
+trace_integral read that family, so a sweep over t builds each level's
+field once and an R+ or trace after it builds none.  A call of another
+family releases it.
+
+R(t) reads a level field through its tile index (LevelField), cell by
+cell only where t crosses a tile; R+ inverts R exactly, piece by
+quadratic piece, on the cells that meet a narrowed bracket.  bloch_norm
+reuses its last sup while the symbol, r_max and every tau value it read
+are the same.
 
 The (tau, delta)-lattice is closed-form: its centers are the points of
 rings delta*tau apart, and build_lattice verifies its covering and
@@ -35,6 +42,7 @@ measures its overlap on a ring grid eight times finer.
 
 from __future__ import annotations
 
+import mmap
 from typing import NamedTuple
 
 import numpy as np
@@ -62,13 +70,21 @@ _DOT_ROWS = 256
 # a level field is held (LevelField._hold) up to this many bytes, and
 # level_measure keeps at most this many in all; the CE sweep keeps its
 # levels 0 and 1 and the level-1 annulus (17.7 MB), and a CE level 2
-# (50 MB) or a polynomial level 2 (33.6 MB) streams, rebuilt per use
+# (50 MB) or a polynomial level 2 (33.6 MB) streams, rebuilt per use.
+# A held field's tile ranges add 1/16 of its bytes (2 x 8 per 32 cells)
 _HOLD_BYTES = 32 * 2**20
 
-# LevelField.rplus probes a held field whole for this many bisection
-# steps, then only the cells that straddle its bracket; on the first
-# 10-octave bracket nearly every cell straddles
-_HELD_STEPS = 6
+# a level field's tile index keeps, per row, the min and max node value
+# of each run of this many u cells; on the CE level-1 field (769 x 2,049)
+# and the c = 0.3 polynomial field at most 1.6% of the tiles cross any
+# level, and R(t) reads only those cell by cell
+_TILE = 32
+
+# LevelField.rplus narrows its bracket on the tiled R to this width in
+# log t before it gathers the cells that meet it; on the c = 0.3
+# polynomial level-1 field R+ peaked 5.5 MiB above the held field at
+# 2^-4 and 1.4 MiB at 2^-6, and took no longer at 2^-6 to 2^-10
+_NARROW = 2.0**-6
 
 
 class SymbolDerivative:
@@ -238,6 +254,11 @@ def _theta_cells(deriv, r_max, level):
     return theta, 2.0 * wts
 
 
+def _chunk_rows(columns):
+    """Rows per chunk of a field of this many columns: about _BLOCK_ELEMS values."""
+    return max(1, _BLOCK_ELEMS // columns)
+
+
 def _field_rows(deriv, r, tau, theta):
     """tau|phi'| on an outer(theta, r) polar grid, in chunks of rows.
 
@@ -248,7 +269,7 @@ def _field_rows(deriv, r, tau, theta):
     if theta is None:
         yield 0, (tau * deriv.radial_abs(r))[None, :]
         return
-    rows = max(1, _BLOCK_ELEMS // len(r))
+    rows = _chunk_rows(len(r))
     for lo in range(0, len(theta), rows):
         f = deriv.abs_grid(r, theta[lo : lo + rows])
         f *= tau
@@ -267,6 +288,20 @@ def _crossing_mass(f0, f1, d0, d1, du, t):
     return np.where(f0 > t, left, right)
 
 
+def _first_below(R, t, x):
+    """The first double from t up at which R < x, for R nonincreasing:
+    steps up from t, doubling, while R >= x, then halves back."""
+    lo, step = None, np.spacing(t)
+    while R(t) >= x:
+        lo, t, step = t, t + step, 2.0 * step
+    while lo is not None and lo < (mid := 0.5 * (lo + t)) < t:
+        if R(mid) >= x:
+            lo = mid
+        else:
+            t = mid
+    return t
+
+
 class LevelField:
     """tau|phi'| on the polar grid of one dyadic mesh level.
 
@@ -275,7 +310,17 @@ class LevelField:
     (_BLOCK_ELEMS values each), field being tau|phi'| on those rows.  A
     radial modulus is one row of weight 2 pi.  The blocks are built
     lazily, one at a time, until ``_hold`` (which ``rplus`` calls)
-    keeps the whole field read-only, once and only within _HOLD_BYTES.
+    keeps the whole field, once and only within _HOLD_BYTES, as one
+    read-only array written block by block; ``blocks()`` then yields
+    views of it.
+
+    Each row's u cells are indexed in tiles of _TILE cells: per row and
+    tile the min and max of the tile's nodes.  A tile whose min is above
+    a level t counts whole (its mass depends on u only, one vector for
+    all rows), a tile whose max is at or below it counts nothing, and
+    only the tiles that t crosses are read cell by cell.  A held field
+    holds its tile ranges; a streamed one computes them per block, by
+    the same arithmetic, so both give the same bits.
     """
 
     def __init__(self, tau_prof, deriv, r_max, level):
@@ -308,6 +353,17 @@ class LevelField:
         # the trapezoid rule along u: weights du*dens, halved at both ends
         self._wu = self.du * self.dens
         self._wu[[0, -1]] *= 0.5
+        # the tile index: tile k holds cells k*_TILE .. k*_TILE + _TILE - 1,
+        # the last one padded with empty cells on its last node repeated
+        nodes = len(self.dens)
+        tiles = -(-(nodes - 1) // _TILE)
+        self._nodes = np.minimum(
+            np.arange(0, tiles * _TILE, _TILE)[:, None] + np.arange(_TILE + 1), nodes - 1
+        )
+        self._cell = np.zeros(tiles * _TILE)
+        self._cell[: nodes - 1] = 0.5 * self.du * (self.dens[:-1] + self.dens[1:])
+        self._cell = self._cell.reshape(tiles, _TILE)
+        self._tile_mass = self._cell.sum(axis=1)
         self._deriv = deriv
         if deriv.is_radial:
             self._theta, self._wts = None, np.array([2.0 * np.pi])
@@ -330,20 +386,47 @@ class LevelField:
             None if a is None else (a.dtype.str, a.tobytes()) for a in arrays
         )
 
-    def blocks(self):
-        """The held list of (weights, field) blocks, or an iterator that builds them."""
+    def _tile_ranges(self, f):
+        """Each row's min and max node value over each tile of ``f``."""
+        starts, ends = self._nodes[:, 0], self._nodes[:, -1]
+        lo = np.minimum.reduceat(f, starts, axis=1)
+        np.minimum(lo, f[:, ends], out=lo)
+        hi = np.maximum.reduceat(f, starts, axis=1)
+        np.maximum(hi, f[:, ends], out=hi)
+        return lo, hi
+
+    def _chunks(self):
+        """(row weights, field, tile mins, tile maxes): the held field and
+        tiles whole, or chunk by chunk as the field streams."""
         if self._held is not None:
-            return self._held
-        rows = _field_rows(self._deriv, self._r, self._tau, self._theta)
-        return ((self._wts[lo : lo + len(f)], f) for lo, f in rows)
+            return [(self._wts,) + self._held]
+        return ((wts, f) + self._tile_ranges(f) for wts, f in self.blocks())
+
+    def blocks(self):
+        """(weights, field) pairs of cache-sized row chunks: views of the
+        held field, or an iterator that builds them."""
+        if self._held is not None:
+            f = self._held[0]
+            rows = _chunk_rows(f.shape[1])
+            return ((self._wts[a : a + rows], f[a : a + rows]) for a in range(0, len(f), rows))
+        chunks = _field_rows(self._deriv, self._r, self._tau, self._theta)
+        return ((self._wts[a : a + len(f)], f) for a, f in chunks)
 
     def _hold(self):
-        """Keep the whole field read-only, built once, if it fits in _HOLD_BYTES; returns self."""
+        """Keep the whole field, written chunk by chunk, and its tiles
+        read-only if the field fits in _HOLD_BYTES; returns self."""
         if self._held is None and self.nbytes <= _HOLD_BYTES:
-            held = list(self.blocks())
-            for block in held:
-                for a in block:
-                    a.flags.writeable = False
+            # its own anonymous map: a release unmaps it at once, where a
+            # malloc block this large raises glibc's mmap threshold and
+            # later arrays stay on the heap (geometry's peak RSS read
+            # 113-120 MiB that way, 110-111 MiB with chunked blocks)
+            shape = (len(self._wts), len(self.dens))
+            f = np.frombuffer(mmap.mmap(-1, self.nbytes), dtype=float).reshape(shape)
+            for a, chunk in _field_rows(self._deriv, self._r, self._tau, self._theta):
+                f[a : a + len(chunk)] = chunk
+            held = (f,) + self._tile_ranges(f)
+            for a in held + (self._wts,):
+                a.flags.writeable = False
             self._held = held
         return self
 
@@ -355,110 +438,177 @@ class LevelField:
             total += float(self._wts[lo : lo + _DOT_ROWS] @ I[lo : lo + _DOT_ROWS])
         return total
 
-    def _slice_integrals(self, f, t):
-        """Per-row integral of dens over {f > t} along the u axis.
+    def _tile_nodes(self, f, ii, jj):
+        """The u node indices of tiles jj and the values of ``f`` there,
+        tile jj[k] of row ii[k] by row k, _TILE + 1 nodes each."""
+        nodes = self._nodes[jj]
+        return nodes, f.reshape(-1)[nodes + (ii * f.shape[1])[:, None]]
 
-        The trapezoid rule on the indicator-masked integrand plus a
-        linear-crossing correction in each cell where f - t changes sign.
+    def _tile_measure(self, f, lo, hi, t):
+        """Per-row integral of dens over {f > t} along u, on one chunk.
+
+        Tiles above t count their whole mass; in the tiles t crosses
+        each cell counts whole, by its linear crossing, or not at all.
         """
-        ind = f > t
-        I = (ind * self._wu).sum(axis=1)
-        # crossing cells in (row, cell) order, from one flat scan of the xor
-        ii, jj = np.divmod(np.flatnonzero(ind[:, 1:] ^ ind[:, :-1]), ind.shape[1] - 1)
+        above = lo > t
+        # a row's sum runs over its own tiles only, in the same order in
+        # any chunk, so the chunking of a streamed field moves no bit
+        I = np.where(above, self._tile_mass, 0.0).sum(axis=1)
+        # crossed: neither above nor at or below t (a nan tile is crossed)
+        cross = hi <= t
+        cross |= above
+        ii, jj = np.divmod(np.flatnonzero(~cross), lo.shape[1])
         if ii.size:
-            f0 = f[ii, jj]
-            d0 = self.dens[jj]
-            d1 = self.dens[jj + 1]
-            # the masked sum gave the cell the half weight of its one node above t
-            counted = np.where(f0 > t, d0, d1) * (self.du * 0.5)
-            np.add.at(I, ii, _crossing_mass(f0, f[ii, jj + 1], d0, d1, self.du, t) - counted)
+            nodes, g = self._tile_nodes(f, ii, jj)
+            a = g > t
+            part = ((a[:, :-1] & a[:, 1:]) * self._cell[jj]).sum(axis=1)
+            xi, xc = np.divmod(np.flatnonzero(a[:, :-1] ^ a[:, 1:]), _TILE)
+            j = nodes[xi, xc]
+            cut = _crossing_mass(g[xi, xc], g[xi, xc + 1], self.dens[j], self.dens[j + 1], self.du, t)
+            part += np.bincount(xi, cut, minlength=len(ii))
+            I += np.bincount(ii, part, minlength=len(I))
         return I
 
     def measure(self, t):
         """R(t) on this level: the dA/tau^2 mass of {tau|phi'| > t}."""
-        return self._row_sum([self._slice_integrals(f, t) for _, f in self.blocks()])
+        return self._row_sum([self._tile_measure(f, lo, hi, t) for _, f, lo, hi in self._chunks()])
 
     def trace(self, h):
         """int h(tau|phi'|) dA/tau^2 on this level."""
         return self._row_sum([(np.asarray(h(f)) * self._wu).sum(axis=1) for _, f in self.blocks()])
 
-    def _straddling(self, cell, t_lo, t_hi):
-        """Split the cells of the field by the bracket (t_lo, t_hi].
+    def _bracket_cells(self, t_lo, t_hi):
+        """The cells whose node range meets (t_lo, t_hi], read from the tiles.
 
-        ``cell`` is each u cell's whole mass.  Returns the mass of the
-        cells above the bracket (both nodes > t_hi), which is whole at
-        every t in it, and the node values, left node index and row
-        weight of the cells whose range meets it; cells with both nodes
-        <= t_lo have no mass there.
+        Returns the weighted mass of the cells with both nodes above
+        t_hi, which is whole at every t in the bracket, and an (8, k)
+        array of the k cells that meet it: their two node values, the
+        dens at those nodes, their row weight, their weighted whole
+        mass, and their smaller and larger node value.  Cells with both
+        nodes <= t_lo have no mass there.
         """
-        above = []
-        parts = []
-        for wts, f in self.blocks():
-            low = np.minimum(f[:, :-1], f[:, 1:])
-            above.append(((low > t_hi) * cell).sum(axis=1))
-            meets = low <= t_hi
-            meets &= np.maximum(f[:, :-1], f[:, 1:]) > t_lo
-            ii, jj = np.nonzero(meets)
-            parts.append((f[ii, jj], f[ii, jj + 1], jj, wts[ii]))
-        return (self._row_sum(above),) + tuple(np.concatenate(p) for p in zip(*parts))
+        full, parts = [], []
+        for wts, f, lo, hi in self._chunks():
+            above = lo > t_hi
+            I = np.where(above, self._tile_mass, 0.0).sum(axis=1)
+            off = hi <= t_lo
+            off |= above
+            ii, jj = np.divmod(np.flatnonzero(~off), lo.shape[1])
+            nodes, g = self._tile_nodes(f, ii, jj)
+            low = np.minimum(g[:, :-1], g[:, 1:])
+            high = np.maximum(g[:, :-1], g[:, 1:])
+            I += np.bincount(ii, ((low > t_hi) * self._cell[jj]).sum(axis=1), minlength=len(I))
+            full.append(I)
+            # a padded cell repeats the last node: flat, empty, never gathered
+            meets = (low <= t_hi) & (high > t_lo) & (nodes[:, 1:] > nodes[:, :-1])
+            ci, cc = np.divmod(np.flatnonzero(meets), _TILE)
+            j = nodes[ci, cc]
+            w = wts[ii[ci]]
+            parts.append([g[ci, cc], g[ci, cc + 1], self.dens[j], self.dens[j + 1],
+                          w, w * self._cell[jj[ci], cc], low[ci, cc], high[ci, cc]])
+        return self._row_sum(full), np.array([np.concatenate(p) for p in zip(*parts)])
 
-    def rplus(self, x, t_max, iters=48):
-        """R+(x) = sup { t : R(t) >= x } on this level, by bisection in log t.
+    def rplus(self, x, t_max):
+        """R+(x) = sup { t : R(t) >= x } on this level.
 
-        t_max is the sup of tau|phi'| (bloch_norm).  R is evaluated on
-        the same field at every probe, so it is monotone in t.  The
-        returned value is the high end of the final bracket, which
-        preserves R+(R(t)) >= t.  If even the smallest probed level has
-        R < x the sup runs over an empty set and 0 is returned.
+        t_max is the sup of tau|phi'| (bloch_norm).  R is the mass of
+        the field's linear interpolant along u, the function that
+        ``measure`` evaluates.  R+ is t_max (1 + 1e-9) where R there is
+        still >= x, and 0 where R < x even at t_max 2^-48, too deep
+        below the sup to resolve.
 
-        The field is probed whole for the first _HELD_STEPS bisection
-        steps only, held (_hold) if it fits in _HOLD_BYTES and rebuilt
-        per probe if not; after that only the cells whose range meets
-        the bracket are kept, and they drop out as it shrinks.
+        The tiled R narrows a bracket to a width of _NARROW in log t by
+        regula falsi on log R against log t (Illinois-modified: an end
+        kept twice has its log R - log x halved), by bisection while
+        R = 0 at the top.  Probes stay _NARROW/2 inside both ends, so
+        once the root is known that closely the next probe closes the
+        bracket.  ``_invert`` then finds the root exactly.
         """
         if not x > 0.0:
             raise ValueError(f"rplus needs x > 0, got {x}")
         if not 0.0 <= t_max < np.inf:
             raise ValueError(f"rplus needs 0 <= t_max < inf, got {t_max}")
-        _check_iters(iters)
         if t_max == 0.0:
             return 0.0
         R = self._hold().measure
         t_hi = t_max * (1.0 + 1e-9)
-        if R(t_hi) >= x:
+        r_hi = R(t_hi)
+        if r_hi >= x:
             return t_hi
         t_lo = t_max * 2.0**-10
-        while R(t_lo) < x:
+        while (r_lo := R(t_lo)) < x:
             t_lo *= 0.25
             if t_lo < t_max * 1e-15:
                 return 0.0
-        whole = min(iters, _HELD_STEPS)
-        for _ in range(whole):
-            mid = np.sqrt(t_lo * t_hi)
-            if R(mid) >= x:
-                t_lo = mid
+        g_lo, g_hi, kept = np.log(r_lo / x), np.log(r_hi / x) if r_hi > 0.0 else -np.inf, 0
+        while (width := np.log(t_hi / t_lo)) > _NARROW:
+            s = 0.5 * width
+            if g_hi > -np.inf:
+                s = min(max(width * g_lo / (g_lo - g_hi), 0.5 * _NARROW), width - 0.5 * _NARROW)
+            t = t_lo * np.exp(s)
+            r = R(t)
+            if r >= x:
+                t_lo, g_lo = t, np.log(r / x)
+                g_hi *= 0.5 if kept < 0 else 1.0
+                kept = -1
             else:
-                t_hi = mid
-        cell = 0.5 * self.du * (self.dens[:-1] + self.dens[1:])
-        full, f0, f1, jj, wr = self._straddling(cell, t_lo, t_hi)
-        for _ in range(iters - whole):
-            mid = np.sqrt(t_lo * t_hi)
-            a0 = f0 > mid
-            a1 = f1 > mid
-            both = a0 & a1
-            inside = float(wr[both] @ cell[jj[both]])
-            c = np.nonzero(a0 != a1)[0]
-            j = jj[c]
-            cut = _crossing_mass(f0[c], f1[c], self.dens[j], self.dens[j + 1], self.du, mid)
-            if full + inside + float(wr[c] @ cut) >= x:
-                t_lo = mid
-                keep = a0 | a1  # cells at or below mid are empty from here on
+                t_hi, g_hi = t, np.log(r / x) if r > 0.0 else -np.inf
+                g_lo *= 0.5 if kept > 0 else 1.0
+                kept = 1
+        return float(_first_below(R, self._invert(x, t_lo, t_hi), x))
+
+    def _invert(self, x, t_lo, t_hi):
+        """The root of R(t) = x in a bracket with R(t_lo) >= x > R(t_hi),
+        on the cells that meet it, to the first double where they give R < x.
+
+        Between the sorted node values of those cells each cell is
+        whole, empty or crossed, and a crossed cell's mass is quadratic
+        in t, so R is piecewise quadratic there.  A binary search over
+        the node values finds the piece where R falls below x, folding
+        the cells it decides (whole or empty on the rest of the bracket)
+        into the total, and the piece's quadratic gives the root.
+        rplus lets ``measure`` settle the last ulps: the two sums round
+        differently.
+        """
+        full, cells = self._bracket_cells(t_lo, t_hi)
+        du = self.du
+
+        def mass(t):
+            f0, f1, d0, d1, w, wm = cells[:6]
+            a0 = f0 > t
+            a1 = f1 > t
+            c = a0 != a1
+            cut = _crossing_mass(f0[c], f1[c], d0[c], d1[c], du, t)
+            return full + float((a0 & a1) @ wm) + float(w[c] @ cut)
+
+        knots = np.unique(cells[:2])
+        knots = knots[(knots > t_lo) & (knots < t_hi)]
+        i, j = 0, len(knots)
+        while i < j:
+            m = (i + j) // 2
+            if mass(knots[m]) >= x:
+                t_lo, i = knots[m], m + 1
+                cells = cells[:, cells[7] > t_lo]  # empty from t_lo on
             else:
-                t_hi = mid
-                full += inside  # cells above mid are whole from here on
-                keep = ~both
-            f0, f1, jj, wr = f0[keep], f1[keep], jj[keep], wr[keep]
-        return float(t_hi)
+                t_hi, j = knots[m], m
+                whole = cells[6] >= t_hi  # whole below t_hi
+                full += float(cells[5, whole].sum())
+                cells = cells[:, ~whole]
+        # each cell left crosses the whole piece [t_lo, t_hi): with a its
+        # node above, s = (f_a - t)/(f_a - f_b) of it lies above t, and
+        # its mass is du/2 (2 d_a s + (d_b - d_a) s^2)
+        up = cells[1] > cells[0]
+        da, db = np.where(up, cells[3], cells[2]), np.where(up, cells[2], cells[3])
+        w = cells[4]
+        q = 1.0 / (cells[7] - cells[6])
+        s0 = (cells[7] - t_lo) * q
+        c0 = full + 0.5 * du * float(w @ ((2.0 * da + (db - da) * s0) * s0)) - x
+        b = du * float(w @ (q * (da + (db - da) * s0)))
+        a = 0.5 * du * float(w @ ((db - da) * q * q))
+        # the smaller root of c0 - b h + a h^2, in its cancellation-free form
+        den = b + np.sqrt(max(b * b - 4.0 * a * c0, 0.0))
+        t = t_lo if c0 <= 0.0 else (t_hi if den <= 0.0 else min(t_lo + 2.0 * c0 / den, t_hi))
+        return _first_below(lambda t: mass(t) if t < t_hi else -np.inf, t, x)
 
 
 # level_measure's kept family: held LevelFields keyed by
@@ -533,22 +683,16 @@ def _r_push(tau_prof, r_max):
     return min(0.5 * (1.0 + r_max), tau_prof.r_hi)
 
 
-def _check_iters(iters):
-    if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
-        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
-
-
-def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4, iters=48):
-    """R+(x) = sup { t : R(t) >= x }, by monotone bisection in log t.
+def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4):
+    """R+(x) = sup { t : R(t) >= x }, inverted exactly on one mesh level.
 
     The mesh level is the first one on which R(T/8) converges to
-    rel_tol, T the sup of tau|phi'|; LevelField.rplus then bisects on
+    rel_tol, T the sup of tau|phi'|; LevelField.rplus then inverts R on
     that one level.  Levels come from level_measure's kept family
     (_kept) or are built, the current one held if it fits in _HOLD_BYTES.
     """
     if not x > 0.0:
         raise ValueError(f"rearrangement_plus needs x > 0, got {x}")
-    _check_iters(iters)
     T = bloch_norm(tau_prof, deriv, r_max=r_max)
     if T == 0.0:
         return 0.0
@@ -561,7 +705,7 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4, iters=48):
         return field.measure(T / 8.0)
 
     _refined(measure, rel_tol, 5)
-    return field.rplus(x, T, iters)
+    return field.rplus(x, T)
 
 
 def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
@@ -587,23 +731,42 @@ def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
     return MeasureResult(val, refine_error=err, r_max_delta=None, level=level)
 
 
+# bloch_norm's last answer: (symbol and r_max, the (radii, tau) pairs
+# it read, the sup); only bloch_norm writes it
+_LAST_SUP = None
+
+
 def bloch_norm(tau_prof, deriv, r_max=None):
     """sup over |z| <= r_max of tau(r) |phi'(z)|, by grid + local zoom.
 
     The coarse grid uses the same angular grading as the integrators,
     then the running argmax is refined on shrinking windows.
+
+    The last answer is kept and returned again for the same symbol and
+    r_max when tau, evaluated anew at every radius the last call read
+    (the coarse grid and each zoom's radii), gives the same bits: the
+    zooms then run on the same points, so the sup would be the same.
     """
+    global _LAST_SUP
     if r_max is None:
         r_max = min(tau_prof.r_hi, 1.0 - 1e-9)
     elif not 0.0 < r_max < 1.0:
         raise WeightDomainError(f"r_max must lie in (0, 1), got {r_max}")
+    c = None if deriv.coeffs is None else np.asarray(deriv.coeffs)
+    key = (deriv.kind, deriv.gamma, None if c is None else (c.dtype.str, c.tobytes()), r_max)
+    if _LAST_SUP is not None and _LAST_SUP[0] == key and all(
+        np.asarray(tau_prof(r), dtype=float).tobytes() == v.tobytes() for r, v in _LAST_SUP[1]
+    ):
+        return _LAST_SUP[2]
+    reads = []
     u_max = -np.log1p(-r_max)
 
     def peak(u_arr, theta):
         """The grid's first maximum of tau|phi'|, as np.argmax picks it, and its (row, column)."""
         r = -np.expm1(-u_arr)
+        reads.append((r, np.asarray(tau_prof(r), dtype=float)))
         best, at = -np.inf, None
-        for lo, f in _field_rows(deriv, r, np.asarray(tau_prof(r), dtype=float), theta):
+        for lo, f in _field_rows(deriv, r, reads[-1][1], theta):
             k = int(np.argmax(f))
             # a later chunk wins only when strictly larger
             if f.flat[k] > best:
@@ -615,6 +778,7 @@ def bloch_norm(tau_prof, deriv, r_max=None):
     theta = None if deriv.is_radial else _theta_cells(deriv, r_max, 0)[0]
     best, (it, iu) = peak(u, theta)
     if best == 0.0:
+        _LAST_SUP = (key, reads, 0.0)
         return 0.0
     cu = u[iu]
     ct = None if theta is None else theta[it]
@@ -629,6 +793,7 @@ def bloch_norm(tau_prof, deriv, r_max=None):
         wu /= 6.0
         if tt is not None:
             ct, wt = tt[it], wt / 6.0
+    _LAST_SUP = (key, reads, best)
     return best
 
 

@@ -205,8 +205,8 @@ def moment_closed_form_standard(alpha, n):
     It stays independent of ``compute_moments`` on purpose, so checks
     that compare the two compare two routes, not a formula with itself.
     """
-    if not alpha > -1.0:
-        raise WeightDomainError(f"closed form needs alpha > -1, got {alpha}")
+    if not -1.0 < alpha < np.inf:
+        raise WeightDomainError(f"closed form needs -1 < alpha < inf, got alpha={alpha}")
     n = np.asarray(n, dtype=float)
     return np.exp(gammaln(n + 1.0) + gammaln(alpha + 2.0) - gammaln(n + alpha + 2.0))
 

@@ -24,8 +24,11 @@ def explog11():
 
 @pytest.fixture(autouse=True)
 def _clear_field_memo():
-    # level_measure keeps the fields of its last call family; a test that
-    # counts field builds must not depend on what an earlier test kept
+    # level_measure keeps the fields of its last call family and
+    # bloch_norm its last sup; a test that counts field builds must not
+    # depend on what an earlier test kept
     rearrangement._MEMO.clear()
+    rearrangement._LAST_SUP = None
     yield
     rearrangement._MEMO.clear()
+    rearrangement._LAST_SUP = None

@@ -121,6 +121,20 @@ def test_non_finite_weight_parameter_is_a_config_error(tmp_path, capsys, kind, f
     assert f"[weight] {field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rel_tol", ["1e-15", "1e-14", "2e-6", "0.0", "nan"])
+def test_rel_tol_outside_the_moment_range_is_a_config_error(tmp_path, capsys, rel_tol):
+    # compute_moments takes rel_tol in (1e-14, 1e-3): 1e-15 used to pass
+    # the config check and exit 1 from the weights layer
+    code, _ = run(tmp_path, MOMENTS_STD0 + f"\n[quadrature]\nrel_tol = {rel_tol}\n", "moments")
+    assert code == 2
+    assert "[quadrature] rel_tol" in capsys.readouterr().err
+
+
+def test_rel_tol_at_the_top_of_its_range_runs(tmp_path):
+    code, _ = run(tmp_path, MOMENTS_STD0 + "\n[quadrature]\nrel_tol = 1e-6\n", "moments", "m.csv")
+    assert code == 0
+
+
 def test_unknown_command_rejected(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text(MOMENTS_STD0)

@@ -228,19 +228,6 @@ def test_max_level_below_one_is_rejected(tau0, max_level, monkeypatch):
     assert all(n in (2049, 17) for _, n in built), built
 
 
-@pytest.mark.parametrize("iters", [0, -3, 2.5, 48.0, True, None])
-def test_iters_must_be_a_positive_integer(tau0, iters, monkeypatch):
-    # iters < 1 would skip every bisection step and return the bracket
-    # top (1.911 here, where R+ is 0.963); no level field is built first
-    built = _record_field_builds(monkeypatch)
-    deriv = SymbolDerivative.polynomial([1.0, 0.6])
-    with pytest.raises(ValueError, match="iters"):
-        rearrangement_plus(tau0, deriv, 1.0, 0.99, iters=iters)
-    with pytest.raises(ValueError, match="iters"):
-        LevelField(tau0, deriv, 0.99, 0).rplus(1.0, 1.9, iters=iters)
-    assert built == []
-
-
 def test_rearrangement_plus_of_the_zero_symbol_is_zero(tau0):
     # bloch_norm's sup of a zero field is 0, and R+ of it is 0
     zero = SymbolDerivative.polynomial([0.0])
@@ -456,8 +443,9 @@ def _rplus_probe_by_probe(tau_prof, deriv, x, r_max, iters, hold=False):
     ids=["poly-held", "ce-held", "poly-rebuilt"],
 )
 def test_rearrangement_plus_matches_probe_by_probe(tau0, symbol, field_bytes, monkeypatch):
-    # holding the field across probes must not change a single bit, and
-    # a field over the byte budget is rebuilt per probe instead
+    # the exact inversion against 48 bisection steps that measure the
+    # whole field at every probe (a bracket about 3e-14 wide), on a held
+    # field and on one over the byte budget, rebuilt per use
     if symbol == "poly":
         tau, deriv, x, r_max = tau0, SymbolDerivative.polynomial([1.0, 0.6]), 0.9, 0.99
     else:
@@ -466,8 +454,9 @@ def test_rearrangement_plus_matches_probe_by_probe(tau0, symbol, field_bytes, mo
         )
         deriv, x, r_max = SymbolDerivative.ce_family(1.5), 30.0, 0.9
     monkeypatch.setattr(rearrangement, "_HOLD_BYTES", field_bytes)
-    rp = rearrangement_plus(tau, deriv, x, r_max, iters=16)
-    assert rp == _rplus_probe_by_probe(tau, deriv, x, r_max, 16)
+    rp = rearrangement_plus(tau, deriv, x, r_max)
+    ref = _rplus_probe_by_probe(tau, deriv, x, r_max, 48, hold=True)
+    assert abs(rp - ref) <= 1e-12 * ref, (rp, ref)
 
 
 def _sweep_case(tau0, case):
@@ -485,11 +474,12 @@ def _sweep_case(tau0, case):
 
 @pytest.mark.parametrize("case", ["c=0.1", "c=0.3", "c=0.5", "ce", "radial"])
 def test_rearrangement_plus_sweep_matches_whole_field_bisection(tau0, case):
-    # past its first steps rplus probes only the cells that straddle its
-    # bracket; over 48 steps it must stay within 1e-12 of probing all cells
+    # rplus reads the tiles, then only the cells that meet its bracket,
+    # and solves the last piece's quadratic; it must stay within 1e-12
+    # of 48 bisection steps that probe all cells
     tau, deriv, xs, r_max = _sweep_case(tau0, case)
     for x in xs:
-        rp = rearrangement_plus(tau, deriv, x, r_max, iters=48)
+        rp = rearrangement_plus(tau, deriv, x, r_max)
         ref = _rplus_probe_by_probe(tau, deriv, x, r_max, 48, hold=True)
         assert abs(rp - ref) <= 1e-12 * ref, (x, rp, ref)
 
@@ -497,13 +487,14 @@ def test_rearrangement_plus_sweep_matches_whole_field_bisection(tau0, case):
 @pytest.mark.parametrize("case", ["c=0.1", "c=0.5", "ce", "radial"])
 def test_rearrangement_plus_sweep_rebuilt_field_matches_held(tau0, case, monkeypatch):
     # a field over _HOLD_BYTES runs the same algorithm, rebuilt for each
-    # whole-field step and once more to gather the straddling cells, so
-    # over 48 steps it gives the held field's bits, which the sweep above
-    # holds within 1e-12 of probing all cells
+    # tiled probe and once more to gather the cells that meet the
+    # bracket, with its tile ranges computed per chunk as it streams, so
+    # it gives the held field's bits, which the sweep above holds within
+    # 1e-12 of probing all cells
     tau, deriv, xs, r_max = _sweep_case(tau0, case)
-    held = [rearrangement_plus(tau, deriv, x, r_max, iters=48) for x in xs]
+    held = [rearrangement_plus(tau, deriv, x, r_max) for x in xs]
     monkeypatch.setattr(rearrangement, "_HOLD_BYTES", 0)
-    assert [rearrangement_plus(tau, deriv, x, r_max, iters=48) for x in xs] == held
+    assert [rearrangement_plus(tau, deriv, x, r_max) for x in xs] == held
 
 
 def test_rearrangement_plus_builds_each_level_once(tau0, monkeypatch):
@@ -547,9 +538,9 @@ def test_rplus_calls_on_one_field_build_it_once(monkeypatch):
 
 
 def test_rearrangement_plus_peak_memory():
-    # the straddling cells are gathered only once the bracket is narrow;
-    # on the first 10-octave bracket nearly every cell straddles, and the
-    # gathered copies would outgrow the held field several times over
+    # the cells that meet the bracket are gathered only once it is
+    # narrow; on the first 10-octave bracket nearly every cell meets it,
+    # and the gathered copies would outgrow the held field several times
     tau, deriv, x, r_max = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.9, 0.99
     T = bloch_norm(tau, deriv, r_max=r_max)
     _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4, 5)
@@ -566,13 +557,17 @@ def test_rearrangement_plus_peak_memory():
     finally:
         tracemalloc.stop()
     # building and holding the field peaks well above its own bytes (the
-    # polar grid's complex temporaries); R+ may add a quarter of it
+    # polar grid's complex temporaries); R+ may add a quarter of it.  The
+    # held field lives in its own memory map, which tracemalloc does not
+    # see, so its bytes are added to the traced peak
+    peak += field_bytes
     assert peak - hold_peak <= 0.25 * field_bytes, (peak, hold_peak, field_bytes)
 
 
 def test_rearrangement_plus_rebuilt_peak_memory(monkeypatch):
-    # a field over _HOLD_BYTES is never held: its whole-field steps and
-    # the gathering of the straddling cells stream cache-sized chunks
+    # a field over _HOLD_BYTES is never held: its tiled probes and the
+    # gathering of the cells that meet the bracket stream cache-sized
+    # chunks
     tau, deriv, x, r_max = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.9, 0.99
     T = bloch_norm(tau, deriv, r_max=r_max)
     _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4, 5)
@@ -608,14 +603,15 @@ def _abs_grid_reference(deriv, r, theta):
 def _field_reference(field, deriv, t, h):
     """R(t) and the h-trace of a LevelField, by 256-row blocks of tau * |phi'|.
 
-    Each block's per-row integrals are dotted with its row weights and
+    Each block's per-row integrals (R(t) by the field's tile arithmetic,
+    with the block's own tile ranges) are dotted with its row weights and
     the block totals summed in order.
     """
     R = tr = 0.0
     for lo in range(0, len(field._wts), 256):
         wts = field._wts[lo : lo + 256]
         f = field._tau[None, :] * _abs_grid_reference(deriv, field._r, field._theta[lo : lo + 256])
-        R += float(wts @ field._slice_integrals(f, t))
+        R += float(wts @ field._tile_measure(f, *field._tile_ranges(f), t))
         tr += float(wts @ (np.asarray(h(f)) * field._wu).sum(axis=1))
     return R, tr
 
@@ -661,11 +657,127 @@ def _field_tau(case, tau0):
 @pytest.mark.parametrize("case", list(_FIELD_CASES))
 def test_level_field_matches_block_reference_bit_for_bit(tau0, case, level):
     # cache-sized chunks (level 0's 1,025 columns do not divide them
-    # evenly) and the in-place kernel must not move a single bit
+    # evenly), the in-place kernel and the tile arithmetic of a whole
+    # held field or of a streamed one (level 2's 1,537 x 4,097 CE field
+    # is over _HOLD_BYTES) must not move a single bit
     deriv, t = _FIELD_CASES[case]
     field = LevelField(_field_tau(case, tau0), deriv, 0.99, level)
     h = lambda x: np.asarray(x) ** 1.5
-    assert (field.measure(t), field.trace(h)) == _field_reference(field, deriv, t, h)
+    ref = _field_reference(field, deriv, t, h)
+    assert (field.measure(t), field.trace(h)) == ref
+    field._hold()  # no-op over _HOLD_BYTES
+    assert (field.measure(t), field.trace(h)) == ref
+
+
+def _slice_integrals(field, f, t):
+    """Per-row integral of dens over {f > t} along the u axis, by a whole-row mask.
+
+    The trapezoid rule on the indicator-masked integrand plus a
+    linear-crossing correction in each cell where f - t changes sign.
+    """
+    ind = f > t
+    I = (ind * field._wu).sum(axis=1)
+    ii, jj = np.divmod(np.flatnonzero(ind[:, 1:] ^ ind[:, :-1]), ind.shape[1] - 1)
+    if ii.size:
+        f0, f1 = f[ii, jj], f[ii, jj + 1]
+        d0, d1 = field.dens[jj], field.dens[jj + 1]
+        frac = (t - f0) / (f1 - f0)
+        dm = d0 + (d1 - d0) * frac
+        cut = np.where(f0 > t, 0.5 * (d0 + dm) * frac, 0.5 * (dm + d1) * (1.0 - frac)) * field.du
+        # the masked sum gave the cell the half weight of its one node above t
+        counted = np.where(f0 > t, d0, d1) * (field.du * 0.5)
+        np.add.at(I, ii, cut - counted)
+    return I
+
+
+def _field_case(tau0, case):
+    """(tau, deriv, r_max, level) of a level field the sweeps read."""
+    if case == "ce":
+        return TauProfile.ce(1.0), SymbolDerivative.ce_family(1.5), 0.99, 1
+    if case == "radial":
+        return tau0, SymbolDerivative.polynomial([1.0]), 1.0 - 1e-5, 3
+    return TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.99, 1
+
+
+@pytest.mark.parametrize("case", ["ce", "c=0.3", "radial"])
+def test_tiled_measure_matches_whole_row_mask(tau0, case):
+    # tiles above t count whole and only the tiles t crosses are read
+    # cell by cell; the mask over every node agrees within 1e-14 at 56
+    # levels, from below the field's min to above its max
+    field = LevelField(*_field_case(tau0, case))._hold()
+    f = np.concatenate([f for _, f in field.blocks()])
+    lo, hi = float(f.min()), float(f.max())
+    ts = np.concatenate([np.geomspace(lo, hi, 50), [0.5 * lo, np.nextafter(lo, 0.0), hi, 2.0 * hi]])
+    ts = np.concatenate([ts, f[len(f) // 2, :: f.shape[1] // 2]])
+    for t in ts:
+        got = field.measure(t)
+        ref = sum(float(wts @ _slice_integrals(field, blk, t)) for wts, blk in field.blocks())
+        assert abs(got - ref) <= 1e-14 * ref, (t, got, ref)
+    assert field.measure(hi) == 0.0 and field.measure(2.0 * hi) == 0.0
+
+
+@pytest.mark.parametrize("case", ["ce", "c=0.3", "radial"])
+def test_streamed_field_gives_the_held_bits(tau0, case, monkeypatch):
+    # a field over _HOLD_BYTES computes each chunk's tile ranges as it
+    # streams, by the held field's arithmetic: R(t) and R+ keep every bit
+    tau, deriv, r_max, level = _field_case(tau0, case)
+    T = bloch_norm(tau, deriv, r_max=r_max)
+    ts = T * np.geomspace(1e-3, 1.0, 8)
+    xs = [float(LevelField(tau, deriv, r_max, 0).measure(t)) for t in ts[2:-1:3]]
+
+    def run(hold_bytes):
+        monkeypatch.setattr(rearrangement, "_HOLD_BYTES", hold_bytes)
+        field = LevelField(tau, deriv, r_max, level)._hold()
+        assert (field._held is None) == (hold_bytes == 0)
+        return [field.measure(t) for t in ts] + [field.rplus(x, T) for x in xs]
+
+    held = run(rearrangement._HOLD_BYTES)
+    assert run(0) == held
+
+
+def test_rplus_of_a_constant_field_is_the_constant(dz):
+    # every cell is flat at 0.15 (each tile's min equals its max): R is
+    # the whole mass below 0.15 and 0 from there on
+    const = TauProfile.user_supplied(lambda r: np.full_like(np.asarray(r, float), 0.15), r_hi=0.9)
+    field = LevelField(const, dz, 0.9, 0)
+    total = field.measure(0.1)
+    assert total > 0.0 and field.measure(0.15) == 0.0
+    for x in (1e-3 * total, 0.5 * total, (1.0 - 1e-9) * total):
+        assert field.rplus(x, 0.15) == 0.15
+    # no t has R(t) above the whole mass
+    assert field.rplus((1.0 + 1e-9) * total, 0.15) == 0.0
+
+
+@pytest.mark.parametrize("case", ["ce", "c=0.3", "radial"])
+def test_rplus_at_node_values(tau0, case):
+    # at a level t that is a node value, R+(R(t)) is t or at most a few
+    # ulps above it: t is one of the knots the exact search runs over
+    tau, deriv, r_max, level = _field_case(tau0, case)
+    field = LevelField(tau, deriv, r_max, level)._hold()
+    T = bloch_norm(tau, deriv, r_max=r_max)
+    f = np.concatenate([f for _, f in field.blocks()])
+    rng = np.random.default_rng(3)
+    ts = f[rng.integers(0, f.shape[0], 12), rng.integers(1, f.shape[1] - 1, 12)]
+    for t in ts:
+        rp = field.rplus(field.measure(t), T)
+        assert t <= rp <= t * (1.0 + 1e-13), (t, rp)
+
+
+def test_bloch_norm_reuses_its_sup_only_for_the_same_tau_reads(tau0, monkeypatch):
+    # a tau equal to tau0 on the 2,049-point coarse grid but 1% larger
+    # at every zoom radius off it must get its own sup
+    deriv, r_max = SymbolDerivative.polynomial([1.0, 0.6]), 0.99
+    grid = -np.expm1(-np.linspace(0.0, -np.log1p(-r_max), 2049))
+    T0 = bloch_norm(tau0, deriv, r_max=r_max)
+    bumped = TauProfile.user_supplied(lambda r: tau0(r) * np.where(np.isin(r, grid), 1.0, 1.01))
+    np.testing.assert_array_equal(bumped(grid), tau0(grid))
+    T1 = bloch_norm(bumped, deriv, r_max=r_max)
+    assert T1 == _bloch_norm_reference(bumped, deriv, r_max) and T1 > T0
+    # a profile equal by value at every radius read builds no grid again
+    built = _record_field_builds(monkeypatch)
+    same = TauProfile.user_supplied(lambda r: tau0(r) * np.where(np.isin(r, grid), 1.0, 1.01))
+    assert bloch_norm(same, deriv, r_max=r_max) == T1 and built == []
+    assert bloch_norm(tau0, deriv, r_max=r_max) == T0 and built
 
 
 @pytest.mark.parametrize("case", list(_FIELD_CASES))

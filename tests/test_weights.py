@@ -1,3 +1,4 @@
+import warnings
 import mpmath
 import numpy as np
 import pytest
@@ -410,6 +411,15 @@ def test_standard_weight_rejects_non_finite_alpha(alpha):
     # inf used to pass and fail later as a nan quadrature cross-check
     with pytest.raises(WeightDomainError, match=f"alpha={alpha}"):
         RadialWeight.standard(alpha)
+
+
+@pytest.mark.parametrize("alpha", [np.inf, np.nan, -1.0])
+def test_closed_form_standard_rejects_alpha_outside_its_domain(alpha):
+    # inf used to return nan with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WeightDomainError, match=f"alpha={alpha}"):
+            moment_closed_form_standard(alpha, 3)
 
 
 def test_moment_table_rejects_log_concavity(std0):
