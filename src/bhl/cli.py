@@ -257,9 +257,11 @@ def cmd_rearrange(cfg, out):
     ts[0], ts[-1] = t_lo, t_hi
     rows = []
     Rs = []
+    levels = []
     for t in ts:
         R = level_measure(tau, deriv, float(t), r_max)
         Rs.append(float(R))
+        levels.append(str(R.level))
         rows.append([_fmt(t), _fmt(R), _fmt(R.refine_error), _fmt(R.r_max_delta)])
     with np.errstate(divide="ignore"):
         logR = np.log(Rs)
@@ -276,6 +278,7 @@ def cmd_rearrange(cfg, out):
         ("r_max", _fmt(r_max)),
         ("r_push", _fmt(_r_push(tau, r_max))),
         ("log-log slope", slope),
+        ("levels", " ".join(levels)),
     ])
     return 0
 

@@ -22,11 +22,11 @@ aliases the spike and converges to wrong answers while looking stable.
 
 Level fields have one hold rule: a field of at most _HOLD_BYTES
 (32 MiB) is held whole, built once as one read-only array, and
-level_measure keeps the held fields of its last call family (one tau
-profile, symbol and r_max, compared by value) while they fit in
-_HOLD_BYTES in all.  level_measure, rearrangement_plus and
-trace_integral read that family, so a sweep over t builds each level's
-field once and an R+ or trace after it builds none.  A call of another
+level_measure and rearrangement_plus keep the held fields of their
+last call family (one tau profile, symbol and r_max, compared by value)
+while they fit in _HOLD_BYTES in all.  Both and trace_integral read
+that family, so a sweep over t or repeated R+ calls build each level's
+field once and a trace after them builds none.  A call of another
 family releases it.
 
 R(t) reads a level field through its tile index (LevelField), cell by
@@ -68,9 +68,10 @@ _BLOCK_ELEMS = 2**14
 _DOT_ROWS = 256
 
 # a level field is held (LevelField._hold) up to this many bytes, and
-# level_measure keeps at most this many in all; the CE sweep keeps its
-# levels 0 and 1 and the level-1 annulus (17.7 MB), and a CE level 2
-# (50 MB) or a polynomial level 2 (33.6 MB) streams, rebuilt per use.
+# level_measure and rearrangement_plus keep at most this many in all;
+# the CE sweep keeps its levels 0 and 1 and the level-1 annulus
+# (17.7 MB), and a CE level 2 (50 MB) or a polynomial level 2 (33.6 MB)
+# streams, rebuilt per use.
 # A held field's tile ranges add 1/16 of its bytes (2 x 8 per 32 cells)
 _HOLD_BYTES = 32 * 2**20
 
@@ -611,14 +612,27 @@ class LevelField:
         return _first_below(lambda t: mass(t) if t < t_hi else -np.inf, t, x)
 
 
-# level_measure's kept family: held LevelFields keyed by
-# LevelField._key, at most _HOLD_BYTES in all; only level_measure writes it
+# the kept family: held LevelFields keyed by LevelField._key, at most
+# _HOLD_BYTES in all; level_measure and rearrangement_plus write it (_keep)
 _MEMO = {}
 
 
 def _kept(field):
     """The held field _MEMO keeps for ``field``'s key, else ``field`` itself."""
     return _MEMO.get(field._key(), field)
+
+
+def _keep(field, first):
+    """The kept field for ``field``'s key, else ``field``, held and kept
+    if it fits in what the family leaves of _HOLD_BYTES.  A level-0
+    field (``first``) that is not kept starts a new family."""
+    kept = _kept(field)
+    if kept is field:
+        if first:
+            _MEMO.clear()
+        if sum(f.nbytes for f in _MEMO.values()) + field.nbytes <= _HOLD_BYTES:
+            _MEMO[field._key()] = field._hold()
+    return kept
 
 
 def _refined(fn, rel_tol, max_level):
@@ -649,23 +663,14 @@ def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, max_level=5, check_r_
     the converged level's u step (0.0 where r_push = r_max or where the
     set stays inside r_max).  The caller owns the truncation decision.
 
-    The held fields of the last call family are kept in _MEMO, so a
-    sweep over t on one (tau_prof, deriv, r_max) builds each once.
+    The held fields of the last call family are kept in _MEMO (_keep),
+    so a sweep over t on one (tau_prof, deriv, r_max) builds each once.
     """
     if not t > 0.0:
         raise ValueError(f"level t must be positive, got {t}")
 
-    def measure(field, first=False):
-        kept = _kept(field)
-        if kept is field:
-            if first:  # a level-0 field not kept starts a new family
-                _MEMO.clear()
-            if sum(f.nbytes for f in _MEMO.values()) + field.nbytes <= _HOLD_BYTES:
-                _MEMO[field._key()] = field._hold()
-        return kept.measure(t)
-
     val, err, level = _refined(
-        lambda lv: measure(LevelField(tau_prof, deriv, r_max, lv), first=lv == 0),
+        lambda lv: _keep(LevelField(tau_prof, deriv, r_max, lv), lv == 0).measure(t),
         rel_tol,
         max_level,
     )
@@ -674,7 +679,8 @@ def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, max_level=5, check_r_
         r_push = _r_push(tau_prof, r_max)
         delta = 0.0
         if r_push > r_max:
-            delta = measure(LevelField._annulus(tau_prof, deriv, r_max, r_push, level))
+            annulus = LevelField._annulus(tau_prof, deriv, r_max, r_push, level)
+            delta = _keep(annulus, False).measure(t)
     return MeasureResult(val, refine_error=err, r_max_delta=delta, level=level)
 
 
@@ -688,8 +694,9 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4):
 
     The mesh level is the first one on which R(T/8) converges to
     rel_tol, T the sup of tau|phi'|; LevelField.rplus then inverts R on
-    that one level.  Levels come from level_measure's kept family
-    (_kept) or are built, the current one held if it fits in _HOLD_BYTES.
+    that one level.  Levels come from the kept family or are built and
+    kept by level_measure's rule (_keep), the current one held if it
+    fits in _HOLD_BYTES, so repeated calls build each level once.
     """
     if not x > 0.0:
         raise ValueError(f"rearrangement_plus needs x > 0, got {x}")
@@ -701,7 +708,7 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4):
     def measure(level):
         nonlocal field
         field = None  # release level - 1's field before level's is built
-        field = _kept(LevelField(tau_prof, deriv, r_max, level))._hold()
+        field = _keep(LevelField(tau_prof, deriv, r_max, level), level == 0)._hold()
         return field.measure(T / 8.0)
 
     _refined(measure, rel_tol, 5)

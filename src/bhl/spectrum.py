@@ -14,7 +14,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DoublingTestError, EigenResidualError, WindowError
 from .hankel import polynomial_gram
@@ -112,6 +111,10 @@ def symmetric_eigenvalues(G, tol=1e-10):
     b = len(band) - 1
     if b == 0:
         return Eigenvalues(np.sort(band[0].real)[::-1], 0.0, 0)
+    # imported here so that importing bhl loads no scipy; eig_banded is
+    # looked up on the module at each call
+    import scipy.linalg
+
     try:
         lam = scipy.linalg.eig_banded(band, lower=False, eigvals_only=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path

@@ -19,6 +19,10 @@ moments at large n sit far below the double-precision floor (log m ~
 -2*sqrt(a*n) for b = 1), and every downstream consumer that cares about
 accuracy works with ratios or log-differences anyway.  ``values`` is
 the exponentiated view and may underflow to zero in the deep tail.
+
+scipy is imported inside the functions that call it (the quadratures,
+the gammaln reference and tau_profile's spline), so that importing bhl
+and the closed-form tau profiles load none of it.
 """
 
 from __future__ import annotations
@@ -26,9 +30,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.special import gammaln
 
 from .errors import (
     InsufficientMomentsError,
@@ -207,6 +208,8 @@ def moment_closed_form_standard(alpha, n):
     """
     if not -1.0 < alpha < np.inf:
         raise WeightDomainError(f"closed form needs -1 < alpha < inf, got alpha={alpha}")
+    from scipy.special import gammaln
+
     n = np.asarray(n, dtype=float)
     return np.exp(gammaln(n + 1.0) + gammaln(alpha + 2.0) - gammaln(n + alpha + 2.0))
 
@@ -219,6 +222,8 @@ def _moment_standard(w, n, rel_tol):
     # runs on [0, c], where (1-t)^n has dropped 60 e-folds past the peak,
     # and plain quadrature adds the tail beyond c.  (1-t)^n taken as
     # exp(n log1p(-t)) keeps the n-fold rounding of 1 - t out of it.
+    from scipy.integrate import quad
+
     a1 = w.alpha + 1.0
     c = min(1.0, (a1 + 12.0 * np.sqrt(a1) + 60.0) / (n + 1.0))
     val, err = quad(
@@ -256,6 +261,8 @@ def _explog_saddle(w, n):
 def _log_moment_explog_adaptive(w, n, rel_tol):
     # log m[n]: normalize by the peak value at the saddle so the integrand
     # is O(1), then integrate each side adaptively
+    from scipy.integrate import quad
+
     a, b = w.alpha, w.beta
     np1, xn, En = _explog_saddle(w, n)
     t = a / xn**b
@@ -344,6 +351,8 @@ def _log_moments_explog(w, ns, rel_tol):
 
 
 def _moment_custom(w, n, rel_tol):
+    from scipy.integrate import quad
+
     pts = [1.0 - 1.0 / (n + 2.0), 1.0 - 4.0 / (n + 4.0)] if n >= 8 else None
     val, _ = quad(
         lambda r: 2.0 * np.pi * r ** (2 * n + 1) * float(w.density(r)),
@@ -653,6 +662,8 @@ def tau_profile(w, mt, tail_tol=1e-12):
         [_log_kernel_norm_sq(mt, ri, tail_tol) if ri > 0.0 else -mt.log_values[0]
          for ri in r_grid]
     )
+    from scipy.interpolate import PchipInterpolator
+
     spline = PchipInterpolator(u, log_k, extrapolate=False)
     r_hi = float(r_grid[-1])
     u_last = float(u[-1])

@@ -1,7 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bhl import cli
+from bhl.rearrangement import SymbolDerivative, level_measure
+from bhl.weights import TauProfile
 
 
 def run(tmp_path, text, command, out_name=None):
@@ -292,6 +300,18 @@ def test_rearrange_readme_ce_config(tmp_path):
     assert abs(float(footer["log-log slope"]) + 1.2) <= 0.06  # criterion 10's window
 
 
+def test_rearrange_footer_records_each_rows_level(tmp_path):
+    # the README CE config converges every row on mesh level 1
+    text, footer = _rerun_bytes(tmp_path, REARRANGE_CE, "rearrange")
+    ts = [float(l.split(",")[0]) for l in text.splitlines()[1:] if not l.startswith("#")]
+    levels = [
+        level_measure(TauProfile.ce(1.0), SymbolDerivative.ce_family(1.5), t, 0.99).level
+        for t in ts
+    ]
+    assert footer["levels"] == " ".join(map(str, levels)) == " ".join(["1"] * 13)
+    assert list(footer)[-1] == "levels"
+
+
 def test_rearrange_tau_from_weight(tmp_path):
     # kind = standard takes tau from the weight's moment table (tau_profile)
     text = REARRANGE.replace("kind = tau_standard", "kind = standard")
@@ -343,3 +363,82 @@ def test_report_prints_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "criteria passed" in out
     assert "[PASS]" in out
+
+
+# Run in a fresh interpreter: the rearrangement layer and `bhl rearrange`
+# on a closed-form tau must not load scipy; a moment table and a banded
+# eigensolve then do.  Prints every result as JSON (floats as hex).
+_HYGIENE_CHILD = """\
+import json, sys
+import numpy as np
+from bhl import (PolynomialSymbol, RadialWeight, SymbolDerivative, TauProfile, besov_sum,
+                 bloch_norm, build_lattice, cli, compute_moments, level_measure,
+                 polynomial_gram, rearrangement_plus, singular_values, trace_integral)
+
+configs, outdir = json.loads(sys.argv[1]), sys.argv[2]
+out = {"geometry": []}
+for tau, deriv in ((TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6])),
+                   (TauProfile.ce(1.0), SymbolDerivative.ce_family(1.5))):
+    R = level_measure(tau, deriv, 0.05, 0.9)
+    values = (R, rearrangement_plus(tau, deriv, float(R), 0.9),
+              trace_integral(tau, deriv, lambda x: np.asarray(x) ** 2, 0.9),
+              bloch_norm(tau, deriv, r_max=0.9),
+              besov_sum(build_lattice(tau, 0.3, 0.9), deriv, 2.0))
+    out["geometry"].append([float(v).hex() for v in values])
+out["csv"] = []
+for i, text in enumerate(configs):
+    with open(f"{outdir}/c{i}.ini", "w") as fh:
+        fh.write(text)
+    argv = ["rearrange", "--config", f"{outdir}/c{i}.ini", "--out", f"{outdir}/r{i}.csv"]
+    assert cli.main(argv) == 0
+    with open(f"{outdir}/r{i}.csv") as fh:
+        out["csv"].append(fh.read())
+out["scipy_before"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+mt = compute_moments(RadialWeight.standard(0.0), 10)
+G = polynomial_gram(mt, PolynomialSymbol([1.0, 1.0]), 8)
+spec = singular_values(G, check_doubling=False)
+out["moments"] = [float(v).hex() for v in mt.log_values]
+out["singular"] = [float(v).hex() for v in spec.values]
+out["bandwidth"] = spec.source["bandwidth_used"]
+out["scipy_after"] = "scipy.linalg" in sys.modules and "scipy.integrate" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def test_rearrangement_layer_and_cli_load_no_scipy(tmp_path):
+    from bhl import (PolynomialSymbol, RadialWeight, besov_sum, bloch_norm, build_lattice,
+                     compute_moments, polynomial_gram, rearrangement_plus, singular_values,
+                     trace_integral)
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HYGIENE_CHILD, json.dumps([REARRANGE, REARRANGE_CE]),
+         str(tmp_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout.splitlines()[-1])
+    assert child["scipy_before"] == []
+    assert child["scipy_after"]
+    assert child["bandwidth"] == 1  # phi = z + z^2: a tridiagonal eigensolve
+    # the same results as in this process, which has scipy loaded
+    geometry = []
+    for tau, deriv in ((TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6])),
+                       (TauProfile.ce(1.0), SymbolDerivative.ce_family(1.5))):
+        R = level_measure(tau, deriv, 0.05, 0.9)
+        values = (R, rearrangement_plus(tau, deriv, float(R), 0.9),
+                  trace_integral(tau, deriv, lambda x: np.asarray(x) ** 2, 0.9),
+                  bloch_norm(tau, deriv, r_max=0.9),
+                  besov_sum(build_lattice(tau, 0.3, 0.9), deriv, 2.0))
+        geometry.append([float(v).hex() for v in values])
+    assert child["geometry"] == geometry
+    for i, text in enumerate((REARRANGE, REARRANGE_CE)):
+        _, out = run(tmp_path, text, "rearrange", f"here{i}.csv")
+        assert child["csv"][i] == out.read_text()
+    mt = compute_moments(RadialWeight.standard(0.0), 10)
+    G = polynomial_gram(mt, PolynomialSymbol([1.0, 1.0]), 8)
+    spec = singular_values(G, check_doubling=False)
+    assert child["moments"] == [float(v).hex() for v in mt.log_values]
+    assert child["singular"] == [float(v).hex() for v in spec.values]

@@ -508,6 +508,28 @@ def test_rearrangement_plus_builds_each_level_once(tau0, monkeypatch):
     assert levels == [(256, 1025), (512, 2049)], levels
 
 
+def test_rearrangement_plus_keeps_its_family(monkeypatch):
+    # with no level_measure before them, repeated R+ calls of one family
+    # build each mesh level once, with the bits of calls that build afresh
+    tau, ce, xs = TauProfile.ce(1.0), SymbolDerivative.ce_family(1.5), (0.9, 0.9, 3.0)
+    fresh = []
+    for x in xs:
+        rearrangement._MEMO.clear()
+        fresh.append(rearrangement_plus(tau, ce, x, 0.9))
+    rearrangement._MEMO.clear()
+    built = _record_field_builds(monkeypatch)
+    kept = [rearrangement_plus(tau, ce, xs[0], 0.9)]
+    # levels 0 and 1 (385 x 1,025 and 769 x 2,049) besides bloch_norm's grids
+    assert [b for b in built if b in {(385, 1025), (769, 2049)}] == [(385, 1025), (769, 2049)]
+    assert _kept_bytes() == 8 * (385 * 1025 + 769 * 2049)
+    built.clear()
+    kept += [rearrangement_plus(tau, ce, x, 0.9) for x in xs[1:]]
+    assert built == [] and kept == fresh
+    # a level_measure of the same family reads them too: only its annulus is built
+    level_measure(tau, ce, 0.05, 0.9)
+    assert built == [(769, 618)], built
+
+
 def _poly_family():
     # fresh objects equal by value, as the benchmark makes them
     return TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6])
