@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ConfigError(f"[symbol] coeffs: cannot parse {raw!r}")
         if not coeffs:
             raise ConfigError("[symbol] coeffs: empty coefficient list")
+        if not np.all(np.isfinite(coeffs)):
+            raise ConfigError(f"[symbol] coeffs: must be finite, got {raw!r}")
         return coeffs
 
     def polynomial_symbol(self):

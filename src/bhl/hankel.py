@@ -13,7 +13,7 @@ naive subtraction loses all digits by m ~ 1e3 for ExpLog weights.
 
 A two-dimensional polar quadrature oracle provides the independent
 verification path: it never touches the entry formula, building
-G = A - C C* from inner products against the grid's own normalization.
+G = A - C^T conj(C) from inner products against the grid's own normalization.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ class PolynomialSymbol:
         c = np.atleast_1d(np.asarray(coeffs))
         if c.ndim != 1 or len(c) == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence c[1..d]")
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"coeffs must be finite, got {c}")
         self.is_real = not np.iscomplexobj(c) or np.all(c.imag == 0.0)
         self.coeffs = c.real.astype(float) if self.is_real else c.astype(complex)
 
@@ -167,15 +169,27 @@ def dense_gram_oracle(w, symbol, N):
     """Independent dense Gram section by two-dimensional polar quadrature.
 
     Builds A[m,n] = <phibar e_m, phibar e_n> and the analytic projection
-    C[m,j] = <phibar e_m, e_j> on a trapezoid(theta) x Gauss-Legendre(r)
-    grid, then G = A - C C*.  Every normalization (the e_m norms) comes
-    from the same grid, so radial quadrature bias cancels to first
-    order.  Returns (G, err_est) with err_est the max entrywise drift
-    against a coarser grid.
+    C[j,m] = <phibar e_m, e_j> on a trapezoid(theta) x Gauss-Legendre(r)
+    grid, then G = A - C^T conj(C).  Every normalization (the e_m norms
+    mg) comes from the same grid, so radial quadrature bias cancels to
+    first order.  Returns (G, err_est) with err_est the max entrywise
+    drift against a coarser grid.
 
     The trapezoid rule is exact for trigonometric polynomials below the
     grid's Nyquist order, which covers every angular frequency the
     integrands contain once n_theta >= 2(N + 2d) + 1.
+
+    The sums are taken angle first: one DFT along theta per radial node
+    gives H_i = DFT(|phi|^2) and Gc_i = DFT(conj phi) on ring i, and then
+
+        A[m,n] = sum_i wr_i r_i^(m+n) H_i[(n-m) mod n_theta] dtheta / sqrt(mg_m mg_n),
+        C[j,m] = sum_i wr_i r_i^(j+m) Gc_i[(j-m) mod n_theta] dtheta / sqrt(mg_j mg_m).
+
+    The radial sums depend only on (m+n, n-m), so each is one product
+    of the (n_r, 2N-1) power table with the 2N-1 DFT columns in use.
+    This is the same quadrature rule on the same grids as summing the
+    integrands point by point, in O(n_r (n_theta log n_theta + N^2))
+    instead of O(n_r n_theta N^2).
     """
     N = int(N)
     if N < 1 or N > 64:
@@ -183,29 +197,30 @@ def dense_gram_oracle(w, symbol, N):
     d = symbol.degree
     n_theta = 2 * (N + 2 * d) + 7
     n_r = max(160, N + 2 * d + 40)
+    m = np.arange(N)
+    # DFT column of the offset k = n - m (or j - m), k in -(N-1)..N-1
+    offset = np.arange(-(N - 1), N)
+    s_idx = m[:, None] + m[None, :]  # m + n
+    k_idx = m[None, :] - m[:, None] + (N - 1)  # n - m, shifted to a row of `offset`
 
     def assemble(n_r, n_theta):
         x, wx = np.polynomial.legendre.leggauss(n_r)
         r = 0.5 * (x + 1.0)
         wr = 0.5 * wx * r * w.density(r)  # radial part of w dA, dtheta split off
         theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        z = r[:, None] * np.exp(1j * theta[None, :])
-        phi = symbol(z)
+        phi = symbol(r[:, None] * np.exp(1j * theta[None, :]))
         dth = 2.0 * np.pi / n_theta
 
-        # grid moments and normalized monomials
-        mg = np.array([2.0 * np.pi * np.sum(wr * r ** (2 * m)) for m in range(N)])
-        e = (r[:, None, None] ** np.arange(N)[None, None, :]) * np.exp(
-            1j * np.outer(theta, np.arange(N))[None, :, :]
-        ) / np.sqrt(mg)[None, None, :]
-
-        pe = np.conj(phi)[:, :, None] * e  # phibar e_m on the grid
-        wgt = np.repeat(wr * dth, n_theta)
-        pe_flat = pe.reshape(-1, N)
-        e_flat = e.reshape(-1, N)
-        # <f, g> = int f conj(g): A[m,n] = <phibar e_m, phibar e_n>
-        A = pe_flat.T @ (wgt[:, None] * pe_flat.conj())
-        C = e_flat.conj().T @ (wgt[:, None] * pe_flat)  # C[j, m] = <phibar e_m, e_j>
+        powers = r[:, None] ** np.arange(2 * N - 1)[None, :]  # r_i^(m+n)
+        mg = 2.0 * np.pi * (wr @ powers[:, : 2 * N - 1 : 2])  # grid moments of e_m
+        cols = offset % n_theta
+        H = np.fft.fft(np.abs(phi) ** 2, axis=1)[:, cols]
+        Gc = np.fft.fft(np.conj(phi), axis=1)[:, cols]
+        # (wp @ F)[s, k] = sum_i wr_i r_i^s F_i[offset[k]] dtheta, read at s = m + n
+        wp = powers.T * (wr * dth)[None, :]
+        norm = np.sqrt(np.outer(mg, mg))
+        A = (wp @ H)[s_idx, k_idx] / norm  # A[m, n]: offset n - m
+        C = (wp @ Gc)[s_idx, k_idx.T] / norm  # C[j, m]: offset j - m
         G = A - C.T @ C.conj()
         return 0.5 * (G + G.conj().T)
 

@@ -28,6 +28,8 @@ class SingularSpectrum:
 
     def __init__(self, values, source=None, converged=None):
         values = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("singular values must be finite")
         if np.any(values < 0.0):
             raise ValueError("singular values must be nonnegative")
         if np.any(np.diff(values) > 0.0):

@@ -337,6 +337,15 @@ def test_ce_gamma_outside_one_to_inf_is_a_config_error(tmp_path, capsys, gamma):
     assert "[symbol] ce_gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "rearrange"])
+@pytest.mark.parametrize("coeffs", ["nan", "1.0, inf", "1.0 -inf"])
+def test_non_finite_symbol_coefficient_is_a_config_error(tmp_path, capsys, command, coeffs):
+    base = SPECTRUM_STD0 if command == "spectrum" else REARRANGE
+    code, _ = run(tmp_path, base.replace("coeffs = 1.0", f"coeffs = {coeffs}"), command)
+    assert code == 2
+    assert "[symbol] coeffs" in capsys.readouterr().err
+
+
 def test_rearrange_r_max_beyond_profile(tmp_path):
     code, _ = run(tmp_path, REARRANGE.replace("0.99", "0.99999999999999"), "rearrange")
     assert code == 1  # numeric domain failure, not a config error

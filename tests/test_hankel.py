@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bhl.errors import InsufficientMomentsError, LogConvexityError
+from bhl.errors import InsufficientMomentsError, LogConvexityError, WeightDomainError
 from bhl.hankel import (
     PolynomialSymbol,
     dense_gram_oracle,
@@ -21,6 +21,11 @@ def test_symbol_validation_and_derivative():
     sc = PolynomialSymbol([1.0 + 0j, 1j])
     assert not sc.is_real
     assert PolynomialSymbol([1.0 + 0j]).is_real  # zero imag demotes to real
+    # a nan coefficient used to surface as a doubling-test failure and an
+    # inf one as a bare scipy error inside the eigensolve
+    for bad in ([np.nan], [1.0, np.inf], [1.0, -np.inf], [1.0 + 0j, complex(0.0, np.nan)]):
+        with pytest.raises(ValueError, match="coeffs"):
+            PolynomialSymbol(bad)
 
 
 def test_hz_squared_closed_form(std0):
@@ -182,3 +187,86 @@ def test_gram_reads_moments_up_to_n_minus_1_plus_d(std0):
 def test_oracle_zero_symbol():
     Gz, _ = dense_gram_oracle(RadialWeight.standard(0.0), PolynomialSymbol([0.0]), 6)
     assert np.abs(Gz).max() < 1e-14
+
+
+def _grid_sum_oracle(w, symbol, N):
+    """Reference: the oracle's rule summed point by point over the 3-d grid.
+
+    The same trapezoid(theta) x Gauss-Legendre(r) grids, grid moments
+    and coarse-grid drift as ``dense_gram_oracle``, with A and C built
+    from (n_r, n_theta, N) arrays of phibar e_m and e_m and one matrix
+    product each over all grid points.
+    """
+    d = symbol.degree
+    n_theta = 2 * (N + 2 * d) + 7
+    n_r = max(160, N + 2 * d + 40)
+
+    def assemble(n_r, n_theta):
+        x, wx = np.polynomial.legendre.leggauss(n_r)
+        r = 0.5 * (x + 1.0)
+        wr = 0.5 * wx * r * w.density(r)
+        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        phi = symbol(r[:, None] * np.exp(1j * theta[None, :]))
+        dth = 2.0 * np.pi / n_theta
+        mg = np.array([2.0 * np.pi * np.sum(wr * r ** (2 * m)) for m in range(N)])
+        e = (r[:, None, None] ** np.arange(N)[None, None, :]) * np.exp(
+            1j * np.outer(theta, np.arange(N))[None, :, :]
+        ) / np.sqrt(mg)[None, None, :]
+        pe = np.conj(phi)[:, :, None] * e
+        wgt = np.repeat(wr * dth, n_theta)
+        pe_flat = pe.reshape(-1, N)
+        e_flat = e.reshape(-1, N)
+        A = pe_flat.T @ (wgt[:, None] * pe_flat.conj())
+        C = e_flat.conj().T @ (wgt[:, None] * pe_flat)
+        G = A - C.T @ C.conj()
+        return 0.5 * (G + G.conj().T)
+
+    G = assemble(n_r, n_theta)
+    G_lo = assemble(max(24, (2 * n_r) // 3), n_theta + 4)
+    return G, G_lo
+
+
+def _bump_weight():
+    return RadialWeight.custom(
+        lambda r: (1.0 + 0.5 * np.asarray(r, float) ** 2) * (1.0 - np.asarray(r, float) ** 2),
+        integrable_certified=True,
+    )
+
+
+@pytest.mark.parametrize("weight, coeffs, N", [
+    (lambda: RadialWeight.standard(0.0), [1.0, 1.0], 30),
+    (lambda: RadialWeight.standard(0.0), [1.0 + 2.0j, 0.5 - 0.3j, 0.25j], 24),
+    (lambda: RadialWeight.explog(1.0, 1.0), [1.0, 1.0], 24),
+    (lambda: RadialWeight.standard(2.5), [0.0, 1.0], 20),
+    (_bump_weight, [1.0, 0.4j], 16),
+    (lambda: RadialWeight.standard(0.0), [1.0, 0.5, 0.25], 1),
+    (lambda: RadialWeight.standard(0.0), [1.0 + 2.0j, 0.5 - 0.3j, 0.25j], 64),
+])
+def test_oracle_matches_grid_sum_reference(weight, coeffs, N):
+    # the DFT-ordered oracle is the same rule as the point-by-point sum,
+    # on the fine grid and (through err) on the coarse one
+    w, phi = weight(), PolynomialSymbol(coeffs)
+    G, err = dense_gram_oracle(w, phi, N)
+    G_ref, G_lo_ref = _grid_sum_oracle(w, phi, N)
+    assert G.shape == (N, N)
+    assert np.abs(G - G_ref).max() < 1e-13
+    assert abs(err - np.abs(G_ref - G_lo_ref).max()) < 1e-13
+
+
+@pytest.mark.parametrize("N", [0, 65])
+def test_oracle_refuses_sections_outside_its_range(N):
+    with pytest.raises(WeightDomainError):
+        dense_gram_oracle(RadialWeight.standard(0.0), PolynomialSymbol([1.0]), N)
+
+
+@pytest.mark.parametrize("fixture, weight", [
+    ("std0", lambda: RadialWeight.standard(0.0)),
+    ("std25", lambda: RadialWeight.standard(2.5)),
+    ("explog11", lambda: RadialWeight.explog(1.0, 1.0)),
+])
+def test_gram_against_oracle_at_its_cap(request, fixture, weight):
+    # N = 64 is the widest band any independent check reads
+    phi = PolynomialSymbol([1.0, 0.5, 0.25])
+    G = polynomial_gram(request.getfixturevalue(fixture), phi, 64).to_dense()
+    Go, err = dense_gram_oracle(weight(), phi, 64)
+    assert np.abs(G - Go).max() < max(1e-10, 5 * err)

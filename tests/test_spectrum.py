@@ -148,6 +148,12 @@ def test_spectrum_validation():
         SingularSpectrum([1.0, -0.5])
     with pytest.raises(ValueError):
         SingularSpectrum([1.0, 2.0])
+    for bad in ([1.0, np.nan, 0.5], [np.inf, 1.0]):
+        # nan passes both the sign and the order check
+        with pytest.raises(ValueError, match="finite"):
+            SingularSpectrum(bad)
+    with pytest.raises(ValueError, match="finite"):
+        SingularSpectrum.from_values([1.0, np.nan])
     spec = SingularSpectrum.from_values([0.3, 1.0, 0.7])
     np.testing.assert_allclose(spec.values, [1.0, 0.7, 0.3])
     assert spec.converged is None
