@@ -18,6 +18,8 @@ G = A - C^T conj(C) from inner products against the grid's own normalization.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import LogConvexityError, WeightDomainError
@@ -165,6 +167,15 @@ def polynomial_gram(mt, symbol, N):
     return BandedGram(band, symbol, mt)
 
 
+@functools.lru_cache(maxsize=8)
+def _legendre_nodes(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], shared and read-only."""
+    x, wx = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    wx.flags.writeable = False
+    return x, wx
+
+
 def dense_gram_oracle(w, symbol, N):
     """Independent dense Gram section by two-dimensional polar quadrature.
 
@@ -204,7 +215,7 @@ def dense_gram_oracle(w, symbol, N):
     k_idx = m[None, :] - m[:, None] + (N - 1)  # n - m, shifted to a row of `offset`
 
     def assemble(n_r, n_theta):
-        x, wx = np.polynomial.legendre.leggauss(n_r)
+        x, wx = _legendre_nodes(n_r)
         r = 0.5 * (x + 1.0)
         wr = 0.5 * wx * r * w.density(r)  # radial part of w dA, dtheta split off
         theta = 2.0 * np.pi * np.arange(n_theta) / n_theta

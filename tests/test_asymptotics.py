@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +80,132 @@ def test_hardy_norm_ce_h1_slow_convergence():
 def test_hardy_norm_rejects_bad_p():
     with pytest.raises(ValueError):
         hardy_norm(SymbolDerivative.polynomial([1.0]), 0.0)
+    with pytest.raises(ValueError):
+        hardy_norm(SymbolDerivative.polynomial([1.0]), np.nan)
+    # H^inf is a sup over the circle, not a circle mean
+    for d in (SymbolDerivative.polynomial([1.0, 0.5]), SymbolDerivative.ce_family(1.5)):
+        with pytest.raises(ValueError, match="p=inf"):
+            hardy_norm(d, np.inf)
+
+
+def _midpoint_norm(coeffs, p):
+    """The fixed 2^16-point midpoint rule that the circle rule replaced."""
+    M = 1 << 16
+    th = 2.0 * np.pi * (np.arange(M) + 0.5) / M
+    vals = SymbolDerivative.polynomial(coeffs)(np.exp(1j * th))
+    return float(np.mean(vals**p)) ** (1.0 / p)
+
+
+def _mp_circle_norm(f, p, cuts=()):
+    """30-digit (circle mean of f(theta)^p)^(1/p), split at the angles cuts."""
+    with mpmath.workdps(30):
+        pts = [mpmath.mpf(0)] + sorted(mpmath.mpf(t) for t in cuts) + [2 * mpmath.pi]
+        mean = mpmath.quad(lambda t: f(t) ** p, pts) / (2 * mpmath.pi)
+        return float(mean ** (1 / mpmath.mpf(p)))
+
+
+def _mp_poly_norm(coeffs, p):
+    """_mp_circle_norm of |phi'| for phi' = sum c_k z^k, split at the angle
+    of every nonzero root of phi' (on the circle, or near it)."""
+    c = [mpmath.mpc(complex(ck)) for ck in coeffs]
+
+    def f(t):
+        z = mpmath.expj(t)
+        v = mpmath.mpc(0)
+        for ck in reversed(c):
+            v = v * z + ck
+        return abs(v)
+
+    roots = np.roots(np.asarray(coeffs, complex)[::-1]) if len(coeffs) > 1 else []
+    cuts = {float(np.angle(r)) % (2.0 * np.pi) for r in roots if abs(r) > 0.0}
+    return _mp_circle_norm(f, p, [t for t in cuts if t > 0.0])
+
+
+class _CountingDerivative(SymbolDerivative):
+    """SymbolDerivative that counts the points it is evaluated at."""
+
+    def __init__(self, coeffs):
+        super().__init__("poly", coeffs=SymbolDerivative.polynomial(coeffs).coeffs)
+        self.points = 0
+
+    def __call__(self, z):
+        self.points += np.size(z)
+        return super().__call__(z)
+
+
+CIRCLE_PS = (1.0, 4.0 / 3.0, 2.0, 3.0)
+# phi' with every zero at least 5% away from the unit circle
+CLEAR_OF_CIRCLE = {
+    "1+0.3z^2": [1.0, 0.0, 0.3],
+    "1+0.9z^2": [1.0, 0.0, 0.9],
+    "1+1.5z^2": [1.0, 0.0, 1.5],
+    "1+z+0.75z^2": [1.0, 1.0, 0.75],  # phi' of the cubic symbol (1, 0.5, 0.25)
+    "1+2iz+0.9z^2": [1.0, 2.0j, 0.9],
+    "3z^2": [0.0, 0.0, 3.0],
+}
+NEAR_CIRCLE = {"1+0.999z": [1.0, 0.999]}  # zero at -1/0.999
+ON_CIRCLE = {"1+z": [1.0, 1.0]}  # zero at -1
+CIRCLE_SYMBOLS = {**CLEAR_OF_CIRCLE, **NEAR_CIRCLE, **ON_CIRCLE}
+# phi' = sum_{k <= 296} (0.9 z)^k, 1/(1 - 0.9z) up to a term whose effect
+# on the H^1 mean lies far below 1e-16
+GEOMETRIC_296 = 0.9 ** np.arange(297)
+
+
+@pytest.mark.parametrize("p", CIRCLE_PS)
+@pytest.mark.parametrize("name", sorted({**CLEAR_OF_CIRCLE, **NEAR_CIRCLE}))
+def test_hardy_norm_matches_mpmath_circle_quadrature(name, p):
+    coeffs = CIRCLE_SYMBOLS[name]
+    ref = _mp_poly_norm(coeffs, p)
+    assert abs(hardy_norm(SymbolDerivative.polynomial(coeffs), p) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("p", CIRCLE_PS)
+@pytest.mark.parametrize("name", sorted(CIRCLE_SYMBOLS))
+def test_hardy_norm_matches_midpoint_rule_and_parseval(name, p):
+    coeffs = CIRCLE_SYMBOLS[name]
+    v = hardy_norm(SymbolDerivative.polynomial(coeffs), p)
+    old = _midpoint_norm(coeffs, p)
+    assert abs(v - old) <= 1e-15 * old
+    if p == 2.0:
+        parseval = np.sqrt(np.sum(np.abs(np.asarray(coeffs)) ** 2))
+        assert abs(v - parseval) <= 1e-15 * parseval
+
+
+def test_hardy_norm_geometric_truncation():
+    d = SymbolDerivative.polynomial(GEOMETRIC_296)
+    ref = _mp_circle_norm(lambda t: 1 / abs(1 - mpmath.mpf(0.9) * mpmath.expj(t)), 1.0)
+    v = hardy_norm(d, 1.0)
+    assert abs(v - ref) <= 1e-13 * ref
+    assert abs(v - _midpoint_norm(GEOMETRIC_296, 1.0)) <= 1e-15 * v
+    assert round(v, 5) == 1.45184
+
+
+@pytest.mark.parametrize("p", CIRCLE_PS)
+@pytest.mark.parametrize("name", sorted(CLEAR_OF_CIRCLE))
+def test_hardy_norm_few_nodes_away_from_zeros(name, p):
+    d = _CountingDerivative(CLEAR_OF_CIRCLE[name])
+    hardy_norm(d, p)
+    assert 128 <= d.points <= 1024
+
+
+@pytest.mark.parametrize("p, points", [(1.0, 1 << 16), (4.0 / 3.0, 1 << 16), (2.0, 128)])
+def test_hardy_norm_node_cap_on_a_circle_zero(p, points):
+    # algebraic convergence runs the rule to the 2^16-node midpoint set;
+    # |1 + z|^2 is a trigonometric polynomial, exact at the first level
+    d = _CountingDerivative([1.0, 1.0])
+    hardy_norm(d, p)
+    assert d.points == points
+
+
+def test_hardy_norm_large_p_is_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = hardy_norm(SymbolDerivative.polynomial([1.0, 0.5]), 1e3)
+        big = hardy_norm(SymbolDerivative.polynomial([1e3, 500.0]), 1e3)
+    # below the H^inf norm 1.5 and close to it; homogeneous in phi'
+    assert 1.45 < v < 1.5
+    assert abs(big - 1e3 * v) <= 1e-12 * big
+    assert hardy_norm(SymbolDerivative.polynomial([0.0, 0.0]), 3.0) == 0.0
 
 
 def test_law_validation_and_evaluation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bhl.errors import InsufficientMomentsError, LogConvexityError, WeightDomainError
+from bhl import hankel
 from bhl.hankel import (
     PolynomialSymbol,
     dense_gram_oracle,
@@ -251,6 +252,31 @@ def test_oracle_matches_grid_sum_reference(weight, coeffs, N):
     assert G.shape == (N, N)
     assert np.abs(G - G_ref).max() < 1e-13
     assert abs(err - np.abs(G_ref - G_lo_ref).max()) < 1e-13
+
+
+@pytest.mark.parametrize("weight, N", [
+    (lambda: RadialWeight.standard(0.0), 30),
+    (lambda: RadialWeight.explog(1.0, 1.0), 24),
+])
+def test_oracle_node_cache_changes_nothing(weight, N):
+    # the Gauss-Legendre nodes are computed once per size and shared:
+    # a second call returns the same bits, and the shared arrays are
+    # read-only, so no caller can alter a later call's grid
+    w, phi = weight(), PolynomialSymbol([1.0, 1.0])
+    G1, err1 = dense_gram_oracle(w, phi, N)
+    G2, err2 = dense_gram_oracle(w, phi, N)
+    assert np.array_equal(G1, G2) and err1 == err2
+    n_r = max(160, N + 2 * phi.degree + 40)
+    for n in (n_r, max(24, (2 * n_r) // 3)):
+        x, wx = hankel._legendre_nodes(n)
+        assert not x.flags.writeable and not wx.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        x_ref, wx_ref = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, x_ref) and np.array_equal(wx, wx_ref)
+    G_ref, G_lo_ref = _grid_sum_oracle(w, phi, N)
+    assert np.abs(G2 - G_ref).max() < 1e-13
+    assert abs(err2 - np.abs(G_ref - G_lo_ref).max()) < 1e-13
 
 
 @pytest.mark.parametrize("N", [0, 65])
