@@ -99,6 +99,18 @@ def _circle_norm(deriv, p):
     return scale * mean ** (1.0 / p)
 
 
+def _ce_circle_norm(deriv, r, p):
+    """(circle mean of |phi'|^p)^(1/p) on |z| = r for the Cauchy-type
+    family, on its angular cells at level 2.  |phi'| is divided by its
+    largest value on the circle before the p-th power, as in
+    _circle_norm, so large p does not overflow.
+    """
+    theta, wts = _theta_cells(deriv, r, 2)
+    vals = deriv.abs_grid(np.array([r]), theta)[:, 0]
+    scale = float(vals.max())
+    return scale * float(wts @ (vals / scale) ** p / (2.0 * np.pi)) ** (1.0 / p)
+
+
 def hardy_norm(deriv, p, rel_tol=1e-6):
     """||phi'||_{H^p} = (sup_r circle mean of |phi'|^p)^(1/p), 1 <= p < inf.
 
@@ -123,9 +135,7 @@ def hardy_norm(deriv, p, rel_tol=1e-6):
     last_change = np.inf
     for j in range(1, _MAX_DOUBLINGS + 1):
         r_j = -np.expm1(j * np.log(0.5))  # 1 - 2^-j without rounding to 1
-        theta, wts = _theta_cells(deriv, r_j, 2)
-        vals = deriv.abs_grid(np.array([r_j]), theta)[:, 0]
-        norm = float(wts @ vals**p / (2.0 * np.pi)) ** (1.0 / p)
+        norm = _ce_circle_norm(deriv, r_j, p)
         norms.append(norm)
         if len(norms) > 1:
             last_change = abs(norm - norms[-2]) / abs(norm)

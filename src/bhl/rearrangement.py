@@ -27,13 +27,18 @@ last call family (one tau profile, symbol and r_max, compared by value)
 while they fit in _HOLD_BYTES in all.  Both and trace_integral read
 that family, so a sweep over t or repeated R+ calls build each level's
 field once and a trace after them builds none.  A call of another
-family releases it.
+family releases it.  A call looks its fields up before it builds them:
+a new LevelField computes only its key (the radii and tau on them), so
+a call on the kept family builds no angular cells and no tile index.
+rearrangement_plus keeps its level choice with the kept level-0 field,
+so a repeated R+ call skips the refinement that chose the level.
 
 R(t) reads a level field through its tile index (LevelField), cell by
 cell only where t crosses a tile; R+ inverts R exactly, piece by
 quadratic piece, on the cells that meet a narrowed bracket.  bloch_norm
 reuses its last sup while the symbol, r_max and every tau value it read
-are the same.
+are the same, checked by one tau call on all the radii it read; for a
+polynomial symbol it reads its coarse grid from a kept level-1 field.
 
 The (tau, delta)-lattice is closed-form: its centers are the points of
 rings delta*tau apart, and build_lattice verifies its covering and
@@ -43,6 +48,7 @@ measures its overlap on a ring grid eight times finer.
 from __future__ import annotations
 
 import mmap
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -303,6 +309,19 @@ def _first_below(R, t, x):
     return t
 
 
+class _FieldKey(tuple):
+    """A LevelField key that hashes its four leading scalars only.
+
+    Equality still compares every entry, the bytes of the radii and of
+    tau included; a lookup only skips hashing them, 16 KiB each on a
+    level-1 grid (a level-1 key and lookup took 19-21 us hashing them,
+    6-8 us without).
+    """
+
+    def __hash__(self):
+        return hash(self[:4])
+
+
 class LevelField:
     """tau|phi'| on the polar grid of one dyadic mesh level.
 
@@ -322,6 +341,11 @@ class LevelField:
     only the tiles that t crosses are read cell by cell.  A held field
     holds its tile ranges; a streamed one computes them per block, by
     the same arithmetic, so both give the same bits.
+
+    Construction computes only what ``_key`` reads: the u grid, the
+    radii and tau on them.  ``dens``, the trapezoid weights, the tile
+    index and the angular cells are built on first use, so a field that
+    is only looked up in the kept family (_MEMO) builds none of them.
     """
 
     def __init__(self, tau_prof, deriv, r_max, level):
@@ -347,45 +371,76 @@ class LevelField:
         return field
 
     def _setup(self, tau_prof, deriv, u, r_max, level):
+        # only what _key reads; the rest is built on first use below
         self.du = u[1] - u[0]
         self._r = -np.expm1(-u)
         self._tau = np.asarray(tau_prof(self._r), dtype=float)
-        self.dens = self._r * (1.0 - self._r) / self._tau**2
-        # the trapezoid rule along u: weights du*dens, halved at both ends
-        self._wu = self.du * self.dens
-        self._wu[[0, -1]] *= 0.5
-        # the tile index: tile k holds cells k*_TILE .. k*_TILE + _TILE - 1,
-        # the last one padded with empty cells on its last node repeated
-        nodes = len(self.dens)
-        tiles = -(-(nodes - 1) // _TILE)
-        self._nodes = np.minimum(
-            np.arange(0, tiles * _TILE, _TILE)[:, None] + np.arange(_TILE + 1), nodes - 1
-        )
-        self._cell = np.zeros(tiles * _TILE)
-        self._cell[: nodes - 1] = 0.5 * self.du * (self.dens[:-1] + self.dens[1:])
-        self._cell = self._cell.reshape(tiles, _TILE)
-        self._tile_mass = self._cell.sum(axis=1)
         self._deriv = deriv
-        if deriv.is_radial:
-            self._theta, self._wts = None, np.array([2.0 * np.pi])
-        else:
-            self._theta, self._wts = _theta_cells(deriv, r_max, level)
+        self._r_max, self._level = r_max, level
         self._held = None
+        # rearrangement_plus's level choices on this family, by (T, rel_tol)
+        self._rplus_levels = {}
+
+    @cached_property
+    def dens(self):
+        return self._r * (1.0 - self._r) / self._tau**2
+
+    @cached_property
+    def _wu(self):
+        """The trapezoid rule along u: weights du*dens, halved at both ends."""
+        wu = self.du * self.dens
+        wu[[0, -1]] *= 0.5
+        return wu
+
+    @cached_property
+    def _cells(self):
+        """(theta, row weights): the angular cells, None and 2 pi for a radial modulus."""
+        if self._deriv.is_radial:
+            return None, np.array([2.0 * np.pi])
+        return _theta_cells(self._deriv, self._r_max, self._level)
+
+    @property
+    def _theta(self):
+        return self._cells[0]
+
+    @property
+    def _wts(self):
+        return self._cells[1]
+
+    @cached_property
+    def _nodes(self):
+        """The tile index: tile k holds cells k*_TILE .. k*_TILE + _TILE - 1,
+        the last one padded with empty cells on its last node repeated."""
+        nodes = len(self._r)
+        tiles = -(-(nodes - 1) // _TILE)
+        starts = np.arange(0, tiles * _TILE, _TILE)
+        return np.minimum(starts[:, None] + np.arange(_TILE + 1), nodes - 1)
+
+    @cached_property
+    def _cell(self):
+        """Each tile's cell masses along u, zero on the padding."""
+        cell = np.zeros((len(self._nodes), _TILE))
+        cell.reshape(-1)[: len(self._r) - 1] = 0.5 * self.du * (self.dens[:-1] + self.dens[1:])
+        return cell
+
+    @cached_property
+    def _tile_mass(self):
+        return self._cell.sum(axis=1)
 
     @property
     def nbytes(self):
         """The bytes of the whole field: rows x columns x 8."""
-        return len(self._wts) * len(self.dens) * 8
+        return len(self._wts) * len(self._r) * 8
 
     def _key(self):
         """What blocks() computes from, by value: the symbol, the radii
-        and tau on them, and the angular cells."""
+        and tau on them, and the r_max and level of the angular cells."""
         d = self._deriv
         coeffs = None if d.coeffs is None else np.asarray(d.coeffs)
-        arrays = (coeffs, self._r, self._tau, self._theta, self._wts)
-        return (d.kind, d.gamma) + tuple(
+        arrays = (coeffs, self._r, self._tau)
+        return _FieldKey((d.kind, d.gamma, self._r_max, self._level) + tuple(
             None if a is None else (a.dtype.str, a.tobytes()) for a in arrays
-        )
+        ))
 
     def _tile_ranges(self, f):
         """Each row's min and max node value over each tile of ``f``."""
@@ -420,9 +475,15 @@ class LevelField:
             # its own anonymous map: a release unmaps it at once, where a
             # malloc block this large raises glibc's mmap threshold and
             # later arrays stay on the heap (geometry's peak RSS read
-            # 113-120 MiB that way, 110-111 MiB with chunked blocks)
-            shape = (len(self._wts), len(self.dens))
-            f = np.frombuffer(mmap.mmap(-1, self.nbytes), dtype=float).reshape(shape)
+            # 113-120 MiB that way, 110-111 MiB with chunked blocks).
+            # A private (Unix) map may take transparent huge pages, a shared
+            # one is shmem, where they are off by default: first-touching
+            # 12.6 MB took 4.0 ms in 523 faults, 10.1 ms in 3,078 shared
+            buf = mmap.mmap(-1, self.nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+            if hasattr(mmap, "MADV_HUGEPAGE"):
+                buf.madvise(mmap.MADV_HUGEPAGE)
+            shape = (len(self._wts), len(self._r))
+            f = np.frombuffer(buf, dtype=float).reshape(shape)
             for a, chunk in _field_rows(self._deriv, self._r, self._tau, self._theta):
                 f[a : a + len(chunk)] = chunk
             held = (f,) + self._tile_ranges(f)
@@ -696,23 +757,38 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4):
     rel_tol, T the sup of tau|phi'|; LevelField.rplus then inverts R on
     that one level.  Levels come from the kept family or are built and
     kept by level_measure's rule (_keep), the current one held if it
-    fits in _HOLD_BYTES, so repeated calls build each level once.
+    fits in _HOLD_BYTES, so repeated calls build each level once.  The
+    kept level-0 field keeps the choice, by (T, rel_tol), with the kept
+    fields of levels 1 .. L it measured; a later call whose levels 1 .. L
+    are those same kept fields goes straight to level L.
     """
     if not x > 0.0:
         raise ValueError(f"rearrangement_plus needs x > 0, got {x}")
     T = bloch_norm(tau_prof, deriv, r_max=r_max)
     if T == 0.0:
         return 0.0
+    first = _keep(LevelField(tau_prof, deriv, r_max, 0), True)
+    chosen = first._rplus_levels.get((T, rel_tol))
+    if chosen and _kept_levels(tau_prof, deriv, r_max, len(chosen)) == chosen:
+        return chosen[-1].rplus(x, T)
     field = None
 
     def measure(level):
         nonlocal field
         field = None  # release level - 1's field before level's is built
-        field = _keep(LevelField(tau_prof, deriv, r_max, level), level == 0)._hold()
-        return field.measure(T / 8.0)
+        field = first if level == 0 else _keep(LevelField(tau_prof, deriv, r_max, level), False)
+        return field._hold().measure(T / 8.0)
 
-    _refined(measure, rel_tol, 5)
+    chosen = _kept_levels(tau_prof, deriv, r_max, _refined(measure, rel_tol, 5)[2])
+    if None not in chosen:
+        first._rplus_levels[(T, rel_tol)] = chosen
     return field.rplus(x, T)
+
+
+def _kept_levels(tau_prof, deriv, r_max, top):
+    """The kept fields of levels 1 .. top, None for a level not kept."""
+    fields = (LevelField(tau_prof, deriv, r_max, level) for level in range(1, top + 1))
+    return tuple(_MEMO.get(field._key()) for field in fields)
 
 
 def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
@@ -738,8 +814,8 @@ def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
     return MeasureResult(val, refine_error=err, r_max_delta=None, level=level)
 
 
-# bloch_norm's last answer: (symbol and r_max, the (radii, tau) pairs
-# it read, the sup); only bloch_norm writes it
+# bloch_norm's last answer: (symbol and r_max, (radii, tau) of all the
+# radii it read, concatenated, the sup); only bloch_norm writes it
 _LAST_SUP = None
 
 
@@ -747,33 +823,44 @@ def bloch_norm(tau_prof, deriv, r_max=None):
     """sup over |z| <= r_max of tau(r) |phi'(z)|, by grid + local zoom.
 
     The coarse grid uses the same angular grading as the integrators,
-    then the running argmax is refined on shrinking windows.
+    then the running argmax is refined on shrinking windows.  For a
+    polynomial symbol the coarse grid is the even rows of the level-1
+    LevelField (its radii, and the angles of level 0), which is read
+    where the kept family (_MEMO) holds it.
 
     The last answer is kept and returned again for the same symbol and
     r_max when tau, evaluated anew at every radius the last call read
     (the coarse grid and each zoom's radii), gives the same bits: the
     zooms then run on the same points, so the sup would be the same.
+    That check is one tau call on all those radii, concatenated, so tau
+    must act elementwise, as a radial profile does.
     """
-    global _LAST_SUP
     if r_max is None:
         r_max = min(tau_prof.r_hi, 1.0 - 1e-9)
     elif not 0.0 < r_max < 1.0:
         raise WeightDomainError(f"r_max must lie in (0, 1), got {r_max}")
     c = None if deriv.coeffs is None else np.asarray(deriv.coeffs)
     key = (deriv.kind, deriv.gamma, None if c is None else (c.dtype.str, c.tobytes()), r_max)
-    if _LAST_SUP is not None and _LAST_SUP[0] == key and all(
-        np.asarray(tau_prof(r), dtype=float).tobytes() == v.tobytes() for r, v in _LAST_SUP[1]
-    ):
-        return _LAST_SUP[2]
+    if _LAST_SUP is not None and _LAST_SUP[0] == key:
+        r, v = _LAST_SUP[1]
+        if np.asarray(tau_prof(r), dtype=float).tobytes() == v.tobytes():
+            return _LAST_SUP[2]
     reads = []
     u_max = -np.log1p(-r_max)
 
-    def peak(u_arr, theta):
-        """The grid's first maximum of tau|phi'|, as np.argmax picks it, and its (row, column)."""
+    def keep(sup):
+        global _LAST_SUP
+        _LAST_SUP = (key, tuple(np.concatenate(a) for a in zip(*reads)), sup)
+        return sup
+
+    def peak(u_arr, theta, rows=None):
+        """The grid's first maximum of tau|phi'|, as np.argmax picks it,
+        and its (row, column); ``rows`` gives the grid's chunks when they
+        are held already."""
         r = -np.expm1(-u_arr)
         reads.append((r, np.asarray(tau_prof(r), dtype=float)))
         best, at = -np.inf, None
-        for lo, f in _field_rows(deriv, r, reads[-1][1], theta):
+        for lo, f in rows or _field_rows(deriv, r, reads[-1][1], theta):
             k = int(np.argmax(f))
             # a later chunk wins only when strictly larger
             if f.flat[k] > best:
@@ -783,10 +870,16 @@ def bloch_norm(tau_prof, deriv, r_max=None):
 
     u = np.linspace(0.0, u_max, 2049)
     theta = None if deriv.is_radial else _theta_cells(deriv, r_max, 0)[0]
-    best, (it, iu) = peak(u, theta)
+    rows = None
+    if theta is not None and deriv.kind == "poly":
+        kept = _MEMO.get(LevelField(tau_prof, deriv, r_max, 1)._key())
+        if kept is not None:
+            grid = kept._held[0][::2]
+            step = _chunk_rows(grid.shape[1])
+            rows = [(lo, grid[lo : lo + step]) for lo in range(0, len(grid), step)]
+    best, (it, iu) = peak(u, theta, rows)
     if best == 0.0:
-        _LAST_SUP = (key, reads, 0.0)
-        return 0.0
+        return keep(0.0)
     cu = u[iu]
     ct = None if theta is None else theta[it]
     wu = u[1] - u[0]
@@ -800,8 +893,7 @@ def bloch_norm(tau_prof, deriv, r_max=None):
         wu /= 6.0
         if tt is not None:
             ct, wt = tt[it], wt / 6.0
-    _LAST_SUP = (key, reads, best)
-    return best
+    return keep(best)
 
 
 class Lattice:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bhl.asymptotics import (
     AsymptoticLaw,
+    _ce_circle_norm,
     fit_power_law,
     hardy_norm,
     laplace_moment_prediction,
@@ -21,7 +22,7 @@ from bhl.errors import (
     NonConvergedError,
     WindowError,
 )
-from bhl.rearrangement import SymbolDerivative
+from bhl.rearrangement import SymbolDerivative, _theta_cells
 from bhl.spectrum import SingularSpectrum
 
 # gamma of the explog(2,1) law: sqrt((2*1)^(1/2) / 2) = 2^(-1/4)
@@ -206,6 +207,43 @@ def test_hardy_norm_large_p_is_finite():
     assert 1.45 < v < 1.5
     assert abs(big - 1e3 * v) <= 1e-12 * big
     assert hardy_norm(SymbolDerivative.polynomial([0.0, 0.0]), 3.0) == 0.0
+
+
+def test_hardy_norm_ce_large_p_raises_without_warning():
+    # the circle means are scaled by their max before the p-th power, so
+    # p = 1e3 reaches the divergence check instead of overflowing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            hardy_norm(SymbolDerivative.ce_family(1.5), 1e3)
+
+
+def _ce_circle_terms(deriv, j):
+    """The nodes' weights and |phi'| of the Cauchy-type branch's circle 1 - 2^-j."""
+    r = -np.expm1(j * np.log(0.5))
+    theta, wts = _theta_cells(deriv, r, 2)
+    return r, wts, deriv.abs_grid(np.array([r]), theta)[:, 0]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("gamma", [1.5, 2.0])
+def test_ce_circle_norm_scaling_moves_only_rounding(gamma, p):
+    # against the unscaled rule float(wts @ vals**p / 2 pi)**(1/p) on all
+    # 48 circles the branch may visit: the sum of 1,537 terms rounds
+    # differently, by up to 13 ulps on the deepest circles; against a
+    # 40-digit sum of the same terms both rules stay within 9 ulps
+    deriv = SymbolDerivative.ce_family(gamma)
+    for j in range(1, 49):
+        r, wts, vals = _ce_circle_terms(deriv, j)
+        new = _ce_circle_norm(deriv, r, p)
+        old = float(wts @ vals**p / (2.0 * np.pi)) ** (1.0 / p)
+        assert abs(new - old) <= 16 * np.spacing(old), (j, new, old)
+        if j % 6 == 0:
+            with mpmath.workdps(40):
+                mean = mpmath.fsum(mpmath.mpf(float(w)) * mpmath.mpf(float(v)) ** p
+                                   for w, v in zip(wts, vals)) / (2 * mpmath.pi)
+                exact = mean ** (1 / mpmath.mpf(p))
+                assert abs(new - exact) <= 12 * np.spacing(new), (j, new, float(exact))
 
 
 def test_law_validation_and_evaluation():

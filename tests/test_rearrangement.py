@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import warnings
 
@@ -559,6 +560,139 @@ def test_rplus_calls_on_one_field_build_it_once(monkeypatch):
     assert rps == fresh
 
 
+_KEPT_CASES = {
+    "radial": lambda: (TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0]), 1.0 - 1e-5),
+    "poly": lambda: (TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.99),
+    "ce": lambda: (TauProfile.ce(1.0), SymbolDerivative.ce_family(1.5), 0.99),
+}
+
+
+def _forget():
+    rearrangement._MEMO.clear()
+    rearrangement._LAST_SUP = None
+
+
+def _bits(result):
+    if isinstance(result, MeasureResult):
+        return (float(result), result.refine_error, result.r_max_delta, result.level)
+    return result
+
+
+def _family_calls(tau, deriv, r_max):
+    T = bloch_norm(tau, deriv, r_max=r_max)
+    calls = [lambda t=t: level_measure(tau, deriv, t, r_max) for t in T * np.geomspace(0.02, 0.5, 5)]
+    calls += [lambda x=x: rearrangement_plus(tau, deriv, x, r_max) for x in (0.3, 1.0, 3.0, 10.0, 30.0)]
+    calls.append(lambda: trace_integral(tau, deriv, lambda v: np.asarray(v) ** 2, r_max))
+    calls.append(lambda: bloch_norm(tau, deriv, r_max=r_max))
+    return calls
+
+
+@pytest.mark.parametrize("case", list(_KEPT_CASES))
+def test_kept_family_gives_the_bits_of_a_fresh_one(case):
+    # R(t) with all four fields, R+ (its level choice kept after the
+    # first call), the trace and the sup, twice over on the kept family,
+    # against each call on an empty memo and no kept sup
+    calls = _family_calls(*_KEPT_CASES[case]())
+    _forget()
+    kept = [_bits(call()) for call in calls + calls]
+    fresh = []
+    for call in calls:
+        _forget()
+        fresh.append(_bits(call()))
+    assert kept == fresh + fresh
+
+
+def _nudged(tau, at):
+    """tau one ulp larger at the radius ``at`` and equal to it elsewhere."""
+    return TauProfile.user_supplied(
+        lambda r: np.where(np.asarray(r) == at, np.nextafter(tau(r), np.inf), tau(r))
+    )
+
+
+def _record_probes(monkeypatch):
+    """The levels t of every LevelField.measure call."""
+    probes = []
+    real = LevelField.measure
+
+    def recording(self, t):
+        probes.append(t)
+        return real(self, t)
+
+    monkeypatch.setattr(LevelField, "measure", recording)
+    return probes
+
+
+def test_kept_family_is_validated_by_value(monkeypatch):
+    tau, deriv, r_max = _KEPT_CASES["poly"]()
+    rearrangement_plus(tau, deriv, 3.0, r_max)
+    # a level-1 node off level 0: level 0 is found kept, level 1 is not
+    r1 = LevelField(tau, deriv, r_max, 1)._r
+    odd = _nudged(tau, r1[1001])
+    assert not np.isin(r1[1001], LevelField(tau, deriv, r_max, 0)._r)
+    built, probes = _record_field_builds(monkeypatch), _record_probes(monkeypatch)
+    rp = rearrangement_plus(odd, deriv, 3.0, r_max)
+    T = bloch_norm(odd, deriv, r_max=r_max)
+    assert (512, 2049) in built and T / 8.0 in probes, (built, probes)
+    _forget()
+    assert rearrangement_plus(odd, deriv, 3.0, r_max) == rp
+    # one zoom radius off the coarse grid: the sup is recomputed (its
+    # coarse grid read from the kept level-1 field, its zooms built), the
+    # kept fields and R+ level are read
+    radii = rearrangement._LAST_SUP[1][0]
+    zoom = _nudged(odd, np.setdiff1d(radii[2049:], radii[:2049])[-1])
+    built.clear()
+    probes.clear()
+    T = bloch_norm(zoom, deriv, r_max=r_max)
+    assert built == [(17, 17)] * 14, built
+    built.clear()
+    assert rearrangement_plus(zoom, deriv, 3.0, r_max) == rp
+    assert built == [] and T / 8.0 not in probes
+    rearrangement._LAST_SUP = None
+    assert bloch_norm(zoom, deriv, r_max=r_max) == T
+
+
+def _record_calls(monkeypatch, name):
+    calls = []
+    real = getattr(rearrangement, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rearrangement, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["poly", "ce"])
+def test_a_lookup_builds_nothing(case, monkeypatch):
+    # a call on the kept family builds no angular cells and no tile index,
+    # and R+ goes straight to its kept level: no probe at T/8
+    tau, deriv, r_max = _KEPT_CASES[case]()
+    _forget()
+    level_measure(tau, deriv, 0.05, r_max)
+    rearrangement_plus(tau, deriv, 3.0, r_max)
+    kept = _kept_bytes()
+    if case == "ce":
+        assert kept == 8 * (385 * 1025 + 769 * 2049 + 769 * 310)
+    cells = _record_calls(monkeypatch, "_theta_cells")
+    tiles = []
+    real = LevelField._nodes.func
+
+    def nodes(field):
+        tiles.append(len(field._r))
+        return real(field)
+
+    index = functools.cached_property(nodes)
+    index.__set_name__(LevelField, "_nodes")
+    monkeypatch.setattr(LevelField, "_nodes", index)
+    probes = _record_probes(monkeypatch)
+    level_measure(tau, deriv, 0.1, r_max)
+    T = bloch_norm(tau, deriv, r_max=r_max)
+    rearrangement_plus(tau, deriv, 1.0, r_max)
+    assert cells == [] and tiles == [], (cells, tiles)
+    assert T / 8.0 not in probes and _kept_bytes() == kept
+
+
 def test_rearrangement_plus_peak_memory():
     # the cells that meet the bracket are gathered only once it is
     # narrow; on the first 10-octave bracket nearly every cell meets it,
@@ -807,6 +941,21 @@ def test_bloch_norm_matches_whole_grid_reference_bit_for_bit(tau0, case):
     deriv, _ = _FIELD_CASES[case]
     tau = _field_tau(case, tau0)
     assert bloch_norm(tau, deriv, r_max=0.99) == _bloch_norm_reference(tau, deriv, 0.99)
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 0.6], [1.0, 0.3 + 0.4j, -0.2j], [0.5, 1.0, 0.25, 0.1]])
+def test_bloch_norm_reads_the_coarse_grid_from_a_kept_field(tau0, coeffs, monkeypatch):
+    # the even rows of a kept polynomial level-1 field are bloch_norm's
+    # coarse grid: with them it builds only its zooms, with the same bits
+    deriv = SymbolDerivative.polynomial(coeffs)
+    _forget()
+    fresh = bloch_norm(tau0, deriv, r_max=0.99)
+    assert fresh == _bloch_norm_reference(tau0, deriv, 0.99)
+    level_measure(tau0, deriv, 0.5 * fresh, 0.99)
+    rearrangement._LAST_SUP = None
+    built = _record_field_builds(monkeypatch)
+    assert bloch_norm(tau0, deriv, r_max=0.99) == fresh
+    assert built == [(17, 17)] * 14, built
 
 
 def test_ce_abs_grid_fallback_matches_reference():
