@@ -20,25 +20,20 @@ its mass in a spike of angular width ~ (1-r) around theta = 0, so its
 angular mesh is log-graded toward the singular angle; a uniform mesh
 aliases the spike and converges to wrong answers while looking stable.
 
-Level fields have one hold rule: a field of at most _HOLD_BYTES
-(32 MiB) is held whole, built once as one read-only array, and
-level_measure and rearrangement_plus keep the held fields of their
-last call family (one tau profile, symbol and r_max, compared by value)
-while they fit in _HOLD_BYTES in all.  Both and trace_integral read
-that family, so a sweep over t or repeated R+ calls build each level's
-field once and a trace after them builds none.  A call of another
-family releases it.  A call looks its fields up before it builds them:
-a new LevelField computes only its key (the radii and tau on them), so
-a call on the kept family builds no angular cells and no tile index.
-rearrangement_plus keeps its level choice with the kept level-0 field,
-so a repeated R+ call skips the refinement that chose the level.
+A level field of at most _HOLD_BYTES (32 MiB) is held whole, built
+once as one read-only array.  level_measure, rearrangement_plus,
+trace_integral and bloch_norm reuse one kept family (_Family): for one
+symbol and r_max, each level's field, the annulus of the r_max check,
+the sup and R+'s level choice, each reused only while one tau call on
+the radii it read gives the same bits.  So a sweep over t or repeated
+R+ calls build each level's field once, a trace after them builds
+none, and a repeated R+ call goes straight to its level.
 
 R(t) reads a level field through its tile index (LevelField), cell by
 cell only where t crosses a tile; R+ inverts R exactly, piece by
-quadratic piece, on the cells that meet a narrowed bracket.  bloch_norm
-reuses its last sup while the symbol, r_max and every tau value it read
-are the same, checked by one tau call on all the radii it read; for a
-polynomial symbol it reads its coarse grid from a kept level-1 field.
+quadratic piece, on the cells that meet a narrowed bracket.  For a
+polynomial symbol bloch_norm reads its coarse grid from a kept level-1
+field.
 
 The (tau, delta)-lattice is closed-form: its centers are the points of
 rings delta*tau apart, and build_lattice verifies its covering and
@@ -48,7 +43,6 @@ measures its overlap on a ring grid eight times finer.
 from __future__ import annotations
 
 import mmap
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -74,7 +68,7 @@ _BLOCK_ELEMS = 2**14
 _DOT_ROWS = 256
 
 # a level field is held (LevelField._hold) up to this many bytes, and
-# level_measure and rearrangement_plus keep at most this many in all;
+# the kept family (_Family) holds at most this many in all;
 # the CE sweep keeps its levels 0 and 1 and the level-1 annulus
 # (17.7 MB), and a CE level 2 (50 MB) or a polynomial level 2 (33.6 MB)
 # streams, rebuilt per use.
@@ -309,19 +303,6 @@ def _first_below(R, t, x):
     return t
 
 
-class _FieldKey(tuple):
-    """A LevelField key that hashes its four leading scalars only.
-
-    Equality still compares every entry, the bytes of the radii and of
-    tau included; a lookup only skips hashing them, 16 KiB each on a
-    level-1 grid (a level-1 key and lookup took 19-21 us hashing them,
-    6-8 us without).
-    """
-
-    def __hash__(self):
-        return hash(self[:4])
-
-
 class LevelField:
     """tau|phi'| on the polar grid of one dyadic mesh level.
 
@@ -342,10 +323,8 @@ class LevelField:
     holds its tile ranges; a streamed one computes them per block, by
     the same arithmetic, so both give the same bits.
 
-    Construction computes only what ``_key`` reads: the u grid, the
-    radii and tau on them.  ``dens``, the trapezoid weights, the tile
-    index and the angular cells are built on first use, so a field that
-    is only looked up in the kept family (_MEMO) builds none of them.
+    A field depends on its symbol, r_max and level and on tau at its
+    radii ``_r`` only, which is what the kept family (_Family) checks.
     """
 
     def __init__(self, tau_prof, deriv, r_max, level):
@@ -371,76 +350,33 @@ class LevelField:
         return field
 
     def _setup(self, tau_prof, deriv, u, r_max, level):
-        # only what _key reads; the rest is built on first use below
         self.du = u[1] - u[0]
         self._r = -np.expm1(-u)
         self._tau = np.asarray(tau_prof(self._r), dtype=float)
-        self._deriv = deriv
-        self._r_max, self._level = r_max, level
-        self._held = None
-        # rearrangement_plus's level choices on this family, by (T, rel_tol)
-        self._rplus_levels = {}
-
-    @cached_property
-    def dens(self):
-        return self._r * (1.0 - self._r) / self._tau**2
-
-    @cached_property
-    def _wu(self):
-        """The trapezoid rule along u: weights du*dens, halved at both ends."""
-        wu = self.du * self.dens
-        wu[[0, -1]] *= 0.5
-        return wu
-
-    @cached_property
-    def _cells(self):
-        """(theta, row weights): the angular cells, None and 2 pi for a radial modulus."""
-        if self._deriv.is_radial:
-            return None, np.array([2.0 * np.pi])
-        return _theta_cells(self._deriv, self._r_max, self._level)
-
-    @property
-    def _theta(self):
-        return self._cells[0]
-
-    @property
-    def _wts(self):
-        return self._cells[1]
-
-    @cached_property
-    def _nodes(self):
-        """The tile index: tile k holds cells k*_TILE .. k*_TILE + _TILE - 1,
-        the last one padded with empty cells on its last node repeated."""
-        nodes = len(self._r)
+        self.dens = self._r * (1.0 - self._r) / self._tau**2
+        # the trapezoid rule along u: weights du*dens, halved at both ends
+        self._wu = self.du * self.dens
+        self._wu[[0, -1]] *= 0.5
+        # the tile index: tile k holds cells k*_TILE .. k*_TILE + _TILE - 1,
+        # the last one padded with empty cells on its last node repeated
+        nodes = len(self.dens)
         tiles = -(-(nodes - 1) // _TILE)
         starts = np.arange(0, tiles * _TILE, _TILE)
-        return np.minimum(starts[:, None] + np.arange(_TILE + 1), nodes - 1)
-
-    @cached_property
-    def _cell(self):
-        """Each tile's cell masses along u, zero on the padding."""
-        cell = np.zeros((len(self._nodes), _TILE))
-        cell.reshape(-1)[: len(self._r) - 1] = 0.5 * self.du * (self.dens[:-1] + self.dens[1:])
-        return cell
-
-    @cached_property
-    def _tile_mass(self):
-        return self._cell.sum(axis=1)
+        self._nodes = np.minimum(starts[:, None] + np.arange(_TILE + 1), nodes - 1)
+        self._cell = np.zeros((tiles, _TILE))
+        self._cell.reshape(-1)[: nodes - 1] = 0.5 * self.du * (self.dens[:-1] + self.dens[1:])
+        self._tile_mass = self._cell.sum(axis=1)
+        self._deriv = deriv
+        if deriv.is_radial:
+            self._theta, self._wts = None, np.array([2.0 * np.pi])
+        else:
+            self._theta, self._wts = _theta_cells(deriv, r_max, level)
+        self._held = None
 
     @property
     def nbytes(self):
         """The bytes of the whole field: rows x columns x 8."""
-        return len(self._wts) * len(self._r) * 8
-
-    def _key(self):
-        """What blocks() computes from, by value: the symbol, the radii
-        and tau on them, and the r_max and level of the angular cells."""
-        d = self._deriv
-        coeffs = None if d.coeffs is None else np.asarray(d.coeffs)
-        arrays = (coeffs, self._r, self._tau)
-        return _FieldKey((d.kind, d.gamma, self._r_max, self._level) + tuple(
-            None if a is None else (a.dtype.str, a.tobytes()) for a in arrays
-        ))
+        return len(self._wts) * len(self.dens) * 8
 
     def _tile_ranges(self, f):
         """Each row's min and max node value over each tile of ``f``."""
@@ -673,27 +609,68 @@ class LevelField:
         return _first_below(lambda t: mass(t) if t < t_hi else -np.inf, t, x)
 
 
-# the kept family: held LevelFields keyed by LevelField._key, at most
-# _HOLD_BYTES in all; level_measure and rearrangement_plus write it (_keep)
-_MEMO = {}
+class _Family:
+    """The kept family: what the calls on one symbol and r_max reuse.
+
+    Each item (a level's field, an annulus, the sup, an R+ level choice)
+    is kept with the radii it read and tau on them, and is reused only
+    while one tau call on those radii, concatenated, gives the same
+    bits; tau must act elementwise, as a radial profile does.  A miss
+    replaces only that item, keeping an item for another (symbol, r_max)
+    starts afresh, and the held fields stay within _HOLD_BYTES in all.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.key, self.items = None, {}
+
+    def fields(self):
+        """The kept level fields and annuli."""
+        return [item for _, _, item in self.items.values() if isinstance(item, LevelField)]
+
+    def get(self, key, name, tau_prof):
+        """Item ``name`` of family ``key`` if tau_prof gives its bits, else None."""
+        if key != self.key or name not in self.items:
+            return None
+        r, tau, item = self.items[name]
+        return item if np.asarray(tau_prof(r), dtype=float).tobytes() == tau.tobytes() else None
+
+    def keep(self, key, name, r, tau, item):
+        """Keep ``item`` as ``name`` of family ``key``, read from radii r
+        with these tau values; a level field only held, and only if it
+        fits in _HOLD_BYTES with the others.  Returns ``item``."""
+        if key != self.key:
+            self.key, self.items = key, {}
+        self.items.pop(name, None)
+        if isinstance(item, LevelField):
+            if sum(f.nbytes for f in self.fields()) + item.nbytes > _HOLD_BYTES:
+                return item
+            item._hold()
+        self.items[name] = (r, tau, item)
+        return item
 
 
-def _kept(field):
-    """The held field _MEMO keeps for ``field``'s key, else ``field`` itself."""
-    return _MEMO.get(field._key(), field)
+_FAMILY = _Family()
 
 
-def _keep(field, first):
-    """The kept field for ``field``'s key, else ``field``, held and kept
-    if it fits in what the family leaves of _HOLD_BYTES.  A level-0
-    field (``first``) that is not kept starts a new family."""
-    kept = _kept(field)
-    if kept is field:
-        if first:
-            _MEMO.clear()
-        if sum(f.nbytes for f in _MEMO.values()) + field.nbytes <= _HOLD_BYTES:
-            _MEMO[field._key()] = field._hold()
-    return kept
+def _family_key(deriv, r_max):
+    """The symbol and r_max, by value, that a family's items belong to."""
+    c = None if deriv.coeffs is None else np.asarray(deriv.coeffs)
+    return (deriv.kind, deriv.gamma, None if c is None else (c.dtype.str, c.tobytes()), r_max)
+
+
+def _field(tau_prof, deriv, r_max, level, r_push=None):
+    """The kept family's field of ``level`` (its annulus out to r_push if given), or a new one."""
+    key = _family_key(deriv, r_max)
+    name = ("field", level) if r_push is None else ("annulus", level, r_push)
+    field = _FAMILY.get(key, name, tau_prof)
+    if field is None:
+        field = (LevelField(tau_prof, deriv, r_max, level) if r_push is None
+                 else LevelField._annulus(tau_prof, deriv, r_max, r_push, level))
+        _FAMILY.keep(key, name, field._r, field._tau, field)
+    return field
 
 
 def _refined(fn, rel_tol, max_level):
@@ -724,24 +701,21 @@ def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, max_level=5, check_r_
     the converged level's u step (0.0 where r_push = r_max or where the
     set stays inside r_max).  The caller owns the truncation decision.
 
-    The held fields of the last call family are kept in _MEMO (_keep),
-    so a sweep over t on one (tau_prof, deriv, r_max) builds each once.
+    Its level fields and annulus are items of the kept family
+    (_Family), so a sweep over t builds each once.
     """
     if not t > 0.0:
         raise ValueError(f"level t must be positive, got {t}")
 
     val, err, level = _refined(
-        lambda lv: _keep(LevelField(tau_prof, deriv, r_max, lv), lv == 0).measure(t),
-        rel_tol,
-        max_level,
+        lambda lv: _field(tau_prof, deriv, r_max, lv).measure(t), rel_tol, max_level
     )
     delta = None
     if check_r_max:
         r_push = _r_push(tau_prof, r_max)
         delta = 0.0
         if r_push > r_max:
-            annulus = LevelField._annulus(tau_prof, deriv, r_max, r_push, level)
-            delta = _keep(annulus, False).measure(t)
+            delta = _field(tau_prof, deriv, r_max, level, r_push).measure(t)
     return MeasureResult(val, refine_error=err, r_max_delta=delta, level=level)
 
 
@@ -753,49 +727,43 @@ def _r_push(tau_prof, r_max):
 def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4):
     """R+(x) = sup { t : R(t) >= x }, inverted exactly on one mesh level.
 
-    The mesh level is the first one on which R(T/8) converges to
+    The mesh level L is the first one on which R(T/8) converges to
     rel_tol, T the sup of tau|phi'|; LevelField.rplus then inverts R on
-    that one level.  Levels come from the kept family or are built and
-    kept by level_measure's rule (_keep), the current one held if it
-    fits in _HOLD_BYTES, so repeated calls build each level once.  The
-    kept level-0 field keeps the choice, by (T, rel_tol), with the kept
-    fields of levels 1 .. L it measured; a later call whose levels 1 .. L
-    are those same kept fields goes straight to level L.
+    that one level, held if it fits in _HOLD_BYTES.  The level fields
+    and the choice of L (by T and rel_tol, read from the radii of levels
+    0 .. L) are items of the kept family (_Family), so a repeated call
+    goes straight to a kept level L.
     """
     if not x > 0.0:
         raise ValueError(f"rearrangement_plus needs x > 0, got {x}")
     T = bloch_norm(tau_prof, deriv, r_max=r_max)
     if T == 0.0:
         return 0.0
-    first = _keep(LevelField(tau_prof, deriv, r_max, 0), True)
-    chosen = first._rplus_levels.get((T, rel_tol))
-    if chosen and _kept_levels(tau_prof, deriv, r_max, len(chosen)) == chosen:
-        return chosen[-1].rplus(x, T)
-    field = None
+    key, name = _family_key(deriv, r_max), ("rplus", T, rel_tol)
+    level = _FAMILY.get(key, name, tau_prof)
+    if level is not None:
+        return _field(tau_prof, deriv, r_max, level).rplus(x, T)
+    field, reads = None, []
 
     def measure(level):
         nonlocal field
         field = None  # release level - 1's field before level's is built
-        field = first if level == 0 else _keep(LevelField(tau_prof, deriv, r_max, level), False)
+        field = _field(tau_prof, deriv, r_max, level)
+        reads.append((field._r, field._tau))
         return field._hold().measure(T / 8.0)
 
-    chosen = _kept_levels(tau_prof, deriv, r_max, _refined(measure, rel_tol, 5)[2])
-    if None not in chosen:
-        first._rplus_levels[(T, rel_tol)] = chosen
+    level = _refined(measure, rel_tol, 5)[2]
+    _FAMILY.keep(key, name, *(np.concatenate(a) for a in zip(*reads)), level)
     return field.rplus(x, T)
-
-
-def _kept_levels(tau_prof, deriv, r_max, top):
-    """The kept fields of levels 1 .. top, None for a level not kept."""
-    fields = (LevelField(tau_prof, deriv, r_max, level) for level in range(1, top + 1))
-    return tuple(_MEMO.get(field._key()) for field in fields)
 
 
 def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
     """int h(tau |phi'|) dA/tau^2 over {|z| <= r_max}.
 
     h must be increasing and convex with h(0) = 0; this is spot-checked
-    on a geometric sample, the caller owns the rest.
+    on a geometric sample, the caller owns the rest.  Level fields are
+    read from the kept family (_Family) where it holds them; the trace
+    keeps none.
     """
     h0 = float(h(np.asarray(0.0)))
     T = max(bloch_norm(tau_prof, deriv, r_max=r_max), 1e-300)
@@ -808,15 +776,14 @@ def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
     mids = np.asarray(h(0.5 * (probe[:-1] + probe[1:])), dtype=float)
     if np.any(mids > 0.5 * (hp[:-1] + hp[1:]) + 1e-9 * max(1.0, float(hp[-1]))):
         raise ValueError("h fails midpoint convexity on the spot-check grid")
+    key = _family_key(deriv, r_max)
     val, err, level = _refined(
-        lambda lv: _kept(LevelField(tau_prof, deriv, r_max, lv)).trace(h), rel_tol, max_level
+        lambda lv: (_FAMILY.get(key, ("field", lv), tau_prof)
+                    or LevelField(tau_prof, deriv, r_max, lv)).trace(h),
+        rel_tol,
+        max_level,
     )
     return MeasureResult(val, refine_error=err, r_max_delta=None, level=level)
-
-
-# bloch_norm's last answer: (symbol and r_max, (radii, tau) of all the
-# radii it read, concatenated, the sup); only bloch_norm writes it
-_LAST_SUP = None
 
 
 def bloch_norm(tau_prof, deriv, r_max=None):
@@ -825,33 +792,26 @@ def bloch_norm(tau_prof, deriv, r_max=None):
     The coarse grid uses the same angular grading as the integrators,
     then the running argmax is refined on shrinking windows.  For a
     polynomial symbol the coarse grid is the even rows of the level-1
-    LevelField (its radii, and the angles of level 0), which is read
-    where the kept family (_MEMO) holds it.
+    LevelField (its radii, and the angles of level 0), read from the
+    kept family (_Family) where it holds that field.
 
-    The last answer is kept and returned again for the same symbol and
-    r_max when tau, evaluated anew at every radius the last call read
-    (the coarse grid and each zoom's radii), gives the same bits: the
-    zooms then run on the same points, so the sup would be the same.
-    That check is one tau call on all those radii, concatenated, so tau
-    must act elementwise, as a radial profile does.
+    The sup is an item of the kept family, read from the coarse grid's
+    and each zoom's radii: with the same tau bits there the zooms run on
+    the same points.
     """
     if r_max is None:
         r_max = min(tau_prof.r_hi, 1.0 - 1e-9)
     elif not 0.0 < r_max < 1.0:
         raise WeightDomainError(f"r_max must lie in (0, 1), got {r_max}")
-    c = None if deriv.coeffs is None else np.asarray(deriv.coeffs)
-    key = (deriv.kind, deriv.gamma, None if c is None else (c.dtype.str, c.tobytes()), r_max)
-    if _LAST_SUP is not None and _LAST_SUP[0] == key:
-        r, v = _LAST_SUP[1]
-        if np.asarray(tau_prof(r), dtype=float).tobytes() == v.tobytes():
-            return _LAST_SUP[2]
+    key = _family_key(deriv, r_max)
+    sup = _FAMILY.get(key, "sup", tau_prof)
+    if sup is not None:
+        return sup
     reads = []
     u_max = -np.log1p(-r_max)
 
     def keep(sup):
-        global _LAST_SUP
-        _LAST_SUP = (key, tuple(np.concatenate(a) for a in zip(*reads)), sup)
-        return sup
+        return _FAMILY.keep(key, "sup", *(np.concatenate(a) for a in zip(*reads)), sup)
 
     def peak(u_arr, theta, rows=None):
         """The grid's first maximum of tau|phi'|, as np.argmax picks it,
@@ -872,7 +832,7 @@ def bloch_norm(tau_prof, deriv, r_max=None):
     theta = None if deriv.is_radial else _theta_cells(deriv, r_max, 0)[0]
     rows = None
     if theta is not None and deriv.kind == "poly":
-        kept = _MEMO.get(LevelField(tau_prof, deriv, r_max, 1)._key())
+        kept = _FAMILY.get(key, ("field", 1), tau_prof)
         if kept is not None:
             grid = kept._held[0][::2]
             step = _chunk_rows(grid.shape[1])

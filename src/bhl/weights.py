@@ -632,7 +632,7 @@ _TAU_VALIDATE_TOL = 1e-6
 
 
 def tau_profile(w, mt, tail_tol=1e-12):
-    """Memoized tau with monotone-spline evaluation between grid nodes.
+    """Memoized tau with cubic-spline (not-a-knot) evaluation between grid nodes.
 
     Caches log ||K_r||^2 against u = log(1/(1-r)) on a uniform u-grid out
     to the largest radius the kernel series supports at the table's
@@ -653,18 +653,14 @@ def tau_profile(w, mt, tail_tol=1e-12):
             break
         u_hi += _TAU_GRID_STEP
     u = np.arange(0.0, u_hi + 0.5 * _TAU_GRID_STEP, _TAU_GRID_STEP)
-    # the monotone spline estimates edge derivatives one-sidedly with h^2
-    # error, so refine the first and last interval
-    edge = _TAU_GRID_STEP * np.array([0.125, 0.25, 0.5, 0.75])
-    u = np.unique(np.concatenate([u, edge, u[-1] - edge]))
     r_grid = 1.0 - np.exp(-u)
     log_k = np.array(
         [_log_kernel_norm_sq(mt, ri, tail_tol) if ri > 0.0 else -mt.log_values[0]
          for ri in r_grid]
     )
-    from scipy.interpolate import PchipInterpolator
+    from scipy.interpolate import CubicSpline
 
-    spline = PchipInterpolator(u, log_k, extrapolate=False)
+    spline = CubicSpline(u, log_k, bc_type="not-a-knot", extrapolate=False)
     r_hi = float(r_grid[-1])
     u_last = float(u[-1])
 

@@ -23,12 +23,10 @@ def explog11():
 
 
 @pytest.fixture(autouse=True)
-def _clear_field_memo():
-    # level_measure keeps the fields of its last call family and
-    # bloch_norm its last sup; a test that counts field builds must not
-    # depend on what an earlier test kept
-    rearrangement._MEMO.clear()
-    rearrangement._LAST_SUP = None
+def _clear_kept_family():
+    # the rearrangement layer keeps the fields, sup and R+ level of its
+    # last call family; a test that counts field builds must not depend
+    # on what an earlier test kept
+    rearrangement._FAMILY.clear()
     yield
-    rearrangement._MEMO.clear()
-    rearrangement._LAST_SUP = None
+    rearrangement._FAMILY.clear()

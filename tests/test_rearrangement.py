@@ -1,4 +1,3 @@
-import functools
 import tracemalloc
 import warnings
 
@@ -302,14 +301,18 @@ def _ce_profile():
 
 
 def _kept_bytes():
-    return sum(field.nbytes for field in rearrangement._MEMO.values())
+    return sum(field.nbytes for field in rearrangement._FAMILY.fields())
+
+
+def _forget():
+    rearrangement._FAMILY.clear()
 
 
 def _ce_sweep(clear):
     out = []
     for t in np.logspace(-3, -1, 13):
         if clear:
-            rearrangement._MEMO.clear()
+            _forget()
         R = level_measure(_ce_profile(), SymbolDerivative.ce_family(1.5), float(t), 0.99)
         out.append((float(R), R.level, R.refine_error, R.r_max_delta))
     return out
@@ -346,9 +349,9 @@ def test_level_measure_builds_a_family_once(monkeypatch):
     built.clear()
     level_measure(_ce_profile(), SymbolDerivative.ce_family(1.5), 0.02, 0.99)
     assert built == [] and _kept_bytes() == kept
-    # a call of another family clears the memo before it keeps its own
+    # a call of another family clears the kept family before it keeps its own
     level_measure(TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 1.0]), 0.5, 0.99)
-    assert {key[0] for key in rearrangement._MEMO} == {"poly"}
+    assert rearrangement._FAMILY.key[0] == "poly"
     built.clear()
     level_measure(_ce_profile(), ce, 0.02, 0.99)
     assert len(built) == 3, built
@@ -367,13 +370,13 @@ def test_level_measure_streams_a_field_over_the_memo_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(rearrangement._MEMO) == 2 and _kept_bytes() == kept
+    assert len(rearrangement._FAMILY.fields()) == 2 and _kept_bytes() == kept
     assert peak < 2 * 2**20, peak
 
 
 def test_level_measure_kept_arrays_refuse_writes(tau0):
     level_measure(tau0, SymbolDerivative.polynomial([1.0, 1.0]), 0.5, 0.99)
-    blocks = [block for field in rearrangement._MEMO.values() for block in field.blocks()]
+    blocks = [block for field in rearrangement._FAMILY.fields() for block in field.blocks()]
     assert blocks
     for wts, f in blocks:
         with pytest.raises(ValueError):
@@ -515,9 +518,9 @@ def test_rearrangement_plus_keeps_its_family(monkeypatch):
     tau, ce, xs = TauProfile.ce(1.0), SymbolDerivative.ce_family(1.5), (0.9, 0.9, 3.0)
     fresh = []
     for x in xs:
-        rearrangement._MEMO.clear()
+        _forget()
         fresh.append(rearrangement_plus(tau, ce, x, 0.9))
-    rearrangement._MEMO.clear()
+    _forget()
     built = _record_field_builds(monkeypatch)
     kept = [rearrangement_plus(tau, ce, xs[0], 0.9)]
     # levels 0 and 1 (385 x 1,025 and 769 x 2,049) besides bloch_norm's grids
@@ -544,7 +547,7 @@ def test_rplus_and_trace_read_the_kept_family(monkeypatch):
     tr = trace_integral(*_poly_family(), lambda x: np.asarray(x) ** 2, 0.99)
     # bloch_norm's sup grid and zooms only: 256 x 1,025 and 512 x 2,049 are kept
     assert [(m, n) for m, n in built if n == 4 * m + 1] == [], built
-    rearrangement._MEMO.clear()
+    _forget()
     assert rearrangement_plus(*_poly_family(), float(R), 0.99) == rp
     assert trace_integral(*_poly_family(), lambda x: np.asarray(x) ** 2, 0.99) == tr
 
@@ -565,11 +568,6 @@ _KEPT_CASES = {
     "poly": lambda: (TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.99),
     "ce": lambda: (TauProfile.ce(1.0), SymbolDerivative.ce_family(1.5), 0.99),
 }
-
-
-def _forget():
-    rearrangement._MEMO.clear()
-    rearrangement._LAST_SUP = None
 
 
 def _bits(result):
@@ -638,7 +636,7 @@ def test_kept_family_is_validated_by_value(monkeypatch):
     # one zoom radius off the coarse grid: the sup is recomputed (its
     # coarse grid read from the kept level-1 field, its zooms built), the
     # kept fields and R+ level are read
-    radii = rearrangement._LAST_SUP[1][0]
+    radii = rearrangement._FAMILY.items["sup"][0]
     zoom = _nudged(odd, np.setdiff1d(radii[2049:], radii[:2049])[-1])
     built.clear()
     probes.clear()
@@ -647,8 +645,22 @@ def test_kept_family_is_validated_by_value(monkeypatch):
     built.clear()
     assert rearrangement_plus(zoom, deriv, 3.0, r_max) == rp
     assert built == [] and T / 8.0 not in probes
-    rearrangement._LAST_SUP = None
+    rearrangement._FAMILY.items.pop("sup")
     assert bloch_norm(zoom, deriv, r_max=r_max) == T
+    # the outermost annulus radius, past r_max and so off every other
+    # item's radii: only the annulus is rebuilt, the level fields, the
+    # sup and the R+ level are read
+    level_measure(zoom, deriv, 0.5, r_max)
+    (ring, _, _), = [v for k, v in rearrangement._FAMILY.items.items() if k[0] == "annulus"]
+    edge = _nudged(zoom, ring[-1])
+    built.clear()
+    probes.clear()
+    R = level_measure(edge, deriv, 0.5, r_max)
+    assert bloch_norm(edge, deriv, r_max=r_max) == T
+    assert rearrangement_plus(edge, deriv, 3.0, r_max) == rp
+    assert built == [(512, len(ring))] and T / 8.0 not in probes, (built, probes)
+    _forget()
+    assert _bits(level_measure(edge, deriv, 0.5, r_max)) == _bits(R)
 
 
 def _record_calls(monkeypatch, name):
@@ -665,8 +677,8 @@ def _record_calls(monkeypatch, name):
 
 @pytest.mark.parametrize("case", ["poly", "ce"])
 def test_a_lookup_builds_nothing(case, monkeypatch):
-    # a call on the kept family builds no angular cells and no tile index,
-    # and R+ goes straight to its kept level: no probe at T/8
+    # a call on the kept family builds no angular cells and no level
+    # field, and R+ goes straight to its kept level: no probe at T/8
     tau, deriv, r_max = _KEPT_CASES[case]()
     _forget()
     level_measure(tau, deriv, 0.05, r_max)
@@ -675,21 +687,19 @@ def test_a_lookup_builds_nothing(case, monkeypatch):
     if case == "ce":
         assert kept == 8 * (385 * 1025 + 769 * 2049 + 769 * 310)
     cells = _record_calls(monkeypatch, "_theta_cells")
-    tiles = []
-    real = LevelField._nodes.func
+    fields = []
+    real = LevelField._setup
 
-    def nodes(field):
-        tiles.append(len(field._r))
-        return real(field)
+    def setup(field, *args):
+        fields.append(len(args[2]))
+        return real(field, *args)
 
-    index = functools.cached_property(nodes)
-    index.__set_name__(LevelField, "_nodes")
-    monkeypatch.setattr(LevelField, "_nodes", index)
+    monkeypatch.setattr(LevelField, "_setup", setup)
     probes = _record_probes(monkeypatch)
     level_measure(tau, deriv, 0.1, r_max)
     T = bloch_norm(tau, deriv, r_max=r_max)
     rearrangement_plus(tau, deriv, 1.0, r_max)
-    assert cells == [] and tiles == [], (cells, tiles)
+    assert cells == [] and fields == [], (cells, fields)
     assert T / 8.0 not in probes and _kept_bytes() == kept
 
 
@@ -952,7 +962,7 @@ def test_bloch_norm_reads_the_coarse_grid_from_a_kept_field(tau0, coeffs, monkey
     fresh = bloch_norm(tau0, deriv, r_max=0.99)
     assert fresh == _bloch_norm_reference(tau0, deriv, 0.99)
     level_measure(tau0, deriv, 0.5 * fresh, 0.99)
-    rearrangement._LAST_SUP = None
+    rearrangement._FAMILY.items.pop("sup")
     built = _record_field_builds(monkeypatch)
     assert bloch_norm(tau0, deriv, r_max=0.99) == fresh
     assert built == [(17, 17)] * 14, built

@@ -331,6 +331,23 @@ def test_tau_profile_explog_matches_direct(explog11):
     np.testing.assert_allclose(prof(rs), direct, rtol=2e-6)
 
 
+_PROFILE_WEIGHTS = [("standard", (a,)) for a in (0.0, 1.0, 2.5, 5.0, 10.0)] + [
+    ("explog", ab) for ab in ((1.0, 1.0), (1.0, 0.25), (2.0, 2.0))
+]
+
+
+@pytest.mark.parametrize("kind, params", _PROFILE_WEIGHTS, ids=[f"{k}{p}" for k, p in _PROFILE_WEIGHTS])
+def test_tau_profile_within_1e8_near_the_origin_and_out(kind, params):
+    # the spline's worst error sits in the first grid cells (r < 0.01),
+    # which tau_profile's 100 random validation radii rarely reach
+    w = getattr(RadialWeight, kind)(*params)
+    mt = compute_moments(w, 3000)
+    prof = tau_profile(w, mt)
+    rs = np.concatenate([np.linspace(0.0, 0.05, 21), np.linspace(0.05, prof.r_hi, 24)])
+    direct = np.array([tau(w, mt, r) for r in rs])
+    np.testing.assert_allclose(prof(rs), direct, rtol=1e-8, atol=0.0)
+
+
 def test_user_profile_domain_enforced():
     prof = TauProfile.user_supplied(lambda r: SP * (1.0 - np.asarray(r) ** 2))
     assert prof.provenance == "UserSupplied"
