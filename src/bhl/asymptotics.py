@@ -106,7 +106,7 @@ def _ce_circle_norm(deriv, r, p):
     _circle_norm, so large p does not overflow.
     """
     theta, wts = _theta_cells(deriv, r, 2)
-    vals = deriv.abs_grid(np.array([r]), theta)[:, 0]
+    vals = deriv.abs_grid(r, theta)
     scale = float(vals.max())
     return scale * float(wts @ (vals / scale) ** p / (2.0 * np.pi)) ** (1.0 / p)
 

@@ -20,20 +20,20 @@ its mass in a spike of angular width ~ (1-r) around theta = 0, so its
 angular mesh is log-graded toward the singular angle; a uniform mesh
 aliases the spike and converges to wrong answers while looking stable.
 
-A level field of at most _HOLD_BYTES (32 MiB) is held whole, built
-once as one read-only array.  level_measure, rearrangement_plus,
-trace_integral and bloch_norm reuse one kept family (_Family): for one
-symbol and r_max, each level's field, the annulus of the r_max check,
-the sup and R+'s level choice, each reused only while one tau call on
-the radii it read gives the same bits.  So a sweep over t or repeated
-R+ calls build each level's field once, a trace after them builds
-none, and a repeated R+ call goes straight to its level.
+A level field keeps at most a tile index, not its values: per angular
+row, the min and max of each run of _TILE radial cells (1/16 of its
+bytes), where that fits in _HOLD_BYTES; without one it streams.  R(t)
+reads only the tiles that t crosses, cell by cell (LevelField); R+
+inverts R exactly, piece by quadratic piece, on the cells that meet a
+narrowed bracket.  A trace needs every value and streams them.
 
-R(t) reads a level field through its tile index (LevelField), cell by
-cell only where t crosses a tile; R+ inverts R exactly, piece by
-quadratic piece, on the cells that meet a narrowed bracket.  For a
-polynomial symbol bloch_norm reads its coarse grid from a kept level-1
-field.
+Families are kept side by side (_Family): for each symbol and r_max,
+each level's field, the annulus of the r_max check, the sup and R+'s
+level choice, each reused only while one tau call on the radii it read
+gives the same bits, all within _HOLD_BYTES, the least recently used
+family dropped first.  So a sweep over t or repeated R+ calls build
+each level's index once, calls on other symbols in between keep it,
+and a repeated R+ call goes straight to its level.
 
 The (tau, delta)-lattice is closed-form: its centers are the points of
 rings delta*tau apart, and build_lattice verifies its covering and
@@ -42,7 +42,7 @@ measures its overlap on a ring grid eight times finer.
 
 from __future__ import annotations
 
-import mmap
+from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
@@ -67,24 +67,25 @@ _BLOCK_ELEMS = 2**14
 # bit of R(t) and the traces, does not depend on the chunk size
 _DOT_ROWS = 256
 
-# a level field is held (LevelField._hold) up to this many bytes, and
-# the kept family (_Family) holds at most this many in all;
-# the CE sweep keeps its levels 0 and 1 and the level-1 annulus
-# (17.7 MB), and a CE level 2 (50 MB) or a polynomial level 2 (33.6 MB)
-# streams, rebuilt per use.
-# A held field's tile ranges add 1/16 of its bytes (2 x 8 per 32 cells)
+# the kept families (_Family) keep at most this many bytes in all: each
+# field's tile index (2 x 8 bytes per row and _TILE cells, 1/16 of its
+# values) and per-node arrays, each other item's radii and tau, the
+# least recently used family dropped first; a field they do not keep
+# keeps its index for R+ only within what they leave, else it streams.
+# The README CE family keeps 1.3 MB for 17.7 MB of values, a CE level 2
+# field 3.1 MB for 50 MB; a level 4 field's index (50 MB) streams
 _HOLD_BYTES = 32 * 2**20
 
 # a level field's tile index keeps, per row, the min and max node value
 # of each run of this many u cells; on the CE level-1 field (769 x 2,049)
 # and the c = 0.3 polynomial field at most 1.6% of the tiles cross any
-# level, and R(t) reads only those cell by cell
+# level, and R(t) recomputes and reads only those, cell by cell
 _TILE = 32
 
 # LevelField.rplus narrows its bracket on the tiled R to this width in
 # log t before it gathers the cells that meet it; on the c = 0.3
-# polynomial level-1 field R+ peaked 5.5 MiB above the held field at
-# 2^-4 and 1.4 MiB at 2^-6, and took no longer at 2^-6 to 2^-10
+# polynomial level-1 field R+ peaked 5.5 MiB above the field's values
+# at 2^-4 and 1.4 MiB at 2^-6, and took no longer at 2^-6 to 2^-10
 _NARROW = 2.0**-6
 
 
@@ -143,28 +144,29 @@ class SymbolDerivative:
         if not self.is_radial:
             raise ValueError("symbol derivative modulus is not radial")
         r = np.asarray(r, dtype=float)
-        k = np.nonzero(self.coeffs)[0]
+        k = self.coeffs.nonzero()[0]
         if k.size == 0:
             return np.zeros_like(r)
         return np.abs(self.coeffs[k[0]]) * r ** int(k[0])
 
     def abs_grid(self, r, theta):
-        """|phi'| on an outer(theta, r) polar grid, boundary-stable.
+        """|phi'| at the points r e^(i theta), r and theta broadcast together.
 
-        For the Cauchy-type family w = 1 - z is assembled as
+        A polar grid passes (r[None, :], theta[:, None]).  Each value
+        depends on its own r and theta only, by the same arithmetic in
+        any shape.  For the Cauchy-type family w = 1 - z is assembled as
         (1-r) + 2 r sin^2(theta/2) - i r sin(theta), exact near z = 1
         where the naive difference cancels.
         """
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
         if self.kind == "poly":
-            z = r[None, :] * np.exp(1j * theta[:, None])
-            return np.abs(np.polyval(self.coeffs[::-1], z))
+            return np.abs(np.polyval(self.coeffs[::-1], r * np.exp(1j * theta)))
         # sin^2 of a tiny angle may underflow to 0 or a subnormal
         with np.errstate(under="ignore"):
-            rew = (2.0 * r)[None, :] * (np.sin(0.5 * theta) ** 2)[:, None]
+            rew = (2.0 * r) * np.sin(0.5 * theta) ** 2
             rew += 1.0 - r
-            imw = (-r)[None, :] * np.sin(theta)[:, None]
+            imw = -r * np.sin(theta)
         return self._ce_abs(rew, imw)
 
     @np.errstate(over="ignore", under="ignore", divide="ignore")
@@ -260,6 +262,16 @@ def _chunk_rows(columns):
     return max(1, _BLOCK_ELEMS // columns)
 
 
+def _tau_abs(deriv, r, tau, theta):
+    """tau|phi'| at r e^(i theta), broadcast together (theta None: a radial
+    modulus); elementwise, so a grid and a gather of its nodes agree."""
+    if theta is None:
+        return tau * deriv.radial_abs(r)
+    f = deriv.abs_grid(r, theta)
+    f *= tau
+    return f
+
+
 def _field_rows(deriv, r, tau, theta):
     """tau|phi'| on an outer(theta, r) polar grid, in chunks of rows.
 
@@ -267,14 +279,9 @@ def _field_rows(deriv, r, tau, theta):
     about _BLOCK_ELEMS values per chunk.  theta None stands for a
     radial modulus, which is one row.
     """
-    if theta is None:
-        yield 0, (tau * deriv.radial_abs(r))[None, :]
-        return
     rows = _chunk_rows(len(r))
-    for lo in range(0, len(theta), rows):
-        f = deriv.abs_grid(r, theta[lo : lo + rows])
-        f *= tau
-        yield lo, f
+    for lo in range(0, 1 if theta is None else len(theta), rows):
+        yield lo, _tau_abs(deriv, r[None, :], tau, None if theta is None else theta[lo : lo + rows, None])
 
 
 def _crossing_mass(f0, f1, d0, d1, du, t):
@@ -306,25 +313,23 @@ def _first_below(R, t, x):
 class LevelField:
     """tau|phi'| on the polar grid of one dyadic mesh level.
 
-    ``dens`` is dA/tau^2 per du dtheta along the u axis and ``blocks()``
-    gives (weights, field) pairs of cache-sized chunks of angular rows
-    (_BLOCK_ELEMS values each), field being tau|phi'| on those rows.  A
-    radial modulus is one row of weight 2 pi.  The blocks are built
-    lazily, one at a time, until ``_hold`` (which ``rplus`` calls)
-    keeps the whole field, once and only within _HOLD_BYTES, as one
-    read-only array written block by block; ``blocks()`` then yields
-    views of it.
+    ``dens`` is dA/tau^2 per du dtheta along the u axis; a radial
+    modulus is one row of weight 2 pi.  The field keeps none of its
+    values: ``blocks()`` builds (weights, field) pairs of cache-sized
+    chunks of angular rows (_BLOCK_ELEMS values each), one at a time.
 
     Each row's u cells are indexed in tiles of _TILE cells: per row and
     tile the min and max of the tile's nodes.  A tile whose min is above
     a level t counts whole (its mass depends on u only, one vector for
     all rows), a tile whose max is at or below it counts nothing, and
-    only the tiles that t crosses are read cell by cell.  A held field
-    holds its tile ranges; a streamed one computes them per block, by
-    the same arithmetic, so both give the same bits.
+    only the tiles that t crosses are read cell by cell.  ``_index``
+    keeps the tile index (1/16 of the field's bytes) where it fits in
+    what _HOLD_BYTES leaves, and the crossed tiles are recomputed by the
+    grid's elementwise arithmetic; without it each streamed chunk has
+    its own tile ranges.  Both give the same bits.
 
     A field depends on its symbol, r_max and level and on tau at its
-    radii ``_r`` only, which is what the kept family (_Family) checks.
+    radii ``_r`` only, which is what the kept families (_Family) check.
     """
 
     def __init__(self, tau_prof, deriv, r_max, level):
@@ -371,12 +376,14 @@ class LevelField:
             self._theta, self._wts = None, np.array([2.0 * np.pi])
         else:
             self._theta, self._wts = _theta_cells(deriv, r_max, level)
-        self._held = None
+        self._wts.flags.writeable = False
+        self._lo = self._hi = None
 
     @property
     def nbytes(self):
-        """The bytes of the whole field: rows x columns x 8."""
-        return len(self._wts) * len(self.dens) * 8
+        """The bytes of its arrays, the tile index counted before it is built."""
+        kept = sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
+        return kept + (16 * len(self._wts) * len(self._cell) if self._lo is None else 0)
 
     def _tile_ranges(self, f):
         """Each row's min and max node value over each tile of ``f``."""
@@ -387,124 +394,121 @@ class LevelField:
         np.maximum(hi, f[:, ends], out=hi)
         return lo, hi
 
+    def _index(self, room):
+        """Keep the tile index, built by one streamed pass and read-only,
+        if the field's bytes with it fit in ``room``; returns self."""
+        if self._lo is None and self.nbytes <= room:
+            lo, hi = np.empty((2, len(self._wts), len(self._cell)))
+            for a, f in _field_rows(self._deriv, self._r, self._tau, self._theta):
+                lo[a : a + len(f)], hi[a : a + len(f)] = self._tile_ranges(f)
+            lo.flags.writeable = hi.flags.writeable = False
+            self._lo, self._hi = lo, hi
+        return self
+
     def _chunks(self):
-        """(row weights, field, tile mins, tile maxes): the held field and
-        tiles whole, or chunk by chunk as the field streams."""
-        if self._held is not None:
-            return [(self._wts,) + self._held]
-        return ((wts, f) + self._tile_ranges(f) for wts, f in self.blocks())
+        """(first row, values or None, tile mins, tile maxes) of row chunks
+        of the kept index, or of the streamed field and its tile ranges."""
+        if self._lo is None:
+            for a, f in _field_rows(self._deriv, self._r, self._tau, self._theta):
+                yield (a, f) + self._tile_ranges(f)
+            return
+        rows = _chunk_rows(self._lo.shape[1])
+        for a in range(0, len(self._lo), rows):
+            yield a, None, self._lo[a : a + rows], self._hi[a : a + rows]
 
     def blocks(self):
-        """(weights, field) pairs of cache-sized row chunks: views of the
-        held field, or an iterator that builds them."""
-        if self._held is not None:
-            f = self._held[0]
-            rows = _chunk_rows(f.shape[1])
-            return ((self._wts[a : a + rows], f[a : a + rows]) for a in range(0, len(f), rows))
+        """(weights, field) pairs of cache-sized row chunks, built one at a time."""
         chunks = _field_rows(self._deriv, self._r, self._tau, self._theta)
         return ((self._wts[a : a + len(f)], f) for a, f in chunks)
 
-    def _hold(self):
-        """Keep the whole field, written chunk by chunk, and its tiles
-        read-only if the field fits in _HOLD_BYTES; returns self."""
-        if self._held is None and self.nbytes <= _HOLD_BYTES:
-            # its own anonymous map: a release unmaps it at once, where a
-            # malloc block this large raises glibc's mmap threshold and
-            # later arrays stay on the heap (geometry's peak RSS read
-            # 113-120 MiB that way, 110-111 MiB with chunked blocks).
-            # A private (Unix) map may take transparent huge pages, a shared
-            # one is shmem, where they are off by default: first-touching
-            # 12.6 MB took 4.0 ms in 523 faults, 10.1 ms in 3,078 shared
-            buf = mmap.mmap(-1, self.nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-            if hasattr(mmap, "MADV_HUGEPAGE"):
-                buf.madvise(mmap.MADV_HUGEPAGE)
-            shape = (len(self._wts), len(self._r))
-            f = np.frombuffer(buf, dtype=float).reshape(shape)
-            for a, chunk in _field_rows(self._deriv, self._r, self._tau, self._theta):
-                f[a : a + len(chunk)] = chunk
-            held = (f,) + self._tile_ranges(f)
-            for a in held + (self._wts,):
-                a.flags.writeable = False
-            self._held = held
-        return self
-
-    def _row_sum(self, per_row):
-        """Row weights times per-row values, over all rows, in _DOT_ROWS groups."""
-        I = np.concatenate(per_row)
+    def _row_sum(self, I):
+        """Row weights times per-row values I, over all rows, in _DOT_ROWS groups."""
         total = 0.0
         for lo in range(0, len(I), _DOT_ROWS):
             total += float(self._wts[lo : lo + _DOT_ROWS] @ I[lo : lo + _DOT_ROWS])
         return total
 
-    def _tile_nodes(self, f, ii, jj):
-        """The u node indices of tiles jj and the values of ``f`` there,
-        tile jj[k] of row ii[k] by row k, _TILE + 1 nodes each."""
-        nodes = self._nodes[jj]
-        return nodes, f.reshape(-1)[nodes + (ii * f.shape[1])[:, None]]
+    def _crossed(self, a, f, lo, hi, t_lo, t_hi):
+        """A chunk's per-row mass of its tiles above t_hi, the rows of its
+        tiles neither above t_hi nor at or below t_lo (a nan tile is one),
+        and runs of their (rows, tiles, u nodes, values), _TILE + 1 nodes
+        each: read from the chunk's values f, or computed where f is None,
+        about _BLOCK_ELEMS values per run (one empty run for none)."""
+        above = lo > t_hi
+        # a row's sum runs over its own tiles only, in the same order in
+        # any chunk, so the chunking moves no bit
+        I = np.where(above, self._tile_mass, 0.0).sum(axis=1)
+        off = hi <= t_lo
+        off |= above
+        ii, jj = (~off).nonzero()
+        step = len(ii) + 1 if f is not None else _chunk_rows(_TILE + 1)
 
-    def _tile_measure(self, f, lo, hi, t):
-        """Per-row integral of dens over {f > t} along u, on one chunk.
+        def run(i, j):
+            nodes = self._nodes[j]
+            if f is not None:
+                return i, j, nodes, f[i[:, None], nodes]
+            theta = None if self._theta is None else self._theta[a + i][:, None]
+            return i, j, nodes, _tau_abs(self._deriv, self._r[nodes], self._tau[nodes], theta)
+
+        return I, ii, (run(ii[b : b + step], jj[b : b + step]) for b in range(0, max(len(ii), 1), step))
+
+    def _tile_measure(self, a, f, lo, hi, t):
+        """Per-row integral of dens over {field > t} along u, on one chunk.
 
         Tiles above t count their whole mass; in the tiles t crosses
         each cell counts whole, by its linear crossing, or not at all.
         """
-        above = lo > t
-        # a row's sum runs over its own tiles only, in the same order in
-        # any chunk, so the chunking of a streamed field moves no bit
-        I = np.where(above, self._tile_mass, 0.0).sum(axis=1)
-        # crossed: neither above nor at or below t (a nan tile is crossed)
-        cross = hi <= t
-        cross |= above
-        ii, jj = np.divmod(np.flatnonzero(~cross), lo.shape[1])
+        I, ii, runs = self._crossed(a, f, lo, hi, t, t)
         if ii.size:
-            nodes, g = self._tile_nodes(f, ii, jj)
-            a = g > t
-            part = ((a[:, :-1] & a[:, 1:]) * self._cell[jj]).sum(axis=1)
-            xi, xc = np.divmod(np.flatnonzero(a[:, :-1] ^ a[:, 1:]), _TILE)
-            j = nodes[xi, xc]
-            cut = _crossing_mass(g[xi, xc], g[xi, xc + 1], self.dens[j], self.dens[j + 1], self.du, t)
-            part += np.bincount(xi, cut, minlength=len(ii))
-            I += np.bincount(ii, part, minlength=len(I))
+            parts = []
+            for i, j, nodes, g in runs:
+                gt = g > t
+                part = ((gt[:, :-1] & gt[:, 1:]) * self._cell[j]).sum(axis=1)
+                xi, xc = (gt[:, :-1] ^ gt[:, 1:]).nonzero()
+                n = nodes[xi, xc]
+                cut = _crossing_mass(g[xi, xc], g[xi, xc + 1], self.dens[n], self.dens[n + 1], self.du, t)
+                part += np.bincount(xi, cut, minlength=len(i))
+                parts.append(part)
+            I += np.bincount(ii, np.concatenate(parts), minlength=len(I))
         return I
 
     def measure(self, t):
         """R(t) on this level: the dA/tau^2 mass of {tau|phi'| > t}."""
-        return self._row_sum([self._tile_measure(f, lo, hi, t) for _, f, lo, hi in self._chunks()])
+        return self._row_sum(np.concatenate([self._tile_measure(*c, t) for c in self._chunks()]))
 
     def trace(self, h):
-        """int h(tau|phi'|) dA/tau^2 on this level."""
-        return self._row_sum([(np.asarray(h(f)) * self._wu).sum(axis=1) for _, f in self.blocks()])
+        """int h(tau|phi'|) dA/tau^2 on this level, over every value, streamed."""
+        per_row = [(np.asarray(h(f)) * self._wu).sum(axis=1) for _, f in self.blocks()]
+        return self._row_sum(np.concatenate(per_row))
 
     def _bracket_cells(self, t_lo, t_hi):
-        """The cells whose node range meets (t_lo, t_hi], read from the tiles.
+        """The cells whose node range meets (t_lo, t_hi), found from the tiles.
 
-        Returns the weighted mass of the cells with both nodes above
-        t_hi, which is whole at every t in the bracket, and an (8, k)
-        array of the k cells that meet it: their two node values, the
-        dens at those nodes, their row weight, their weighted whole
+        Returns the weighted mass of the cells with both nodes at or
+        above t_hi, which is whole at every t in the bracket, and an
+        (8, k) array of the k cells that meet it: their two node values,
+        the dens at those nodes, their row weight, their weighted whole
         mass, and their smaller and larger node value.  Cells with both
         nodes <= t_lo have no mass there.
         """
         full, parts = [], []
-        for wts, f, lo, hi in self._chunks():
-            above = lo > t_hi
-            I = np.where(above, self._tile_mass, 0.0).sum(axis=1)
-            off = hi <= t_lo
-            off |= above
-            ii, jj = np.divmod(np.flatnonzero(~off), lo.shape[1])
-            nodes, g = self._tile_nodes(f, ii, jj)
-            low = np.minimum(g[:, :-1], g[:, 1:])
-            high = np.maximum(g[:, :-1], g[:, 1:])
-            I += np.bincount(ii, ((low > t_hi) * self._cell[jj]).sum(axis=1), minlength=len(I))
+        for a, f, lo, hi in self._chunks():
+            I, ii, runs = self._crossed(a, f, lo, hi, t_lo, t_hi)
+            whole = []
+            for i, j, nodes, g in runs:
+                low = np.minimum(g[:, :-1], g[:, 1:])
+                high = np.maximum(g[:, :-1], g[:, 1:])
+                whole.append(((low >= t_hi) * self._cell[j]).sum(axis=1))
+                # a padded cell repeats the last node: flat, empty, never gathered
+                meets = (low < t_hi) & (high > t_lo) & (nodes[:, 1:] > nodes[:, :-1])
+                ci, cc = meets.nonzero()
+                n = nodes[ci, cc]
+                w = self._wts[a + i[ci]]
+                parts.append([g[ci, cc], g[ci, cc + 1], self.dens[n], self.dens[n + 1],
+                              w, w * self._cell[j[ci], cc], low[ci, cc], high[ci, cc]])
+            I += np.bincount(ii, np.concatenate(whole), minlength=len(I))
             full.append(I)
-            # a padded cell repeats the last node: flat, empty, never gathered
-            meets = (low <= t_hi) & (high > t_lo) & (nodes[:, 1:] > nodes[:, :-1])
-            ci, cc = np.divmod(np.flatnonzero(meets), _TILE)
-            j = nodes[ci, cc]
-            w = wts[ii[ci]]
-            parts.append([g[ci, cc], g[ci, cc + 1], self.dens[j], self.dens[j + 1],
-                          w, w * self._cell[jj[ci], cc], low[ci, cc], high[ci, cc]])
-        return self._row_sum(full), np.array([np.concatenate(p) for p in zip(*parts)])
+        return self._row_sum(np.concatenate(full)), np.array([np.concatenate(p) for p in zip(*parts)])
 
     def rplus(self, x, t_max):
         """R+(x) = sup { t : R(t) >= x } on this level.
@@ -528,7 +532,7 @@ class LevelField:
             raise ValueError(f"rplus needs 0 <= t_max < inf, got {t_max}")
         if t_max == 0.0:
             return 0.0
-        R = self._hold().measure
+        R = self._index(_HOLD_BYTES - _FAMILY.nbytes).measure
         t_hi = t_max * (1.0 + 1e-9)
         r_hi = R(t_hi)
         if r_hi >= x:
@@ -610,46 +614,56 @@ class LevelField:
 
 
 class _Family:
-    """The kept family: what the calls on one symbol and r_max reuse.
+    """The kept families: what the calls on each symbol and r_max reuse.
 
-    Each item (a level's field, an annulus, the sup, an R+ level choice)
-    is kept with the radii it read and tau on them, and is reused only
-    while one tau call on those radii, concatenated, gives the same
-    bits; tau must act elementwise, as a radial profile does.  A miss
-    replaces only that item, keeping an item for another (symbol, r_max)
-    starts afresh, and the held fields stay within _HOLD_BYTES in all.
+    A family is keyed by its symbol and r_max, by value.  Each item (a
+    level's field, an annulus, the sup, an R+ level choice) is kept with
+    the radii it read and tau on them, and is reused only while one tau
+    call on those radii, concatenated, gives the same bits; tau must act
+    elementwise, as a radial profile does.  A miss replaces only that
+    item.  Families are kept side by side within _HOLD_BYTES (``nbytes``,
+    a running total: a field counts its nbytes, index included, another
+    item its radii and tau): a keep drops the least recently used other
+    families until the item fits, if it can; a kept field keeps its index.
     """
 
     def __init__(self):
         self.clear()
 
     def clear(self):
-        self.key, self.items = None, {}
-
-    def fields(self):
-        """The kept level fields and annuli."""
-        return [item for _, _, item in self.items.values() if isinstance(item, LevelField)]
+        # key -> {name: (r, tau, item)}, the least recently used first
+        self.families = OrderedDict()
+        self.nbytes = 0
 
     def get(self, key, name, tau_prof):
         """Item ``name`` of family ``key`` if tau_prof gives its bits, else None."""
-        if key != self.key or name not in self.items:
+        items = self.families.get(key)
+        if items is None or name not in items:
             return None
-        r, tau, item = self.items[name]
+        self.families.move_to_end(key)
+        r, tau, item = items[name]
         return item if np.asarray(tau_prof(r), dtype=float).tobytes() == tau.tobytes() else None
 
     def keep(self, key, name, r, tau, item):
         """Keep ``item`` as ``name`` of family ``key``, read from radii r
-        with these tau values; a level field only held, and only if it
-        fits in _HOLD_BYTES with the others.  Returns ``item``."""
-        if key != self.key:
-            self.key, self.items = key, {}
-        self.items.pop(name, None)
-        if isinstance(item, LevelField):
-            if sum(f.nbytes for f in self.fields()) + item.nbytes > _HOLD_BYTES:
-                return item
-            item._hold()
-        self.items[name] = (r, tau, item)
+        with these tau values, if it fits in _HOLD_BYTES.  Returns ``item``."""
+        items = self.families.setdefault(key, {})
+        self.families.move_to_end(key)
+        if name in items:
+            self.nbytes -= _item_bytes(*items.pop(name))
+        need = _item_bytes(r, tau, item)
+        while self.nbytes + need > _HOLD_BYTES and len(self.families) > 1:
+            self.nbytes -= sum(_item_bytes(*v) for v in self.families.popitem(last=False)[1].values())
+        if self.nbytes + need <= _HOLD_BYTES:
+            if isinstance(item, LevelField):
+                item._index(_HOLD_BYTES - self.nbytes)
+            items[name] = (r, tau, item)
+            self.nbytes += need
         return item
+
+
+def _item_bytes(r, tau, item):
+    return item.nbytes if isinstance(item, LevelField) else r.nbytes + tau.nbytes
 
 
 _FAMILY = _Family()
@@ -729,10 +743,10 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4):
 
     The mesh level L is the first one on which R(T/8) converges to
     rel_tol, T the sup of tau|phi'|; LevelField.rplus then inverts R on
-    that one level, held if it fits in _HOLD_BYTES.  The level fields
-    and the choice of L (by T and rel_tol, read from the radii of levels
-    0 .. L) are items of the kept family (_Family), so a repeated call
-    goes straight to a kept level L.
+    that one level.  The level fields and the choice of L (by T and
+    rel_tol, read from the radii of levels 0 .. L) are items of the
+    kept family (_Family), so a repeated call goes straight to a kept
+    level L.
     """
     if not x > 0.0:
         raise ValueError(f"rearrangement_plus needs x > 0, got {x}")
@@ -743,27 +757,23 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4):
     level = _FAMILY.get(key, name, tau_prof)
     if level is not None:
         return _field(tau_prof, deriv, r_max, level).rplus(x, T)
-    field, reads = None, []
+    fields = []
 
     def measure(level):
-        nonlocal field
-        field = None  # release level - 1's field before level's is built
-        field = _field(tau_prof, deriv, r_max, level)
-        reads.append((field._r, field._tau))
-        return field._hold().measure(T / 8.0)
+        fields.append(_field(tau_prof, deriv, r_max, level))
+        return fields[-1].measure(T / 8.0)
 
     level = _refined(measure, rel_tol, 5)[2]
-    _FAMILY.keep(key, name, *(np.concatenate(a) for a in zip(*reads)), level)
-    return field.rplus(x, T)
+    _FAMILY.keep(key, name, *(np.concatenate(a) for a in zip(*((f._r, f._tau) for f in fields))), level)
+    return fields[-1].rplus(x, T)
 
 
 def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
     """int h(tau |phi'|) dA/tau^2 over {|z| <= r_max}.
 
     h must be increasing and convex with h(0) = 0; this is spot-checked
-    on a geometric sample, the caller owns the rest.  Level fields are
-    read from the kept family (_Family) where it holds them; the trace
-    keeps none.
+    on a geometric sample, the caller owns the rest.  The trace needs
+    every value, so it streams each level's field; it keeps no field.
     """
     h0 = float(h(np.asarray(0.0)))
     T = max(bloch_norm(tau_prof, deriv, r_max=r_max), 1e-300)
@@ -790,14 +800,11 @@ def bloch_norm(tau_prof, deriv, r_max=None):
     """sup over |z| <= r_max of tau(r) |phi'(z)|, by grid + local zoom.
 
     The coarse grid uses the same angular grading as the integrators,
-    then the running argmax is refined on shrinking windows.  For a
-    polynomial symbol the coarse grid is the even rows of the level-1
-    LevelField (its radii, and the angles of level 0), read from the
-    kept family (_Family) where it holds that field.
+    then the running argmax is refined on shrinking windows.
 
-    The sup is an item of the kept family, read from the coarse grid's
-    and each zoom's radii: with the same tau bits there the zooms run on
-    the same points.
+    The sup is an item of the kept family (_Family), read from the
+    coarse grid's and each zoom's radii: with the same tau bits there
+    the zooms run on the same points.
     """
     if r_max is None:
         r_max = min(tau_prof.r_hi, 1.0 - 1e-9)
@@ -813,14 +820,13 @@ def bloch_norm(tau_prof, deriv, r_max=None):
     def keep(sup):
         return _FAMILY.keep(key, "sup", *(np.concatenate(a) for a in zip(*reads)), sup)
 
-    def peak(u_arr, theta, rows=None):
+    def peak(u_arr, theta):
         """The grid's first maximum of tau|phi'|, as np.argmax picks it,
-        and its (row, column); ``rows`` gives the grid's chunks when they
-        are held already."""
+        and its (row, column)."""
         r = -np.expm1(-u_arr)
         reads.append((r, np.asarray(tau_prof(r), dtype=float)))
         best, at = -np.inf, None
-        for lo, f in rows or _field_rows(deriv, r, reads[-1][1], theta):
+        for lo, f in _field_rows(deriv, r, reads[-1][1], theta):
             k = int(np.argmax(f))
             # a later chunk wins only when strictly larger
             if f.flat[k] > best:
@@ -830,14 +836,7 @@ def bloch_norm(tau_prof, deriv, r_max=None):
 
     u = np.linspace(0.0, u_max, 2049)
     theta = None if deriv.is_radial else _theta_cells(deriv, r_max, 0)[0]
-    rows = None
-    if theta is not None and deriv.kind == "poly":
-        kept = _FAMILY.get(key, ("field", 1), tau_prof)
-        if kept is not None:
-            grid = kept._held[0][::2]
-            step = _chunk_rows(grid.shape[1])
-            rows = [(lo, grid[lo : lo + step]) for lo in range(0, len(grid), step)]
-    best, (it, iu) = peak(u, theta, rows)
+    best, (it, iu) = peak(u, theta)
     if best == 0.0:
         return keep(0.0)
     cu = u[iu]

@@ -222,7 +222,7 @@ def _ce_circle_terms(deriv, j):
     """The nodes' weights and |phi'| of the Cauchy-type branch's circle 1 - 2^-j."""
     r = -np.expm1(j * np.log(0.5))
     theta, wts = _theta_cells(deriv, r, 2)
-    return r, wts, deriv.abs_grid(np.array([r]), theta)[:, 0]
+    return r, wts, deriv.abs_grid(r, theta)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
