@@ -25,6 +25,26 @@ import numpy as np
 from .errors import LogConvexityError, WeightDomainError
 
 
+def horner(coeffs, z):
+    """sum_k coeffs[k] z^k (constant first) by Horner's rule, in place.
+
+    Starts from the leading coefficient and takes one multiply and one
+    add per further coefficient on a single buffer, the arithmetic of
+    np.polyval(coeffs[::-1], z) and its bits (np.polyval starts from
+    0 * z, which adds only a zero's sign for finite z) without its two
+    temporaries per step.  A scalar z goes to np.polyval itself: numpy
+    rounds a complex product of scalars differently from its array loop.
+    """
+    z = np.asarray(z)
+    if z.ndim == 0:
+        return np.polyval(coeffs[::-1], z)
+    y = np.full(z.shape, coeffs[-1], dtype=np.result_type(coeffs, z))
+    for c in coeffs[-2::-1]:
+        y *= z
+        y += c
+    return y
+
+
 class PolynomialSymbol:
     """phi(z) = sum_{k=1}^d c_k z^k; no constant term.
 
@@ -47,7 +67,7 @@ class PolynomialSymbol:
 
     def __call__(self, z):
         z = np.asarray(z)
-        return z * np.polyval(self.coeffs[::-1], z)
+        return z * horner(self.coeffs, z)
 
     def derivative_coeffs(self):
         """Coefficients of phi' as a plain polynomial, constant first."""

@@ -23,9 +23,13 @@ aliases the spike and converges to wrong answers while looking stable.
 A level field keeps at most a tile index, not its values: per angular
 row, the min and max of each run of _TILE radial cells (1/16 of its
 bytes), where that fits in _HOLD_BYTES; without one it streams.  R(t)
-reads only the tiles that t crosses, cell by cell (LevelField); R+
-inverts R exactly, piece by quadratic piece, on the cells that meet a
-narrowed bracket.  A trace needs every value and streams them.
+reads only the tiles that t crosses, cell by cell (LevelField).  R+
+takes its bracket from bounds on R: each tile's whole mass binned by
+its min and by its max, at log-spaced edges _NARROW apart, bounds R
+from below and above at every edge.  Where the tiles that meet the
+bracket hold more than _BLOCK_ELEMS cells, regula falsi on R narrows it
+over the edges; R+ then inverts R exactly, piece by quadratic piece, on
+the cells that meet it.  A trace needs every value and streams them.
 
 Families are kept side by side (_Family): for each symbol and r_max,
 each level's field, the annulus of the r_max check, the sup and R+'s
@@ -48,6 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CoveringError, NonConvergedError, WeightDomainError
+from .hankel import horner
 
 
 # |w|^2 of the Cauchy-type kernel is a normal, finite double while
@@ -82,11 +87,20 @@ _HOLD_BYTES = 32 * 2**20
 # level, and R(t) recomputes and reads only those, cell by cell
 _TILE = 32
 
-# LevelField.rplus narrows its bracket on the tiled R to this width in
-# log t before it gathers the cells that meet it; on the c = 0.3
-# polynomial level-1 field R+ peaked 5.5 MiB above the field's values
-# at 2^-4 and 1.4 MiB at 2^-6, and took no longer at 2^-6 to 2^-10
+# LevelField.rplus bounds R at edges this far apart in log t and
+# narrows its bracket over them no further than one such bin; one bin
+# of the benchmark's non-radial level-1 field (phi' = 1 + 0.255z, seed
+# 0) meets 4,803 cells, under _BLOCK_ELEMS
 _NARROW = 2.0**-6
+
+# the edges: t_max (1 + 1e-9), above which R+ is not resolved, then
+# t_max e^(-k _NARROW) for k = 0, 1, .. down to the first below t_max 1e-15
+_EDGES = 2 + int(np.ceil(np.log(1e15) / _NARROW))
+
+# the bounds on R are widened by this relative margin, far above the
+# rounding of R's and their own sums of at most a few thousand
+# nonnegative terms in sequence, so that they bound R as computed
+_MARGIN = 1e-10
 
 
 class SymbolDerivative:
@@ -95,12 +109,24 @@ class SymbolDerivative:
     Use the classmethods ``polynomial`` (coefficients of phi', constant
     first), ``from_symbol`` (hankel.PolynomialSymbol), or ``ce_family``
     (phi'(z) = 1/((1-z) log^gamma(e/(1-z))), 1 < gamma < inf).
+    ``coeffs`` is a read-only copy; a radial modulus (``is_radial``, at
+    most one nonzero coefficient) is read off it once.
     """
 
     def __init__(self, kind, coeffs=None, gamma=None):
         self.kind = kind
-        self.coeffs = coeffs
         self.gamma = gamma
+        self.coeffs = None
+        # a radial modulus |c_k| r^k: the term's power k (None for the
+        # zero symbol) and |c_k|, found once
+        self.is_radial, self._power, self._scale = False, None, 0.0
+        if coeffs is not None:
+            self.coeffs = np.array(coeffs)
+            self.coeffs.flags.writeable = False
+            terms = np.flatnonzero(self.coeffs)
+            self.is_radial = kind == "poly" and len(terms) <= 1
+            if self.is_radial and len(terms):
+                self._power, self._scale = int(terms[0]), np.abs(self.coeffs[terms[0]])
 
     @classmethod
     def polynomial(cls, coeffs):
@@ -123,17 +149,11 @@ class SymbolDerivative:
             raise WeightDomainError(f"ce family needs 1 < gamma < inf, got gamma={gamma}")
         return cls("ce", gamma=float(gamma))
 
-    @property
-    def is_radial(self):
-        if self.kind != "poly":
-            return False
-        return np.count_nonzero(self.coeffs) <= 1
-
     def __call__(self, z):
         """|phi'(z)| at arbitrary complex points."""
         z = np.asarray(z, dtype=complex)
         if self.kind == "poly":
-            return np.abs(np.polyval(self.coeffs[::-1], z))
+            return np.abs(horner(self.coeffs, z))
         # w = 1 - z by parts (1 - Re z is exact near z = 1); [()] gives a
         # scalar for a scalar z, as the poly branch does
         zz = np.atleast_1d(z)
@@ -144,10 +164,9 @@ class SymbolDerivative:
         if not self.is_radial:
             raise ValueError("symbol derivative modulus is not radial")
         r = np.asarray(r, dtype=float)
-        k = self.coeffs.nonzero()[0]
-        if k.size == 0:
+        if self._power is None:
             return np.zeros_like(r)
-        return np.abs(self.coeffs[k[0]]) * r ** int(k[0])
+        return self._scale * r**self._power
 
     def abs_grid(self, r, theta):
         """|phi'| at the points r e^(i theta), r and theta broadcast together.
@@ -161,7 +180,7 @@ class SymbolDerivative:
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
         if self.kind == "poly":
-            return np.abs(np.polyval(self.coeffs[::-1], r * np.exp(1j * theta)))
+            return np.abs(horner(self.coeffs, r * np.exp(1j * theta)))
         # sin^2 of a tiny angle may underflow to 0 or a subnormal
         with np.errstate(under="ignore"):
             rew = (2.0 * r) * np.sin(0.5 * theta) ** 2
@@ -297,17 +316,27 @@ def _crossing_mass(f0, f1, d0, d1, du, t):
 
 
 def _first_below(R, t, x):
-    """The first double from t up at which R < x, for R nonincreasing:
-    steps up from t, doubling, while R >= x, then halves back."""
-    lo, step = None, np.spacing(t)
-    while R(t) >= x:
-        lo, t, step = t, t + step, 2.0 * step
-    while lo is not None and lo < (mid := 0.5 * (lo + t)) < t:
+    """The first double at which R < x, for R nonincreasing, from a guess
+    t: steps from t, doubling, up while R >= x or down while R < x, then
+    halves back between the last two steps."""
+    step = np.spacing(t)
+    lo, hi = (None, t) if R(t) < x else (t, None)
+    while lo is None:
+        if R(t := hi - step) >= x:
+            lo = t
+        else:
+            hi, step = t, 2.0 * step
+    while hi is None:
+        if R(t := lo + step) < x:
+            hi = t
+        else:
+            lo, step = t, 2.0 * step
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if R(mid) >= x:
             lo = mid
         else:
-            t = mid
-    return t
+            hi = mid
+    return hi
 
 
 class LevelField:
@@ -378,12 +407,15 @@ class LevelField:
             self._theta, self._wts = _theta_cells(deriv, r_max, level)
         self._wts.flags.writeable = False
         self._lo = self._hi = None
+        self._bounds, self._bounds_at = None, None
 
     @property
     def nbytes(self):
-        """The bytes of its arrays, the tile index counted before it is built."""
+        """The bytes of its arrays, the tile index and R+'s bounds counted
+        before they are built."""
         kept = sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
-        return kept + (16 * len(self._wts) * len(self._cell) if self._lo is None else 0)
+        kept += 16 * len(self._wts) * len(self._cell) if self._lo is None else 0
+        return kept + (5 * 8 * _EDGES if self._bounds is None else 0)
 
     def _tile_ranges(self, f):
         """Each row's min and max node value over each tile of ``f``."""
@@ -405,14 +437,15 @@ class LevelField:
             self._lo, self._hi = lo, hi
         return self
 
-    def _chunks(self):
+    def _chunks(self, rows=None):
         """(first row, values or None, tile mins, tile maxes) of row chunks
-        of the kept index, or of the streamed field and its tile ranges."""
+        of the kept index (``rows`` rows each, by default about
+        _BLOCK_ELEMS tiles), or of the streamed field and its tile ranges."""
         if self._lo is None:
             for a, f in _field_rows(self._deriv, self._r, self._tau, self._theta):
                 yield (a, f) + self._tile_ranges(f)
             return
-        rows = _chunk_rows(self._lo.shape[1])
+        rows = rows or _chunk_rows(self._lo.shape[1])
         for a in range(0, len(self._lo), rows):
             yield a, None, self._lo[a : a + rows], self._hi[a : a + rows]
 
@@ -510,21 +543,57 @@ class LevelField:
             full.append(I)
         return self._row_sum(np.concatenate(full)), np.array([np.concatenate(p) for p in zip(*parts)])
 
+    def _rbounds(self, t_max):
+        """Bounds on R at the _EDGES edges of t_max, from the tile index.
+
+        Returns a read-only (5, _EDGES) array: the edges e, from t_max
+        (1 + 1e-9) down; R_lower(e) <= R(e) <= R_upper(e), the weighted
+        whole mass of the tiles whose min, resp. max, is above e, widened
+        by _MARGIN; and the counts of those tiles.  Each tile's mass is
+        binned by the number of edges at or above its min and its max,
+        one streamed-size row chunk at a time for a kept index and a
+        streamed field alike, so both sum in one order to the same bits.
+        Kept for the last t_max.
+        """
+        if self._bounds_at != t_max:
+            edges = np.empty(_EDGES)
+            edges[0] = t_max * (1.0 + 1e-9)
+            edges[1:] = t_max * np.exp(-_NARROW * np.arange(_EDGES - 1))
+            down = -edges
+            bins = np.zeros((4, _EDGES + 1))
+            for a, _, lo, hi in self._chunks(_chunk_rows(len(self._r))):
+                mass = (self._wts[a : a + len(lo), None] * self._tile_mass).ravel()
+                for k, v in enumerate((lo, hi)):
+                    # a tile counts at every edge below its min (max)
+                    b = np.searchsorted(down, -v.ravel(), side="right")
+                    bins[k] += np.bincount(b, mass, _EDGES + 1)
+                    bins[k + 2] += np.bincount(b, minlength=_EDGES + 1)
+            bounds = np.vstack([edges, np.cumsum(bins[:, :-1], axis=1)])
+            bounds[1] *= 1.0 - _MARGIN
+            bounds[2] *= 1.0 + _MARGIN
+            bounds.flags.writeable = False
+            self._bounds, self._bounds_at = bounds, t_max
+        return self._bounds
+
     def rplus(self, x, t_max):
         """R+(x) = sup { t : R(t) >= x } on this level.
 
         t_max is the sup of tau|phi'| (bloch_norm).  R is the mass of
         the field's linear interpolant along u, the function that
         ``measure`` evaluates.  R+ is t_max (1 + 1e-9) where R there is
-        still >= x, and 0 where R < x even at t_max 2^-48, too deep
-        below the sup to resolve.
+        still >= x, and 0 where R < x even at the lowest edge, below
+        t_max 1e-15, too deep below the sup to resolve.
 
-        The tiled R narrows a bracket to a width of _NARROW in log t by
-        regula falsi on log R against log t (Illinois-modified: an end
-        kept twice has its log R - log x halved), by bisection while
-        R = 0 at the top.  Probes stay _NARROW/2 inside both ends, so
-        once the root is known that closely the next probe closes the
-        bracket.  ``_invert`` then finds the root exactly.
+        The bracket comes from bounds on R at log-spaced edges
+        (``_rbounds``), before R is evaluated at all: t_lo is the
+        highest edge where R_lower >= x, t_hi the lowest where R_upper
+        < x.  Where the tiles that meet it hold more than _BLOCK_ELEMS
+        cells, regula falsi on log R against log t (Illinois-modified:
+        an end kept twice has its log R - log x halved; bisection while
+        R = 0 at the top) narrows it over the edges between, evaluating
+        R there, until they hold at most that many or the bracket is one
+        edge step wide.  ``_invert`` then finds the root exactly on the
+        cells that meet it.
         """
         if not x > 0.0:
             raise ValueError(f"rplus needs x > 0, got {x}")
@@ -533,31 +602,36 @@ class LevelField:
         if t_max == 0.0:
             return 0.0
         R = self._index(_HOLD_BYTES - _FAMILY.nbytes).measure
-        t_hi = t_max * (1.0 + 1e-9)
-        r_hi = R(t_hi)
-        if r_hi >= x:
-            return t_hi
-        t_lo = t_max * 2.0**-10
-        while (r_lo := R(t_lo)) < x:
-            t_lo *= 0.25
-            if t_lo < t_max * 1e-15:
-                return 0.0
-        g_lo, g_hi, kept = np.log(r_lo / x), np.log(r_hi / x) if r_hi > 0.0 else -np.inf, 0
-        while (width := np.log(t_hi / t_lo)) > _NARROW:
-            s = 0.5 * width
-            if g_hi > -np.inf:
-                s = min(max(width * g_lo / (g_lo - g_hi), 0.5 * _NARROW), width - 0.5 * _NARROW)
-            t = t_lo * np.exp(s)
-            r = R(t)
+        edges, lower, upper, n_lo, n_hi = self._rbounds(t_max)
+        n = len(edges)
+        # R(edges[l]) >= x > R(edges[h]); h = -1 and l = n stand for an
+        # unknown R above the top edge and below the bottom one
+        h = int(np.searchsorted(upper, x, side="left")) - 1
+        l = int(np.searchsorted(lower, x, side="left"))
+        g_lo = np.log(lower[l] / x) if l < n else 0.0
+        g_hi = np.log(upper[h] / x) if h >= 0 and upper[h] > 0.0 else -np.inf
+        kept = 0
+        while l - h > 1 and (h < 0 or l == n or _TILE * (n_hi[l] - n_lo[h]) > _BLOCK_ELEMS):
+            if h < 0 or l == n:
+                j = 0 if h < 0 else n - 1
+            elif g_hi == -np.inf:
+                j = (h + l) // 2
+            else:
+                j = min(max(round(l - (l - h) * g_lo / (g_lo - g_hi)), h + 1), l - 1)
+            r = R(edges[j])
             if r >= x:
-                t_lo, g_lo = t, np.log(r / x)
+                l, g_lo = j, np.log(r / x)
                 g_hi *= 0.5 if kept < 0 else 1.0
                 kept = -1
             else:
-                t_hi, g_hi = t, np.log(r / x) if r > 0.0 else -np.inf
+                h, g_hi = j, np.log(r / x) if r > 0.0 else -np.inf
                 g_lo *= 0.5 if kept > 0 else 1.0
                 kept = 1
-        return float(_first_below(R, self._invert(x, t_lo, t_hi), x))
+        if h < 0:
+            return float(edges[0])
+        if l == n:
+            return 0.0
+        return float(_first_below(R, self._invert(x, edges[l], edges[h]), x))
 
     def _invert(self, x, t_lo, t_hi):
         """The root of R(t) = x in a bracket with R(t_lo) >= x > R(t_hi),
@@ -565,37 +639,43 @@ class LevelField:
 
         Between the sorted node values of those cells each cell is
         whole, empty or crossed, and a crossed cell's mass is quadratic
-        in t, so R is piecewise quadratic there.  A binary search over
-        the node values finds the piece where R falls below x, folding
-        the cells it decides (whole or empty on the rest of the bracket)
-        into the total, and the piece's quadratic gives the root.
-        rplus lets ``measure`` settle the last ulps: the two sums round
-        differently.
+        in t, so R is piecewise quadratic there.  A search over the node
+        values finds the piece where R falls below x: each round
+        evaluates R at once at as many of them as keep the (level, cell)
+        pairs within _BLOCK_ELEMS, evenly spaced (one, the middle, for
+        _BLOCK_ELEMS cells or more; all of them for a few dozen cells),
+        keeps the piece between two where R falls below x and folds the
+        cells it decides (whole or empty on that piece) into the total.
+        The piece's quadratic gives the root.  rplus lets ``measure``
+        settle the last ulps: the two sums round differently.
         """
         full, cells = self._bracket_cells(t_lo, t_hi)
         du = self.du
 
-        def mass(t):
+        def mass(ts):
+            """R at each level of ts, from the cells left and the total."""
             f0, f1, d0, d1, w, wm = cells[:6]
-            a0 = f0 > t
-            a1 = f1 > t
-            c = a0 != a1
-            cut = _crossing_mass(f0[c], f1[c], d0[c], d1[c], du, t)
-            return full + float((a0 & a1) @ wm) + float(w[c] @ cut)
+            a0 = f0 > ts[:, None]
+            a1 = f1 > ts[:, None]
+            ti, ci = (a0 != a1).nonzero()
+            cut = w[ci] * _crossing_mass(f0[ci], f1[ci], d0[ci], d1[ci], du, ts[ti])
+            return full + (a0 & a1) @ wm + np.bincount(ti, cut, len(ts))
 
         knots = np.unique(cells[:2])
         knots = knots[(knots > t_lo) & (knots < t_hi)]
-        i, j = 0, len(knots)
-        while i < j:
-            m = (i + j) // 2
-            if mass(knots[m]) >= x:
-                t_lo, i = knots[m], m + 1
-                cells = cells[:, cells[7] > t_lo]  # empty from t_lo on
-            else:
-                t_hi, j = knots[m], m
-                whole = cells[6] >= t_hi  # whole below t_hi
-                full += float(cells[5, whole].sum())
-                cells = cells[:, ~whole]
+        while len(knots):
+            n = len(knots)
+            m = min(n, max(1, _BLOCK_ELEMS // cells.shape[1]))
+            # m probes that split the knots into m + 1 runs of near equal length
+            probes = knots[np.arange(1, m + 1) * (n + 1) // (m + 1) - 1]
+            below = mass(probes) < x
+            i = int(below.argmax()) if below.any() else m  # the first probe below x
+            t_lo = probes[i - 1] if i > 0 else t_lo
+            t_hi = probes[i] if i < m else t_hi
+            knots = knots[(knots > t_lo) & (knots < t_hi)]
+            whole = cells[6] >= t_hi  # whole below t_hi
+            full += float(cells[5, whole].sum())
+            cells = cells[:, ~whole & (cells[7] > t_lo)]  # and empty from t_lo on
         # each cell left crosses the whole piece [t_lo, t_hi): with a its
         # node above, s = (f_a - t)/(f_a - f_b) of it lies above t, and
         # its mass is du/2 (2 d_a s + (d_b - d_a) s^2)
@@ -610,7 +690,12 @@ class LevelField:
         # the smaller root of c0 - b h + a h^2, in its cancellation-free form
         den = b + np.sqrt(max(b * b - 4.0 * a * c0, 0.0))
         t = t_lo if c0 <= 0.0 else (t_hi if den <= 0.0 else min(t_lo + 2.0 * c0 / den, t_hi))
-        return _first_below(lambda t: mass(t) if t < t_hi else -np.inf, t, x)
+
+        def piece(t):
+            # R >= x at t_lo and R < x at t_hi, whatever the cells' sums give
+            return np.inf if t < t_lo else (mass(np.array([t]))[0] if t < t_hi else -np.inf)
+
+        return _first_below(piece, t, x)
 
 
 class _Family:

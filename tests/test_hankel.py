@@ -29,6 +29,41 @@ def test_symbol_validation_and_derivative():
             PolynomialSymbol(bad)
 
 
+_HORNER_COEFFS = {
+    "deg0": [0.7],
+    "deg1": [1.0, 0.6],
+    "deg3-real": [0.3, -1.2, 0.0, 2.5],
+    "deg6-real": [1.0, -0.5, 0.25, 3.0, -2.0, 0.125, 0.75],
+    "deg1-complex": [1.0, 0.3 + 0.4j],
+    "deg3-complex": [1.0 - 1j, 0.3 + 0.4j, -0.2j, 0.5],
+    "deg6-complex": [0.1j, 1.0, -0.5 + 0.5j, 0.0, 2.0, -1j, 0.3 - 0.2j],
+    "zero-leading": [1.0, 2.0, 0.0],
+    "zero-leading-complex": [1.0j, 2.0, 0.0],
+}
+
+
+@pytest.mark.parametrize("case", list(_HORNER_COEFFS))
+def test_horner_gives_the_bits_of_polyval(case):
+    # the in-place kernel starts from the leading coefficient; np.polyval
+    # starts from 0 * z, which moves no bit for finite z
+    c = np.asarray(_HORNER_COEFFS[case])
+    rng = np.random.default_rng(5)
+    r, theta = rng.uniform(0.0, 1.0, (64, 1)), rng.uniform(0.0, 2.0 * np.pi, (1, 129))
+    grid = r * np.exp(1j * theta)
+    for z in (grid, grid.real, np.zeros(5), np.zeros(5, complex), 0.0, 0j, 0.37 - 0.21j):
+        got, ref = hankel.horner(c, z), np.polyval(c[::-1], z)
+        assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+        assert np.asarray(got).dtype == np.asarray(ref).dtype
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (case, z)
+
+
+def test_symbol_call_keeps_the_polyval_bits():
+    s = PolynomialSymbol([0.5, 1.0 - 2.0j, 0.25])
+    z = np.exp(1j * np.linspace(0.0, 6.0, 33)) * np.linspace(0.0, 0.99, 33)
+    assert s(z).tobytes() == (z * np.polyval(s.coeffs[::-1], z)).tobytes()
+    assert s(0.5) == 0.5 * np.polyval(s.coeffs[::-1], 0.5)
+
+
 def test_hz_squared_closed_form(std0):
     # alpha=0: m_w(n)^2 = 1/((n+1)(n+2))
     hz2 = hz_squared_sequence(std0, 2000)

@@ -1,5 +1,7 @@
+import importlib.util
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,22 @@ def test_symbol_derivative_basics():
     df = SymbolDerivative.from_symbol(PolynomialSymbol([1.0, 1.0]))  # phi' = 1 + 2z
     np.testing.assert_allclose(df.abs_grid(0.5, np.array([1.0]))[0],
                                abs(1.0 + 2.0 * 0.5 * np.exp(1.0j)), rtol=1e-14)
+
+
+def test_symbol_derivative_keeps_its_radial_term_and_a_read_only_copy():
+    own = np.array([0.0, 0.0, -3.0 + 4.0j])
+    d = SymbolDerivative.polynomial(own)
+    assert d.is_radial and own.flags.writeable
+    with pytest.raises(ValueError):
+        d.coeffs[0] = 1.0
+    r = np.linspace(0.0, 1.0, 9)
+    assert d.radial_abs(r).tobytes() == (np.abs(own[2]) * r**2).tobytes()
+    zero = SymbolDerivative.polynomial([0.0, 0.0])
+    assert zero.is_radial and zero.radial_abs(r).tobytes() == np.zeros(9).tobytes()
+    assert not SymbolDerivative.polynomial([1.0, 0.5]).is_radial
+    assert not SymbolDerivative.ce_family(1.5).is_radial
+    with pytest.raises(ValueError, match="not radial"):
+        SymbolDerivative.polynomial([1.0, 0.5]).radial_abs(r)
 
 
 def test_ce_family_domain_and_stability():
@@ -916,6 +934,100 @@ def test_streamed_field_gives_the_held_bits(tau0, case, monkeypatch):
     monkeypatch.setattr(rearrangement, "_HOLD_BYTES", 0)
     streamed = LevelField(tau, deriv, r_max, level)
     assert run(streamed) == indexed and streamed._lo is None
+
+
+@pytest.mark.parametrize("case", ["ce", "c=0.3", "radial"])
+def test_rplus_bounds_hold_at_every_edge(tau0, case):
+    # R_lower <= R <= R_upper at each of the _EDGES edges, R as measure
+    # computes it, and the tile counts are those of the index
+    tau, deriv, r_max, level = _field_case(tau0, case)
+    field = LevelField(tau, deriv, r_max, level)._index(rearrangement._HOLD_BYTES)
+    T = bloch_norm(tau, deriv, r_max=r_max)
+    edges, lower, upper, n_lo, n_hi = field._rbounds(T)
+    assert len(edges) == rearrangement._EDGES and edges[1] == T and edges[-1] <= 1e-15 * T
+    assert np.all(np.diff(edges) < 0.0) and edges[0] == T * (1.0 + 1e-9)
+    R = np.array([field.measure(e) for e in edges])
+    assert np.all(lower <= R) and np.all(R <= upper)
+    # the bounds are tight where the edge crosses few tiles
+    assert lower[-1] > 0.0 and upper[-1] <= (1.0 + 1e-9) * lower[-1]
+    assert [list(n_lo), list(n_hi)] == [[np.count_nonzero(a > e) for e in edges] for a in (field._lo, field._hi)]
+    assert field._rbounds(T) is field._rbounds(T) and not field._rbounds(T).flags.writeable
+
+
+@pytest.mark.parametrize("case", ["ce", "c=0.3", "radial"])
+def test_rplus_bounds_of_a_streamed_field_are_the_indexed_bits(tau0, case):
+    tau, deriv, r_max, level = _field_case(tau0, case)
+    T = bloch_norm(tau, deriv, r_max=r_max)
+    indexed = LevelField(tau, deriv, r_max, level)._index(rearrangement._HOLD_BYTES)
+    streamed = LevelField(tau, deriv, r_max, level)
+    assert indexed._lo is not None and streamed._lo is None
+    assert indexed._rbounds(T).tobytes() == streamed._rbounds(T).tobytes()
+    # the bounds are counted in nbytes before they are built
+    assert indexed.nbytes == LevelField(tau, deriv, r_max, level).nbytes
+
+
+def test_rplus_measures_an_end_edge_its_bounds_leave_open(tau0, dz):
+    # the top edge, t_max (1 + 1e-9), or the bottom one, t_max
+    # e^(-2211 / 64), put near node 300 so that its tile straddles it:
+    # for x between R_lower and R_upper there R is evaluated, and R+ is
+    # that edge, 0, or the first double where R < x
+    field = LevelField(tau0, dz, 1.0 - 1e-5, 0)
+    f = next(field.blocks())[1][0]  # one row, decreasing along u
+    for t_max, end in ((f[300], 0), (f[300] * np.exp(2211.0 / 64.0), -1)):
+        edges, lower, upper, _, _ = field._rbounds(t_max)
+        e = edges[end]
+        assert f[320] < e < f[288]
+        R = field.measure(e)
+        assert lower[end] < R < upper[end]
+        above = np.nextafter(R, np.inf)
+        if end == 0:
+            assert field.rplus(R, t_max) == e
+            xs = [above, 0.5 * (R + upper[0])]
+        else:
+            assert field.rplus(above, t_max) == 0.0
+            xs = [R, 0.5 * (R + lower[-1])]
+        for x in xs:
+            rp = field.rplus(x, t_max)
+            assert field.measure(rp) < x <= field.measure(np.nextafter(rp, 0.0)), (end, x, rp)
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rplus_evaluates_r_few_times_on_the_geometry_ops(monkeypatch):
+    # the geometry benchmark's 60 radial R+ calls and its non-radial one
+    # (seed 0, second pass): R(t) evaluations per LevelField.rplus call,
+    # 9.9 and 10 when the bracket was searched probe by probe
+    workloads = _load_workloads()
+    ops = [op for op in workloads.build_ops("geometry", workloads.make_inputs("geometry", 0))
+           if op.name.startswith(("radial", "non-radial"))]
+    assert len(ops) == 61
+    for op in ops:
+        op.fn()
+    evals, calls = [], []
+    measure, rplus = LevelField.measure, LevelField.rplus
+
+    def counting_measure(self, t):
+        evals.append(t)
+        return measure(self, t)
+
+    def counting_rplus(self, x, t_max):
+        start = len(evals)
+        out = rplus(self, x, t_max)
+        calls.append(len(evals) - start)
+        return out
+
+    monkeypatch.setattr(LevelField, "measure", counting_measure)
+    monkeypatch.setattr(LevelField, "rplus", counting_rplus)
+    for op in ops:
+        op.fn()
+    assert len(calls) == 61
+    assert np.mean(calls[:60]) <= 3.5 and calls[60] <= 6, calls
 
 
 def test_rplus_of_a_constant_field_is_the_constant(dz):

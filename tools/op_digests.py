@@ -8,8 +8,11 @@ draws the workload's inputs from the seed and runs two passes over its
 operations (``workloads.run_op``).  Every operation's digest from both
 passes is compared, as hex floats, against the other checkout's; so is
 a failed operation's error type.  The script prints each operation
-whose outputs differ, with both sides' values, then one summary line,
-and exits with status 1 if any operation differs, 0 if none does.
+whose outputs differ, with both sides' values and the largest relative
+difference between them, then one summary line with the largest
+relative difference overall, and exits with status 1 if any operation
+differs, 0 if none does.  A difference that is not between two numbers
+(an error, a missing pass or value, an op only one side ran) is inf.
 ``--seeds A-B`` runs seeds A to B inclusive; ``--seeds A`` runs one.
 """
 
@@ -71,6 +74,34 @@ def differing(parent, change):
     return [n for n in names if parent.get(n) != change.get(n)]
 
 
+def _number(text):
+    """A digest entry as a float: a hex float, or the repr of a number."""
+    return float.fromhex(text) if "0x" in text else float(text)
+
+
+def largest_rel_diff(parent, change):
+    """The largest |a - b| / max(|a|, |b|) over one op's digests on both
+    sides (a list per pass); inf where an entry is not a number on both."""
+    if parent is None or change is None or len(parent) != len(change):
+        return float("inf")
+    worst = 0.0
+    for p_pass, c_pass in zip(parent, change):
+        if p_pass == c_pass:
+            continue
+        if len(p_pass) != len(c_pass) or "error" in p_pass[:1] + c_pass[:1]:
+            return float("inf")
+        for a, b in zip(p_pass, c_pass):
+            if a == b:
+                continue
+            try:
+                a, b = _number(a), _number(b)
+            except ValueError:
+                return float("inf")
+            scale = max(abs(a), abs(b))
+            worst = max(worst, abs(a - b) / scale if scale > 0.0 else float("inf"))
+    return worst
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -79,6 +110,7 @@ def main(argv=None):
     parser.add_argument("--seeds", required=True, type=_seeds, metavar="A-B")
     args = parser.parse_args(argv)
     total = ops = 0
+    worst = 0.0
     for seed in args.seeds:
         sides = [digests(p.resolve(), args.workload, seed) for p in (args.parent, args.change)]
         ops += len(sides[0])
@@ -87,8 +119,11 @@ def main(argv=None):
             print(f"seed {seed}: {name}")
             for label, side in zip(("parent", "change"), sides):
                 print(f"  {label}: {side.get(name)}")
+            rel = largest_rel_diff(*(side.get(name) for side in sides))
+            worst = max(worst, rel)
+            print(f"  largest relative difference: {rel:.3g}")
     print(f"{total} differing of {ops} ops over {len(args.seeds)} seeds "
-          f"({args.workload}, {PASSES} passes each)")
+          f"({args.workload}, {PASSES} passes each); largest relative difference {worst:.3g}")
     return 1 if total else 0
 
 
