@@ -196,6 +196,30 @@ def _legendre_nodes(n):
     return x, wx
 
 
+def _five_smooth(n):
+    """The smallest integer >= n with no prime factor above 5: a fast FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _theta_lengths(N, d):
+    """Angular node counts of the oracle's fine and coarse grids.
+
+    5-smooth lengths at or above 2(N + 2d) + 7 and 2(N + 2d) + 11, the
+    coarse one above the fine one where the two would meet: both clear
+    the exactness bound 2(N + 2d) + 1 and differ, so the coarse grid
+    still moves the angular rule.
+    """
+    fine = _five_smooth(2 * (N + 2 * d) + 7)
+    return fine, _five_smooth(max(2 * (N + 2 * d) + 11, fine + 1))
+
+
 def dense_gram_oracle(w, symbol, N):
     """Independent dense Gram section by two-dimensional polar quadrature.
 
@@ -208,7 +232,9 @@ def dense_gram_oracle(w, symbol, N):
 
     The trapezoid rule is exact for trigonometric polynomials below the
     grid's Nyquist order, which covers every angular frequency the
-    integrands contain once n_theta >= 2(N + 2d) + 1.
+    integrands contain once n_theta >= 2(N + 2d) + 1.  Both grids take
+    5-smooth n_theta (``_theta_lengths``), so no DFT runs numpy's slow
+    prime-length path.
 
     The sums are taken angle first: one DFT along theta per radial node
     gives H_i = DFT(|phi|^2) and Gc_i = DFT(conj phi) on ring i, and then
@@ -226,7 +252,7 @@ def dense_gram_oracle(w, symbol, N):
     if N < 1 or N > 64:
         raise WeightDomainError(f"oracle is for small sections, N in [1, 64]; got {N}")
     d = symbol.degree
-    n_theta = 2 * (N + 2 * d) + 7
+    n_theta, n_theta_lo = _theta_lengths(N, d)
     n_r = max(160, N + 2 * d + 40)
     m = np.arange(N)
     # DFT column of the offset k = n - m (or j - m), k in -(N-1)..N-1
@@ -256,6 +282,6 @@ def dense_gram_oracle(w, symbol, N):
         return 0.5 * (G + G.conj().T)
 
     G = assemble(n_r, n_theta)
-    G_lo = assemble(max(24, (2 * n_r) // 3), n_theta + 4)
+    G_lo = assemble(max(24, (2 * n_r) // 3), n_theta_lo)
     err = float(np.max(np.abs(G - G_lo)))
     return G, err

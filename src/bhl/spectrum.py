@@ -11,6 +11,8 @@ of the size-2N one, so every eigenvalue must also interlace.
 
 from __future__ import annotations
 
+import functools
+import threading
 import warnings
 
 import numpy as np
@@ -90,19 +92,81 @@ def _general_band(band):
     return ab
 
 
+@functools.lru_cache(maxsize=None)
+def _lapack(name):
+    """LAPACK routine ``name`` of scipy's Cython table as a ctypes function.
+
+    Every argument is passed as an address.  A CFUNCTYPE call releases
+    the GIL, which scipy's own wrappers of ?sbevd and ?hbevd hold.
+    """
+    import ctypes
+
+    from scipy.linalg import cython_lapack
+
+    cap = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    nargs = {"dsbevd": 14, "zhbevd": 16}[name]
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(get_pointer(cap, get_name(cap)))
+
+
+_JOBZ_UPLO = np.frombuffer(b"NU", dtype=np.uint8)  # eigenvalues only, upper band
+
+
+def _band_eigvalsh(band):
+    """Ascending eigenvalues of a Hermitian band in LAPACK upper storage.
+
+    The same routine as ``scipy.linalg.eig_banded(band, lower=False,
+    eigvals_only=True)``, ?sbevd (real) or ?hbevd (complex) with jobz =
+    "N" and the minimal workspaces of scipy's wrapper, so the values are
+    the same bits; but the call runs without the GIL, so another thread
+    can run Python or LAPACK meanwhile.
+    """
+    if not np.all(np.isfinite(band)):
+        raise ValueError("array must not contain infs or NaNs")
+    cplx = np.iscomplexobj(band)
+    ab = np.array(band, dtype=complex if cplx else float, order="F")  # LAPACK overwrites it
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    w = np.empty(n)
+    z = np.zeros(1, dtype=ab.dtype)  # not referenced for jobz = "N"
+    iwork = np.zeros(1, dtype=np.intc)
+    # n, kd, ldab, ldz, lwork, lrwork, liwork, info
+    ints = np.array([n, kd, kd + 1, 1, max(1, n if cplx else 2 * n), max(1, n), 1, 0],
+                    dtype=np.intc)
+    at = [ints.ctypes.data + k * ints.itemsize for k in range(len(ints))]
+    work = np.empty(ints[4], dtype=ab.dtype)
+    head = (_JOBZ_UPLO.ctypes.data, _JOBZ_UPLO.ctypes.data + 1, at[0], at[1],
+            ab.ctypes.data, at[2], w.ctypes.data, z.ctypes.data, at[3], work.ctypes.data, at[4])
+    if cplx:
+        rwork = np.empty(ints[5])
+        _lapack("zhbevd")(*head, rwork.ctypes.data, at[5], iwork.ctypes.data, at[6], at[7])
+    else:
+        _lapack("dsbevd")(*head, iwork.ctypes.data, at[6], at[7])
+    info = int(ints[7])
+    if info > 0:
+        raise EigenResidualError(f"banded eigensolver did not converge: info = {info}")
+    if info < 0:  # pragma: no cover - a wrong argument is a bug here
+        raise ValueError(f"illegal value in argument {-info} of ?sbevd/?hbevd")
+    return w
+
+
 def symmetric_eigenvalues(G, tol=1e-10):
     """All eigenvalues of a Hermitian BandedGram, sorted descending.
 
     Bands that are exactly zero are dropped first, so sections such as
     those of the monomials z^k take the diagonal path with no LAPACK
     call.  Otherwise the eigenvalues come from banded tridiagonalization
-    and implicit shifts (LAPACK), and five of them, spread over the
-    sorted order, are certified by banded inverse iteration: G - sigma I
-    is factored once at sigma = lambda plus a few ulps of ||G||, three
-    solves from a fixed-seed start give v, and ||G v - lambda v|| <=
-    tol * ||G|| must hold for the returned lambda.  For Hermitian G that
-    places a true eigenvalue within the residual of it, so neither a
-    LAPACK breakdown nor a wrong eigenvalue can pass unnoticed.
+    and a root-free QL/QR iteration, LAPACK ?sbevd (real bands) or
+    ?hbevd (complex) without eigenvectors, called with the GIL released
+    (``_band_eigvalsh``).  Five of them, spread over the sorted order,
+    are certified by banded inverse iteration: G - sigma I is factored
+    once at sigma = lambda plus a few ulps of ||G||, three solves from a
+    fixed-seed start give v, and ||G v - lambda v|| <= tol * ||G|| must
+    hold for the returned lambda.  For Hermitian G that places a true
+    eigenvalue within the residual of it, so neither a LAPACK breakdown
+    nor a wrong eigenvalue can pass unnoticed.
 
     Returns an ``Eigenvalues`` array carrying the worst relative
     residual and the bandwidth used.
@@ -113,15 +177,10 @@ def symmetric_eigenvalues(G, tol=1e-10):
     b = len(band) - 1
     if b == 0:
         return Eigenvalues(np.sort(band[0].real)[::-1], 0.0, 0)
-    # imported here so that importing bhl loads no scipy; eig_banded is
-    # looked up on the module at each call
+    # imported here so that importing bhl loads no scipy
     import scipy.linalg
 
-    try:
-        lam = scipy.linalg.eig_banded(band, lower=False, eigvals_only=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-        raise EigenResidualError(f"banded eigensolver did not converge: {exc}") from exc
-    lam = lam[::-1]
+    lam = _band_eigvalsh(band)[::-1]
     scale = float(np.max(np.abs(lam))) if len(lam) else 0.0
     worst = 0.0
     if scale > 0.0:
@@ -147,6 +206,15 @@ def symmetric_eigenvalues(G, tol=1e-10):
     return Eigenvalues(lam, worst, b)
 
 
+def _doubled_eigenvalues(G, eig_tol, out):
+    """Thread body: eigenvalues of the size-2N section, or the error it
+    raised, which the calling thread re-raises."""
+    try:
+        out["lam"] = symmetric_eigenvalues(polynomial_gram(G.mt, G.symbol, 2 * G.size), eig_tol)
+    except BaseException as exc:
+        out["error"] = exc
+
+
 def singular_values(G, eig_tol=1e-10, doubling_rel_tol=1e-6, check_doubling=True):
     """s_n = sqrt(lambda_n(G)) descending, doubling-tested by default.
 
@@ -157,23 +225,44 @@ def singular_values(G, eig_tol=1e-10, doubling_rel_tol=1e-6, check_doubling=True
     within doubling_rel_tol; DoublingTestError reports the first
     offender of either.  ``source`` records the worst eigen-residual,
     the largest doubling drift and the bandwidth used.
+
+    The size-2N section is assembled and solved on a second thread,
+    started and joined within the call, while this one solves and
+    certifies G_N.  Both LAPACK eigensolves run without the GIL, so on
+    two cores they overlap; on one core the threads take turns and the
+    call costs what the two sections cost in turn, plus one thread
+    start.  The values are the same bits either way.  An error of the
+    size-N section wins over one of the size-2N section, as if the two
+    ran in turn; ``check_doubling=False`` starts no thread.
     """
-    lam = symmetric_eigenvalues(G, eig_tol)
-    scale = float(np.max(np.abs(lam))) if len(lam) else 0.0
-    if len(lam) and lam[-1] < -eig_tol * scale:
-        raise EigenResidualError(
-            f"Gram section is not PSD within tolerance: min eigenvalue "
-            f"{lam[-1]:.3e} vs -{eig_tol:.1e} * {scale:.3e}"
+    doubled = {}
+    worker = None
+    if check_doubling:
+        worker = threading.Thread(
+            target=_doubled_eigenvalues, args=(G, eig_tol, doubled), daemon=True
         )
+        worker.start()
+    try:
+        lam = symmetric_eigenvalues(G, eig_tol)
+        scale = float(np.max(np.abs(lam))) if len(lam) else 0.0
+        if len(lam) and lam[-1] < -eig_tol * scale:
+            raise EigenResidualError(
+                f"Gram section is not PSD within tolerance: min eigenvalue "
+                f"{lam[-1]:.3e} vs -{eig_tol:.1e} * {scale:.3e}"
+            )
+    finally:
+        if worker is not None:
+            worker.join()
     s = np.sqrt(np.clip(lam, 0.0, None))
 
     converged = None
     residual = lam.residual
     drift = None
     if check_doubling:
+        if "error" in doubled:
+            raise doubled.pop("error")
         N = G.size
-        G2 = polynomial_gram(G.mt, G.symbol, 2 * N)
-        lam2 = symmetric_eigenvalues(G2, eig_tol)
+        lam2 = doubled["lam"]
         bad = np.nonzero(lam > lam2[:N] + eig_tol * scale)[0]
         if bad.size:
             k = int(bad[0])

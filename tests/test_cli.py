@@ -378,7 +378,7 @@ def test_report_prints_summary(tmp_path, capsys):
 # on a closed-form tau must not load scipy; a moment table and a banded
 # eigensolve then do.  Prints every result as JSON (floats as hex).
 _HYGIENE_CHILD = """\
-import json, sys
+import json, sys, threading
 import numpy as np
 from bhl import (PolynomialSymbol, RadialWeight, SymbolDerivative, TauProfile, besov_sum,
                  bloch_norm, build_lattice, cli, compute_moments, level_measure,
@@ -386,6 +386,8 @@ from bhl import (PolynomialSymbol, RadialWeight, SymbolDerivative, TauProfile, b
 
 configs, outdir = json.loads(sys.argv[1]), sys.argv[2]
 out = {"geometry": []}
+out["futures_on_import"] = "concurrent.futures" in sys.modules
+out["scipy_on_import"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 for tau, deriv in ((TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6])),
                    (TauProfile.ce(1.0), SymbolDerivative.ce_family(1.5))):
     R = level_measure(tau, deriv, 0.05, 0.9)
@@ -410,6 +412,11 @@ out["moments"] = [float(v).hex() for v in mt.log_values]
 out["singular"] = [float(v).hex() for v in spec.values]
 out["bandwidth"] = spec.source["bandwidth_used"]
 out["scipy_after"] = "scipy.linalg" in sys.modules and "scipy.integrate" in sys.modules
+# a doubling-tested spectrum joins the thread that solved the 2N section
+G = polynomial_gram(compute_moments(RadialWeight.standard(0.0), 700),
+                    PolynomialSymbol([1.0, 1.0]), 300)
+out["doubled"] = [float(v).hex() for v in singular_values(G).values]
+out["threads_after"] = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
 print(json.dumps(out))
 """
 
@@ -429,6 +436,7 @@ def test_rearrangement_layer_and_cli_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout.splitlines()[-1])
+    assert child["scipy_on_import"] == [] and child["futures_on_import"] is False
     assert child["scipy_before"] == []
     assert child["scipy_after"]
     assert child["bandwidth"] == 1  # phi = z + z^2: a tridiagonal eigensolve
@@ -451,3 +459,7 @@ def test_rearrangement_layer_and_cli_load_no_scipy(tmp_path):
     spec = singular_values(G, check_doubling=False)
     assert child["moments"] == [float(v).hex() for v in mt.log_values]
     assert child["singular"] == [float(v).hex() for v in spec.values]
+    assert child["threads_after"] == []
+    G = polynomial_gram(compute_moments(RadialWeight.standard(0.0), 700),
+                        PolynomialSymbol([1.0, 1.0]), 300)
+    assert child["doubled"] == [float(v).hex() for v in singular_values(G).values]

@@ -234,7 +234,8 @@ def _grid_sum_oracle(w, symbol, N):
     product each over all grid points.
     """
     d = symbol.degree
-    n_theta = 2 * (N + 2 * d) + 7
+    n_theta = _smooth_at_least(2 * (N + 2 * d) + 7)
+    n_theta_lo = _smooth_at_least(max(2 * (N + 2 * d) + 11, n_theta + 1))
     n_r = max(160, N + 2 * d + 40)
 
     def assemble(n_r, n_theta):
@@ -258,8 +259,31 @@ def _grid_sum_oracle(w, symbol, N):
         return 0.5 * (G + G.conj().T)
 
     G = assemble(n_r, n_theta)
-    G_lo = assemble(max(24, (2 * n_r) // 3), n_theta + 4)
+    G_lo = assemble(max(24, (2 * n_r) // 3), n_theta_lo)
     return G, G_lo
+
+
+def _smooth_at_least(n):
+    # the first 2^a 3^b 5^c at or above n
+    return min(k for k in (2**a * 3**b * 5**c for a in range(12) for b in range(8)
+                           for c in range(6)) if k >= n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_oracle_theta_lengths_are_fast_and_exact(d):
+    # both angular grids take 5-smooth lengths that clear the exactness
+    # bound 2(N + 2d) + 1 and differ, at every section the oracle takes
+    for N in range(1, 65):
+        fine, coarse = hankel._theta_lengths(N, d)
+        assert fine == _smooth_at_least(2 * (N + 2 * d) + 7)
+        assert coarse == _smooth_at_least(max(2 * (N + 2 * d) + 11, fine + 1))
+        assert fine != coarse
+        for n in (fine, coarse):
+            assert n >= 2 * (N + 2 * d) + 1
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            assert n == 1
 
 
 def _bump_weight():

@@ -1,3 +1,8 @@
+import ctypes
+import multiprocessing
+import sys
+import threading
+import time
 import types
 import warnings
 
@@ -7,7 +12,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhl.errors import DoublingTestError, EigenResidualError, WindowError
+from bhl import spectrum
+from bhl.errors import (
+    DoublingTestError,
+    EigenResidualError,
+    InsufficientMomentsError,
+    WindowError,
+)
 from bhl.hankel import PolynomialSymbol, polynomial_gram
 from bhl.spectrum import (
     SingularSpectrum,
@@ -17,6 +28,7 @@ from bhl.spectrum import (
     singular_values,
     symmetric_eigenvalues,
 )
+from bhl.weights import RadialWeight, compute_moments
 
 
 def fake_gram(band):
@@ -52,15 +64,13 @@ def test_residual_is_taken_at_the_returned_eigenvalues(std0, monkeypatch):
     G = polynomial_gram(std0, PolynomialSymbol([1.0, 0.5, 0.25]), 200)
     assert G.bandwidth == 2
     symmetric_eigenvalues(G)
-    eig_banded = scipy.linalg.eig_banded
+    band_eigvalsh = spectrum._band_eigvalsh
 
-    def shifted(*args, **kwargs):
-        out = eig_banded(*args, **kwargs)
-        if kwargs.get("eigvals_only"):
-            return out + 1e-7 * np.max(np.abs(out))
-        return out
+    def shifted(band):
+        out = band_eigvalsh(band)
+        return out + 1e-7 * np.max(np.abs(out))
 
-    monkeypatch.setattr(scipy.linalg, "eig_banded", shifted)
+    monkeypatch.setattr(spectrum, "_band_eigvalsh", shifted)
     with pytest.raises(EigenResidualError):
         symmetric_eigenvalues(G)
 
@@ -72,10 +82,223 @@ def test_zero_bands_are_dropped(std0, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a diagonal section needs no LAPACK call")
 
-    monkeypatch.setattr(scipy.linalg, "eig_banded", forbidden)
+    monkeypatch.setattr(spectrum, "_band_eigvalsh", forbidden)
     lam = symmetric_eigenvalues(G)
     assert lam.bandwidth == 0 and lam.residual == 0.0
     np.testing.assert_array_equal(lam, np.sort(G.diagonal())[::-1])
+
+
+# real and complex symbols with 2 to 5 coefficients: bandwidths 1 to 4
+_SEAM_SYMBOLS = (
+    [1.0, 0.5], [1.0, 0.5, 0.25], [1.0, -0.3, 0.2, 0.1], [0.5, 0.3, -0.2, 0.1, 0.05],
+    [1.0, 0.5j], [1.0 + 2.0j, 0.5 - 0.3j, 0.25j], [1.0, 0.3j, 0.0, 0.2],
+    [0.5j, 0.3, -0.2 + 0.1j, 0.1, 0.05j],
+)
+
+
+@pytest.mark.parametrize("fixture", ["std0", "explog11"])
+def test_band_eigvalsh_matches_eig_banded_bit_for_bit(request, fixture):
+    mt = request.getfixturevalue(fixture)
+    for coeffs in _SEAM_SYMBOLS:
+        for N in (1, 2, 3, 5, 31, 200, 777):
+            band = polynomial_gram(mt, PolynomialSymbol(coeffs), N).band
+            ref = scipy.linalg.eig_banded(band, lower=False, eigvals_only=True)
+            lam = spectrum._band_eigvalsh(band)
+            assert lam.dtype == ref.dtype and np.array_equal(lam, ref), (coeffs, N)
+
+
+def test_band_eigvalsh_leaves_its_band_alone_and_refuses_non_finite():
+    band = np.array([[0.0, 1.0, -2.0], [4.0, 5.0, 6.0]])
+    kept = band.copy()
+    spectrum._band_eigvalsh(band)
+    assert np.array_equal(band, kept)
+    for bad in (np.nan, np.inf):
+        band[1, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spectrum._band_eigvalsh(band)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            symmetric_eigenvalues(fake_gram(band))
+
+
+def test_lapack_failure_is_an_eigen_residual_error(monkeypatch):
+    def failing(name):
+        def call(*addresses):
+            ctypes.c_int.from_address(addresses[-1]).value = 3  # info > 0
+
+        return call
+
+    monkeypatch.setattr(spectrum, "_lapack", failing)
+    with pytest.raises(EigenResidualError, match="did not converge"):
+        symmetric_eigenvalues(fake_gram([[0.0, 1.0], [2.0, 2.0]]))
+
+
+def _singular_values_in_turn(G, eig_tol=1e-10, doubling_rel_tol=1e-6):
+    """Reference: the doubling-tested spectrum with the sections solved in turn."""
+    lam = symmetric_eigenvalues(G, eig_tol)
+    scale = float(np.max(np.abs(lam)))
+    assert lam[-1] >= -eig_tol * scale
+    N = G.size
+    lam2 = symmetric_eigenvalues(polynomial_gram(G.mt, G.symbol, 2 * N), eig_tol)
+    bad = np.nonzero(lam > lam2[:N] + eig_tol * scale)[0]
+    if bad.size:
+        raise DoublingTestError("interlacing", index=int(bad[0]))
+    s, s2 = np.sqrt(np.clip(lam, 0.0, None)), np.sqrt(np.clip(lam2, 0.0, None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(s[: N // 2] / s2[: N // 2] - 1.0)
+    bad = np.nonzero(~(rel <= doubling_rel_tol))[0]
+    if bad.size:
+        raise DoublingTestError("drift", index=int(bad[0]))
+    source = {
+        "weight": repr(G.mt.weight),
+        "symbol": repr(G.symbol),
+        "N": N,
+        "eig_tol": eig_tol,
+        "doubling_rel_tol": doubling_rel_tol,
+        "moment_rel_tol": G.mt.rel_tol,
+        "eig_residual": max(lam.residual, lam2.residual),
+        "doubling_drift": float(np.max(rel, initial=0.0)),
+        "bandwidth_used": lam.bandwidth,
+    }
+    return [float(v).hex() for v in s], source
+
+
+@pytest.mark.parametrize("fixture", ["std0", "explog11"])
+@pytest.mark.parametrize("coeffs, N", [
+    ([1.0, 0.5], 400), ([1.0, 0.5, 0.25], 200), ([1.0 + 2.0j, 0.5 - 0.3j, 0.25j], 300),
+    ([1.0, 0.3j, 0.0, 0.2], 400), ([1.0, 0.0, 0.3], 400), ([0.0, 0.0, 1.0], 100),
+])
+def test_singular_values_match_the_sections_solved_in_turn(request, fixture, coeffs, N):
+    # the same bits and source as with no second thread; where the
+    # doubling test fails, the same index
+    G = polynomial_gram(request.getfixturevalue(fixture), PolynomialSymbol(coeffs), N)
+    try:
+        values, source = _singular_values_in_turn(G)
+    except DoublingTestError as ref:
+        with pytest.raises(DoublingTestError) as exc:
+            singular_values(G)
+        assert exc.value.index == ref.index
+        return
+    spec = singular_values(G)
+    assert spec.converged is True
+    assert [float(v).hex() for v in spec.values] == values
+    assert spec.source == source
+
+
+def _refuse_doubled(delay):
+    def refuse(mt, sym, n):
+        time.sleep(delay)
+        raise RuntimeError("the size-2N section failed")
+
+    return refuse
+
+
+def _shift_sections_of(size):
+    band_eigvalsh = spectrum._band_eigvalsh
+
+    def shifted(band):
+        out = band_eigvalsh(band)
+        if band.shape[1] == size:
+            return out + 1e-7 * np.max(np.abs(out))
+        return out
+
+    return shifted
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.05])
+@pytest.mark.parametrize("case", ["non-finite", "indefinite", "certificate"])
+def test_size_n_errors_win_over_size_2n_errors(std0, monkeypatch, case, delay):
+    # whichever thread finishes first, the size-N error is raised, as
+    # when the size-2N section was only reached after it
+    if case == "non-finite":
+        G = fake_gram([[0.0, 1.0, 1.0], [1.0, np.nan, 2.0]])
+    elif case == "indefinite":
+        G = fake_gram([[1.0, -1.0, 2.0]])
+    else:
+        G = polynomial_gram(std0, PolynomialSymbol([1.0, 0.5, 0.25]), 200)
+        monkeypatch.setattr(spectrum, "_band_eigvalsh", _shift_sections_of(200))
+    with pytest.raises(Exception) as alone:
+        singular_values(G, check_doubling=False)
+    monkeypatch.setattr("bhl.spectrum.polynomial_gram", _refuse_doubled(delay))
+    with pytest.raises(type(alone.value)) as exc:
+        singular_values(G)
+    assert str(exc.value) == str(alone.value)
+
+
+def test_size_2n_errors_are_raised_as_before(std0, monkeypatch):
+    # a short moment table: the size-2N assembly fails
+    mt = compute_moments(RadialWeight.standard(0.0), 60)
+    G = polynomial_gram(mt, PolynomialSymbol([1.0, 0.5]), 40)
+    with pytest.raises(InsufficientMomentsError) as ref:
+        polynomial_gram(mt, G.symbol, 80)
+    with pytest.raises(InsufficientMomentsError) as exc:
+        singular_values(G)
+    assert str(exc.value) == str(ref.value) and exc.value.required == ref.value.required
+    # the size-2N certificate fails
+    G = polynomial_gram(std0, PolynomialSymbol([1.0, 0.5, 0.25]), 150)
+    monkeypatch.setattr(spectrum, "_band_eigvalsh", _shift_sections_of(300))
+    with pytest.raises(EigenResidualError) as ref:
+        symmetric_eigenvalues(polynomial_gram(std0, G.symbol, 300))
+    with pytest.raises(EigenResidualError) as exc:
+        singular_values(G)
+    assert str(exc.value) == str(ref.value)
+    # the size-2N band is not finite
+    monkeypatch.setattr(
+        "bhl.spectrum.polynomial_gram", lambda mt, sym, n: fake_gram([[0.0, 1.0, 1.0, 1.0], [np.inf, 2.0, 2.0, 2.0]])
+    )
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        singular_values(fake_gram([[0.0, 1.0], [2.0, 2.0]]))
+
+
+def test_no_thread_outlives_a_call(std0, monkeypatch):
+    before = threading.enumerate()
+    G = polynomial_gram(std0, PolynomialSymbol([1.0, 0.5]), 200)
+    short = polynomial_gram(compute_moments(RadialWeight.standard(0.0), 60),
+                            PolynomialSymbol([1.0, 0.5]), 40)
+    failing = (
+        lambda: singular_values(fake_gram([[1.0, -1.0, 2.0]])),  # size N indefinite
+        lambda: singular_values(short),  # size 2N needs more moments
+        lambda: singular_values(G, doubling_rel_tol=1e-18),  # the doubling test fails
+    )
+    for k in range(20):
+        if k % 4 == 3:
+            singular_values(G)
+        else:
+            with pytest.raises(Exception):
+                failing[k % 4]()
+        assert threading.active_count() == len(before)
+    assert threading.enumerate() == before
+
+
+def _spectrum_in_child(G, conn):
+    try:
+        conn.send([float(v).hex() for v in singular_values(G).values])
+    except BaseException as exc:  # pragma: no cover - reported by the parent
+        conn.send(repr(exc))
+    finally:
+        conn.close()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork is the Linux default")
+def test_a_forked_child_gets_the_same_bits(std0):
+    # no worker is left running in the parent, so a child forked after
+    # a call can start its own doubling thread
+    G = polynomial_gram(std0, PolynomialSymbol([1.0 + 2.0j, 0.5 - 0.3j, 0.25j]), 300)
+    here = [float(v).hex() for v in singular_values(G).values]
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_spectrum_in_child, args=(G, send))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the forked child gave no result within 60 s"
+        got = recv.recv()
+    finally:
+        child.join(60)
+        if child.is_alive():  # pragma: no cover - a hung child
+            child.kill()
+            child.join()
+    assert got == here
+    assert child.exitcode == 0
 
 
 def test_eigenvalues_trace_identity():
