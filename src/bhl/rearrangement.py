@@ -20,16 +20,18 @@ its mass in a spike of angular width ~ (1-r) around theta = 0, so its
 angular mesh is log-graded toward the singular angle; a uniform mesh
 aliases the spike and converges to wrong answers while looking stable.
 
-A level field keeps at most a tile index, not its values: per angular
-row, the min and max of each run of _TILE radial cells (1/16 of its
-bytes), where that fits in _HOLD_BYTES; without one it streams.  R(t)
-reads only the tiles that t crosses, cell by cell (LevelField).  R+
-takes its bracket from bounds on R: each tile's whole mass binned by
-its min and by its max, at log-spaced edges _NARROW apart, bounds R
-from below and above at every edge.  Where the tiles that meet the
-bracket hold more than _BLOCK_ELEMS cells, regula falsi on R narrows it
-over the edges; R+ then inverts R exactly, piece by quadratic piece, on
-the cells that meet it.  A trace needs every value and streams them.
+A level field keeps a tile index, not its values: per angular row, the
+min and max of each run of _TILE radial cells (1/16 of its bytes),
+built by one streamed pass the first time R(t) or R+ needs it.  The
+index is a field's working memory whether or not a family keeps the
+field.  R(t) reads only the tiles that t crosses, cell by cell
+(LevelField).  R+ takes its bracket from bounds on R: each tile's whole
+mass binned by its min and by its max, at log-spaced edges _NARROW
+apart, bounds R from below and above at every edge.  Where the tiles
+that meet the bracket hold more than _BLOCK_ELEMS cells, regula falsi
+on R narrows it over the edges; R+ then inverts R exactly, piece by
+quadratic piece, on the cells that meet it.  A trace needs every value
+and streams them.
 
 Families are kept side by side (_Family): for each symbol and r_max,
 each level's field, the annulus of the r_max check, the sup and R+'s
@@ -75,10 +77,11 @@ _DOT_ROWS = 256
 # the kept families (_Family) keep at most this many bytes in all: each
 # field's tile index (2 x 8 bytes per row and _TILE cells, 1/16 of its
 # values) and per-node arrays, each other item's radii and tau, the
-# least recently used family dropped first; a field they do not keep
-# keeps its index for R+ only within what they leave, else it streams.
-# The README CE family keeps 1.3 MB for 17.7 MB of values, a CE level 2
-# field 3.1 MB for 50 MB; a level 4 field's index (50 MB) streams
+# least recently used family dropped first.  It decides only what is
+# kept: a field builds its index whether kept or not.  The README CE
+# family keeps 1.3 MB for 17.7 MB of values, a CE level 2 field 3.1 MB
+# for 50 MB; a CE level 4 field's index (48 MiB) is built for the calls
+# on that field and not kept
 _HOLD_BYTES = 32 * 2**20
 
 # a level field's tile index keeps, per row, the min and max node value
@@ -352,10 +355,11 @@ class LevelField:
     a level t counts whole (its mass depends on u only, one vector for
     all rows), a tile whose max is at or below it counts nothing, and
     only the tiles that t crosses are read cell by cell.  ``_index``
-    keeps the tile index (1/16 of the field's bytes) where it fits in
-    what _HOLD_BYTES leaves, and the crossed tiles are recomputed by the
-    grid's elementwise arithmetic; without it each streamed chunk has
-    its own tile ranges.  Both give the same bits.
+    builds the tile index (1/16 of the field's bytes) by one streamed
+    pass the first time ``measure``, ``rplus`` or ``_rbounds`` needs it,
+    whether or not a family keeps the field: the index is the field's
+    working memory.  The crossed tiles are recomputed by the grid's
+    elementwise arithmetic.
 
     A field depends on its symbol, r_max and level and on tau at its
     radii ``_r`` only, which is what the kept families (_Family) check.
@@ -426,10 +430,10 @@ class LevelField:
         np.maximum(hi, f[:, ends], out=hi)
         return lo, hi
 
-    def _index(self, room):
-        """Keep the tile index, built by one streamed pass and read-only,
-        if the field's bytes with it fit in ``room``; returns self."""
-        if self._lo is None and self.nbytes <= room:
+    def _index(self):
+        """Build the tile index by one streamed pass, the first time only,
+        and keep it read-only; returns self."""
+        if self._lo is None:
             lo, hi = np.empty((2, len(self._wts), len(self._cell)))
             for a, f in _field_rows(self._deriv, self._r, self._tau, self._theta):
                 lo[a : a + len(f)], hi[a : a + len(f)] = self._tile_ranges(f)
@@ -437,17 +441,13 @@ class LevelField:
             self._lo, self._hi = lo, hi
         return self
 
-    def _chunks(self, rows=None):
-        """(first row, values or None, tile mins, tile maxes) of row chunks
-        of the kept index (``rows`` rows each, by default about
-        _BLOCK_ELEMS tiles), or of the streamed field and its tile ranges."""
-        if self._lo is None:
-            for a, f in _field_rows(self._deriv, self._r, self._tau, self._theta):
-                yield (a, f) + self._tile_ranges(f)
-            return
-        rows = rows or _chunk_rows(self._lo.shape[1])
+    def _chunks(self):
+        """(first row, tile mins, tile maxes) of row chunks of the tile
+        index, about _BLOCK_ELEMS tiles each."""
+        self._index()
+        rows = _chunk_rows(self._lo.shape[1])
         for a in range(0, len(self._lo), rows):
-            yield a, None, self._lo[a : a + rows], self._hi[a : a + rows]
+            yield a, self._lo[a : a + rows], self._hi[a : a + rows]
 
     def blocks(self):
         """(weights, field) pairs of cache-sized row chunks, built one at a time."""
@@ -461,12 +461,12 @@ class LevelField:
             total += float(self._wts[lo : lo + _DOT_ROWS] @ I[lo : lo + _DOT_ROWS])
         return total
 
-    def _crossed(self, a, f, lo, hi, t_lo, t_hi):
+    def _crossed(self, a, lo, hi, t_lo, t_hi):
         """A chunk's per-row mass of its tiles above t_hi, the rows of its
         tiles neither above t_hi nor at or below t_lo (a nan tile is one),
         and runs of their (rows, tiles, u nodes, values), _TILE + 1 nodes
-        each: read from the chunk's values f, or computed where f is None,
-        about _BLOCK_ELEMS values per run (one empty run for none)."""
+        each, the values computed on those nodes, about _BLOCK_ELEMS
+        values per run (one empty run for none)."""
         above = lo > t_hi
         # a row's sum runs over its own tiles only, in the same order in
         # any chunk, so the chunking moves no bit
@@ -474,24 +474,22 @@ class LevelField:
         off = hi <= t_lo
         off |= above
         ii, jj = (~off).nonzero()
-        step = len(ii) + 1 if f is not None else _chunk_rows(_TILE + 1)
+        step = _chunk_rows(_TILE + 1)
 
         def run(i, j):
             nodes = self._nodes[j]
-            if f is not None:
-                return i, j, nodes, f[i[:, None], nodes]
             theta = None if self._theta is None else self._theta[a + i][:, None]
             return i, j, nodes, _tau_abs(self._deriv, self._r[nodes], self._tau[nodes], theta)
 
         return I, ii, (run(ii[b : b + step], jj[b : b + step]) for b in range(0, max(len(ii), 1), step))
 
-    def _tile_measure(self, a, f, lo, hi, t):
+    def _tile_measure(self, a, lo, hi, t):
         """Per-row integral of dens over {field > t} along u, on one chunk.
 
         Tiles above t count their whole mass; in the tiles t crosses
         each cell counts whole, by its linear crossing, or not at all.
         """
-        I, ii, runs = self._crossed(a, f, lo, hi, t, t)
+        I, ii, runs = self._crossed(a, lo, hi, t, t)
         if ii.size:
             parts = []
             for i, j, nodes, g in runs:
@@ -525,8 +523,8 @@ class LevelField:
         nodes <= t_lo have no mass there.
         """
         full, parts = [], []
-        for a, f, lo, hi in self._chunks():
-            I, ii, runs = self._crossed(a, f, lo, hi, t_lo, t_hi)
+        for a, lo, hi in self._chunks():
+            I, ii, runs = self._crossed(a, lo, hi, t_lo, t_hi)
             whole = []
             for i, j, nodes, g in runs:
                 low = np.minimum(g[:, :-1], g[:, 1:])
@@ -551,9 +549,7 @@ class LevelField:
         whole mass of the tiles whose min, resp. max, is above e, widened
         by _MARGIN; and the counts of those tiles.  Each tile's mass is
         binned by the number of edges at or above its min and its max,
-        one streamed-size row chunk at a time for a kept index and a
-        streamed field alike, so both sum in one order to the same bits.
-        Kept for the last t_max.
+        one row chunk of the index at a time.  Kept for the last t_max.
         """
         if self._bounds_at != t_max:
             edges = np.empty(_EDGES)
@@ -561,7 +557,7 @@ class LevelField:
             edges[1:] = t_max * np.exp(-_NARROW * np.arange(_EDGES - 1))
             down = -edges
             bins = np.zeros((4, _EDGES + 1))
-            for a, _, lo, hi in self._chunks(_chunk_rows(len(self._r))):
+            for a, lo, hi in self._chunks():
                 mass = (self._wts[a : a + len(lo), None] * self._tile_mass).ravel()
                 for k, v in enumerate((lo, hi)):
                     # a tile counts at every edge below its min (max)
@@ -601,7 +597,7 @@ class LevelField:
             raise ValueError(f"rplus needs 0 <= t_max < inf, got {t_max}")
         if t_max == 0.0:
             return 0.0
-        R = self._index(_HOLD_BYTES - _FAMILY.nbytes).measure
+        R = self.measure
         edges, lower, upper, n_lo, n_hi = self._rbounds(t_max)
         n = len(edges)
         # R(edges[l]) >= x > R(edges[h]); h = -1 and l = n stand for an
@@ -709,7 +705,7 @@ class _Family:
     item.  Families are kept side by side within _HOLD_BYTES (``nbytes``,
     a running total: a field counts its nbytes, index included, another
     item its radii and tau): a keep drops the least recently used other
-    families until the item fits, if it can; a kept field keeps its index.
+    families until the item fits, if it can.
     """
 
     def __init__(self):
@@ -740,8 +736,6 @@ class _Family:
         while self.nbytes + need > _HOLD_BYTES and len(self.families) > 1:
             self.nbytes -= sum(_item_bytes(*v) for v in self.families.popitem(last=False)[1].values())
         if self.nbytes + need <= _HOLD_BYTES:
-            if isinstance(item, LevelField):
-                item._index(_HOLD_BYTES - self.nbytes)
             items[name] = (r, tau, item)
             self.nbytes += need
         return item
@@ -858,7 +852,8 @@ def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
 
     h must be increasing and convex with h(0) = 0; this is spot-checked
     on a geometric sample, the caller owns the rest.  The trace needs
-    every value, so it streams each level's field; it keeps no field.
+    every value, so it streams each level's field, a kept one included;
+    it keeps no field and builds no tile index.
     """
     h0 = float(h(np.asarray(0.0)))
     T = max(bloch_norm(tau_prof, deriv, r_max=r_max), 1e-300)

@@ -124,6 +124,8 @@ def _band_eigvalsh(band):
     the same bits; but the call runs without the GIL, so another thread
     can run Python or LAPACK meanwhile.
     """
+    # refused as eig_banded refuses it: ?sbevd reports an inf or nan as no
+    # convergence (info > 0), which would read as an EigenResidualError
     if not np.all(np.isfinite(band)):
         raise ValueError("array must not contain infs or NaNs")
     cplx = np.iscomplexobj(band)
@@ -155,6 +157,7 @@ def _band_eigvalsh(band):
 def symmetric_eigenvalues(G, tol=1e-10):
     """All eigenvalues of a Hermitian BandedGram, sorted descending.
 
+    A band with an inf or nan raises ValueError, on either path below.
     Bands that are exactly zero are dropped first, so sections such as
     those of the monomials z^k take the diagonal path with no LAPACK
     call.  Otherwise the eigenvalues come from banded tridiagonalization
@@ -172,6 +175,8 @@ def symmetric_eigenvalues(G, tol=1e-10):
     residual and the bandwidth used.
     """
     band = G.band
+    if not np.all(np.isfinite(band)):
+        raise ValueError("array must not contain infs or NaNs")
     while len(band) > 1 and not np.any(band[0]):
         band = band[1:]  # the outermost band is exactly zero
     b = len(band) - 1

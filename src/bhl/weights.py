@@ -642,22 +642,19 @@ def tau_profile(w, mt, tail_tol=1e-12):
     unbounded u-derivatives near r = 0 (ExpLog), which no fixed grid
     would resolve.
     """
-    # probe outward until the series runs out of moments; the probe walks
-    # the same u-lattice the grid is built on so no grid node lands past
-    # the last verified radius
-    u_hi = 0.0
-    while u_hi < 40.0:
+    # probe outward, node by node, until the series runs out of moments
+    # (by u = 40 at the latest, past where 1 - e^-u rounds to 1); each
+    # probe's value is the spline's value at that node, so the grid ends
+    # at the last verified radius
+    u = np.arange(0.0, 40.0 + 0.5 * _TAU_GRID_STEP, _TAU_GRID_STEP)
+    r_grid = 1.0 - np.exp(-u)
+    log_k = [-mt.log_values[0]]
+    for ri in r_grid[1:]:
         try:
-            _log_kernel_norm_sq(mt, 1.0 - np.exp(-(u_hi + _TAU_GRID_STEP)), tail_tol)
+            log_k.append(_log_kernel_norm_sq(mt, ri, tail_tol))
         except InsufficientMomentsError:
             break
-        u_hi += _TAU_GRID_STEP
-    u = np.arange(0.0, u_hi + 0.5 * _TAU_GRID_STEP, _TAU_GRID_STEP)
-    r_grid = 1.0 - np.exp(-u)
-    log_k = np.array(
-        [_log_kernel_norm_sq(mt, ri, tail_tol) if ri > 0.0 else -mt.log_values[0]
-         for ri in r_grid]
-    )
+    u, r_grid = u[: len(log_k)], r_grid[: len(log_k)]
     from scipy.interpolate import CubicSpline
 
     spline = CubicSpline(u, log_k, bc_type="not-a-knot", extrapolate=False)

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import tracemalloc
 import warnings
@@ -402,6 +403,8 @@ def test_level_measure_streams_a_field_over_the_memo_budget(monkeypatch):
     assert kept + LevelField(tau, ce, 0.99, 2).nbytes <= rearrangement._HOLD_BYTES
     # with a budget that holds levels 0 and 1 only, level 2 is not kept
     monkeypatch.setattr(rearrangement, "_HOLD_BYTES", kept)
+    field = LevelField(tau, ce, 0.99, 2)
+    index_bytes = 16 * len(field._wts) * len(field._cell)
     tracemalloc.start()
     try:
         with pytest.raises(NonConvergedError):
@@ -410,8 +413,9 @@ def test_level_measure_streams_a_field_over_the_memo_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(_fields()) == 2 and _kept_bytes() == kept
-    # level 2 keeps no tile index: it streams in under 2 MiB in all
-    assert peak < 2 * 2**20, peak
+    # level 2 builds its tile index (3.1 MB) for the call and streams its
+    # values to do so: its index and at most 2 MiB more
+    assert peak <= index_bytes + 2 * 2**20, (peak, index_bytes)
 
 
 def test_level_measure_kept_arrays_refuse_writes(tau0):
@@ -485,7 +489,8 @@ def _rplus_probe_by_probe(tau_prof, deriv, x, r_max, iters):
 def test_rearrangement_plus_matches_probe_by_probe(tau0, symbol, field_bytes, monkeypatch):
     # the exact inversion against 48 bisection steps that measure R at
     # every probe (a bracket about 3e-14 wide), on a kept field and on one
-    # over the byte budget, which the family does not keep
+    # over the byte budget, which the family does not keep: that field is
+    # built and indexed for the call
     if symbol == "poly":
         tau, deriv, x, r_max = tau0, SymbolDerivative.polynomial([1.0, 0.6]), 0.9, 0.99
     else:
@@ -526,8 +531,8 @@ def test_rearrangement_plus_sweep_matches_whole_field_bisection(tau0, case):
 
 @pytest.mark.parametrize("case", ["c=0.1", "c=0.5", "ce", "radial"])
 def test_rearrangement_plus_sweep_rebuilt_field_matches_held(tau0, case, monkeypatch):
-    # a field over _HOLD_BYTES runs the same algorithm on a tile index
-    # built per call, which the family does not keep, so it gives the
+    # a field over _HOLD_BYTES is built and indexed per call and not kept;
+    # it runs the same algorithm on the same tile index, so it gives the
     # kept field's bits, which the sweep above holds within 1e-12 of a
     # bisection on R
     tau, deriv, xs, r_max = _sweep_case(tau0, case)
@@ -598,6 +603,41 @@ def test_rplus_calls_on_one_field_build_it_once(monkeypatch):
     assert built == [(256, 1025)], built
     fresh = [LevelField(tau, deriv, 0.99, 0).rplus(x, T) for x in np.linspace(0.5, 5.0, 10)]
     assert rps == fresh
+
+
+def test_a_field_the_family_does_not_keep_reads_its_values_once(monkeypatch):
+    # with no room in the family, one field answers three R+ and two R(t)
+    # calls from one tile index, built by one pass over its values, with
+    # the bits of a field the family keeps
+    tau, deriv = _poly_family()
+    T = bloch_norm(tau, deriv, r_max=0.99)
+
+    def run(field):
+        return [field.rplus(0.5, T), field.measure(0.25 * T), field.rplus(3.0, T),
+                field.measure(T / 16.0), field.rplus(10.0, T)]
+
+    _forget()
+    kept = rearrangement._field(tau, deriv, 0.99, 1)
+    assert _fields() == [kept]
+    want = run(kept)
+    _forget()
+    monkeypatch.setattr(rearrangement, "_HOLD_BYTES", 0)
+    built = _record_field_builds(monkeypatch)
+    field = rearrangement._field(tau, deriv, 0.99, 1)
+    assert _fields() == []
+    assert run(field) == want
+    assert built == [(512, 2049)], built
+
+
+def test_a_level_field_reads_no_family_state():
+    # a level field has one form whatever the family keeps: no method of
+    # LevelField reads the kept families or their byte budget
+    tree = ast.parse(Path(rearrangement.__file__).read_text())
+    cls, = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "LevelField"]
+    names = {node.id for node in ast.walk(cls) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)}
+    read = sorted(names & {"_FAMILY", "_HOLD_BYTES"})
+    assert not read, read
 
 
 _KEPT_CASES = {
@@ -763,9 +803,9 @@ def test_rearrangement_plus_peak_memory():
 
 
 def test_rearrangement_plus_rebuilt_peak_memory(monkeypatch):
-    # a field over _HOLD_BYTES is never held: its tiled probes and the
-    # gathering of the cells that meet the bracket stream cache-sized
-    # chunks
+    # a field over _HOLD_BYTES is built and indexed for the call and not
+    # kept: it holds its tile index, and its tiled probes and the
+    # gathering of the cells that meet the bracket read cache-sized chunks
     tau, deriv, x, r_max = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.9, 0.99
     T = bloch_norm(tau, deriv, r_max=r_max)
     _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4, 5)
@@ -798,20 +838,27 @@ def _abs_grid_reference(deriv, r, theta):
     return np.where(pole, np.inf, out)
 
 
-def _field_reference(field, deriv, t, h):
-    """R(t) and the h-trace of a LevelField, by 256-row blocks of tau * |phi'|.
+def _measure_recording_crossed(field, t):
+    """R(t) on a field, and the (row, node, value) triples of every value it
+    computes in the tiles that t crosses."""
+    rows, nodes, values = [], [], []
+    real = field._crossed
 
-    Each block's per-row integrals (R(t) by the field's tile arithmetic,
-    on the block's own tile ranges and values) are dotted with its row
-    weights and the block totals summed in order.
-    """
-    R = tr = 0.0
-    for lo in range(0, len(field._wts), 256):
-        wts = field._wts[lo : lo + 256]
-        f = field._tau[None, :] * _abs_grid_reference(deriv, field._r, field._theta[lo : lo + 256])
-        R += float(wts @ field._tile_measure(lo, f, *field._tile_ranges(f), t))
-        tr += float(wts @ (np.asarray(h(f)) * field._wu).sum(axis=1))
-    return R, tr
+    def crossed(a, lo, hi, t_lo, t_hi):
+        I, ii, runs = real(a, lo, hi, t_lo, t_hi)
+        runs = list(runs)
+        for i, _, n, g in runs:
+            rows.append(np.broadcast_to(a + i[:, None], n.shape).ravel())
+            nodes.append(n.ravel())
+            values.append(g.ravel())
+        return I, ii, iter(runs)
+
+    field._crossed = crossed
+    try:
+        R = field.measure(t)
+    finally:
+        del field._crossed
+    return R, *(np.concatenate(v) for v in (rows, nodes, values))
 
 
 def _bloch_norm_reference(tau_prof, deriv, r_max):
@@ -855,16 +902,26 @@ def _field_tau(case, tau0):
 @pytest.mark.parametrize("case", list(_FIELD_CASES))
 def test_level_field_matches_block_reference_bit_for_bit(tau0, case, level):
     # cache-sized chunks (level 0's 1,025 columns do not divide them
-    # evenly), the in-place kernel and the tile arithmetic of a streamed
-    # field or of one with its tile index, whose crossed tiles are
-    # computed on their own nodes, must not move a single bit
+    # evenly) and the in-place kernel must not move a single bit of the
+    # tile index, of the crossed tiles R(t) computes on their own nodes,
+    # or of the trace, against 256-row blocks of plain whole-array values
     deriv, t = _FIELD_CASES[case]
     field = LevelField(_field_tau(case, tau0), deriv, 0.99, level)
     h = lambda x: np.asarray(x) ** 1.5
-    ref = _field_reference(field, deriv, t, h)
-    assert (field.measure(t), field.trace(h)) == ref
-    assert field._index(rearrangement._HOLD_BYTES)._lo is not None
-    assert (field.measure(t), field.trace(h)) == ref
+    R, rows, nodes, values = _measure_recording_crossed(field, t)
+    assert len(values) > 0
+    tr = 0.0
+    for lo in range(0, len(field._wts), 256):
+        f = field._tau[None, :] * _abs_grid_reference(deriv, field._r, field._theta[lo : lo + 256])
+        tiles = f[:, field._nodes]  # (rows, tiles, _TILE + 1 nodes)
+        assert field._lo[lo : lo + 256].tobytes() == tiles.min(axis=2).tobytes()
+        assert field._hi[lo : lo + 256].tobytes() == tiles.max(axis=2).tobytes()
+        at = (rows >= lo) & (rows < lo + 256)
+        assert values[at].tobytes() == f[rows[at] - lo, nodes[at]].tobytes()
+        # per-row integrals dotted with the row weights, block totals in order
+        tr += float(field._wts[lo : lo + 256] @ (np.asarray(h(f)) * field._wu).sum(axis=1))
+    assert field.trace(h) == tr
+    assert field.measure(t) == R
 
 
 def _slice_integrals(field, f, t):
@@ -902,7 +959,7 @@ def test_tiled_measure_matches_whole_row_mask(tau0, case):
     # tiles above t count whole and only the tiles t crosses are read
     # cell by cell; the mask over every node agrees within 1e-14 at 56
     # levels, from below the field's min to above its max
-    field = LevelField(*_field_case(tau0, case))._index(rearrangement._HOLD_BYTES)
+    field = LevelField(*_field_case(tau0, case))._index()
     f = np.concatenate([f for _, f in field.blocks()])
     lo, hi = float(f.min()), float(f.max())
     ts = np.concatenate([np.geomspace(lo, hi, 50), [0.5 * lo, np.nextafter(lo, 0.0), hi, 2.0 * hi]])
@@ -915,33 +972,11 @@ def test_tiled_measure_matches_whole_row_mask(tau0, case):
 
 
 @pytest.mark.parametrize("case", ["ce", "c=0.3", "radial"])
-def test_streamed_field_gives_the_held_bits(tau0, case, monkeypatch):
-    # a field with its tile index computes the tiles that t crosses on
-    # their own nodes; one over _HOLD_BYTES computes each chunk's tile
-    # ranges as it streams and reads the crossed tiles from the chunk:
-    # R(t) and R+ keep every bit
-    tau, deriv, r_max, level = _field_case(tau0, case)
-    T = bloch_norm(tau, deriv, r_max=r_max)
-    ts = T * np.geomspace(1e-3, 1.0, 8)
-    xs = [float(LevelField(tau, deriv, r_max, 0).measure(t)) for t in ts[2:-1:3]]
-    field = LevelField(tau, deriv, r_max, level)._index(rearrangement._HOLD_BYTES)
-    assert field._lo is not None
-
-    def run(field):
-        return [field.measure(t) for t in ts] + [field.rplus(x, T) for x in xs]
-
-    indexed = run(field)
-    monkeypatch.setattr(rearrangement, "_HOLD_BYTES", 0)
-    streamed = LevelField(tau, deriv, r_max, level)
-    assert run(streamed) == indexed and streamed._lo is None
-
-
-@pytest.mark.parametrize("case", ["ce", "c=0.3", "radial"])
 def test_rplus_bounds_hold_at_every_edge(tau0, case):
     # R_lower <= R <= R_upper at each of the _EDGES edges, R as measure
     # computes it, and the tile counts are those of the index
     tau, deriv, r_max, level = _field_case(tau0, case)
-    field = LevelField(tau, deriv, r_max, level)._index(rearrangement._HOLD_BYTES)
+    field = LevelField(tau, deriv, r_max, level)._index()
     T = bloch_norm(tau, deriv, r_max=r_max)
     edges, lower, upper, n_lo, n_hi = field._rbounds(T)
     assert len(edges) == rearrangement._EDGES and edges[1] == T and edges[-1] <= 1e-15 * T
@@ -952,18 +987,8 @@ def test_rplus_bounds_hold_at_every_edge(tau0, case):
     assert lower[-1] > 0.0 and upper[-1] <= (1.0 + 1e-9) * lower[-1]
     assert [list(n_lo), list(n_hi)] == [[np.count_nonzero(a > e) for e in edges] for a in (field._lo, field._hi)]
     assert field._rbounds(T) is field._rbounds(T) and not field._rbounds(T).flags.writeable
-
-
-@pytest.mark.parametrize("case", ["ce", "c=0.3", "radial"])
-def test_rplus_bounds_of_a_streamed_field_are_the_indexed_bits(tau0, case):
-    tau, deriv, r_max, level = _field_case(tau0, case)
-    T = bloch_norm(tau, deriv, r_max=r_max)
-    indexed = LevelField(tau, deriv, r_max, level)._index(rearrangement._HOLD_BYTES)
-    streamed = LevelField(tau, deriv, r_max, level)
-    assert indexed._lo is not None and streamed._lo is None
-    assert indexed._rbounds(T).tobytes() == streamed._rbounds(T).tobytes()
-    # the bounds are counted in nbytes before they are built
-    assert indexed.nbytes == LevelField(tau, deriv, r_max, level).nbytes
+    # the index and the bounds are counted in nbytes before they are built
+    assert field.nbytes == LevelField(tau, deriv, r_max, level).nbytes
 
 
 def test_rplus_measures_an_end_edge_its_bounds_leave_open(tau0, dz):
@@ -1186,19 +1211,22 @@ def test_ce_abs_grid_fallback_matches_reference():
 
 
 def test_level_field_streams_in_cache_sized_chunks():
-    # measure and trace hold one chunk of this 1,537 x 4,097 field at a
-    # time; 256-row blocks peaked at 64 MiB
+    # the trace holds one chunk of this 1,537 x 4,097 field at a time, and
+    # so does the pass that builds the tile index R(t) reads; 256-row
+    # blocks peaked at 64 MiB
     field = LevelField(TauProfile.ce(1.0), SymbolDerivative.ce_family(1.5), 0.99, 2)
     tracemalloc.start()
     try:
-        field.measure(0.01)
-        measure_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
         field.trace(lambda x: x**2)
         trace_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        field.measure(0.01)
+        measure_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert measure_peak < 2 * 2**20 and trace_peak < 2 * 2**20, (measure_peak, trace_peak)
+    index_bytes = field._lo.nbytes + field._hi.nbytes
+    assert trace_peak < 2 * 2**20, trace_peak
+    assert measure_peak <= index_bytes + 2 * 2**20, (measure_peak, index_bytes)
 
 
 def test_level_field_rplus_edges(tau0, dz):

@@ -120,6 +120,15 @@ def test_band_eigvalsh_leaves_its_band_alone_and_refuses_non_finite():
             symmetric_eigenvalues(fake_gram(band))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("off_diagonal", [0.0, 1e-3], ids=["diagonal", "banded"])
+def test_non_finite_band_is_refused_on_both_paths(bad, off_diagonal):
+    # with every off-diagonal exactly zero the section takes the diagonal
+    # path, with no LAPACK call; both paths raise the same ValueError
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        symmetric_eigenvalues(fake_gram([[0.0, off_diagonal, 0.0], [bad, 1.0, 2.0]]))
+
+
 def test_lapack_failure_is_an_eigen_residual_error(monkeypatch):
     def failing(name):
         def call(*addresses):

@@ -331,6 +331,23 @@ def test_tau_profile_explog_matches_direct(explog11):
     np.testing.assert_allclose(prof(rs), direct, rtol=2e-6)
 
 
+def test_tau_profile_sums_each_grid_node_once(std0, monkeypatch):
+    # one kernel sum per grid node past r = 0, in order out to the probe
+    # that runs out of moments, then tau()'s 100 validation calls
+    radii = []
+    real = weights._log_kernel_norm_sq
+
+    def counting(mt, r, tail_tol):
+        radii.append(r)
+        return real(mt, r, tail_tol)
+
+    monkeypatch.setattr(weights, "_log_kernel_norm_sq", counting)
+    prof = tau_profile(RadialWeight.standard(0.0), std0)
+    nodes = round(-np.log1p(-prof.r_hi) / weights._TAU_GRID_STEP) + 1
+    assert len(radii) == (nodes - 1) + 1 + 100, (len(radii), nodes)
+    assert np.all(np.diff(radii[:nodes]) > 0.0) and radii[nodes - 2] == prof.r_hi
+
+
 _PROFILE_WEIGHTS = [("standard", (a,)) for a in (0.0, 1.0, 2.5, 5.0, 10.0)] + [
     ("explog", ab) for ab in ((1.0, 1.0), (1.0, 0.25), (2.0, 2.0))
 ]
