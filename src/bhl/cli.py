@@ -232,10 +232,11 @@ def cmd_spectrum(cfg, out):
         law = predict_symbol(predict_explog(w.alpha, w.beta), deriv, p)
     ns = np.arange(1, len(spec.values) + 1)
     pred = law(ns)
-    rows = [
-        [str(n), _fmt(s), _fmt(pv), _fmt(s / pv)]
-        for n, s, pv in zip(ns, spec.values, pred)
-    ]
+    with np.errstate(invalid="ignore"):  # the zero symbol's ratio is 0/0: nan
+        rows = [
+            [str(n), _fmt(s), _fmt(pv), _fmt(s / pv)]
+            for n, s, pv in zip(ns, spec.values, pred)
+        ]
     _emit(out, ["n", "s_n", "predicted", "ratio"], rows, [
         ("config sha256", cfg.sha256),
         ("weight", repr(w)),

@@ -115,20 +115,13 @@ class BandedGram:
         return f"BandedGram(size={self.size}, bandwidth={self.bandwidth})"
 
 
-def _delta_log(mt, i, j):
-    # log m[i] - log m[j], by ratio where the values are in normal range
-    # (one rounding each) and by log differences in the deep tail.
-    v = mt.values
-    i = np.asarray(i)
-    j = np.asarray(j)
-    safe = (v[i] > 1e-280) & (v[j] > 1e-280)
-    if np.all(safe):
-        return np.log(v[i] / v[j])
-    lv = mt.log_values
-    out = lv[i] - lv[j]
-    if np.any(safe):
-        out = np.where(safe, np.log(np.where(safe, v[i], 1.0) / np.where(safe, v[j], 1.0)), out)
-    return out
+def _log_ratios(mt, k, n):
+    # log(m[b+k] / m[b]) for b < n, by ratio where both values are in
+    # normal range (one rounding each) and by log differences in the deep tail.
+    vi, vj = mt.values[k : k + n], mt.values[:n]
+    safe = (vi > 1e-280) & (vj > 1e-280)
+    ratio = np.where(safe, vi, 1.0) / np.where(safe, vj, 1.0)
+    return np.where(safe, np.log(ratio), mt.log_values[k : k + n] - mt.log_values[:n])
 
 
 def hz_squared_sequence(mt, n_max):
@@ -153,33 +146,33 @@ def hz_squared_sequence(mt, n_max):
 def polynomial_gram(mt, symbol, N):
     """Exact banded finite section G[0..N-1][0..N-1] for a polynomial symbol.
 
-    Assembly is vectorized over the row index per (band offset, j) pair
-    with a fixed summation order, so output is deterministic.
+    Every entry term reads the one table T[k] = log(m[b+k] / m[b]),
+    k = 1..d and b < N, as slices; each band offset is one vector pass
+    over its rows per j, with a fixed summation order, so output is
+    deterministic.
     """
     N = int(N)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     d = symbol.degree
-    mt.require(N - 1 + d)  # the largest index read is m + j + off <= N - 1 + d
+    mt.require(N - 1 + d)  # the largest index read is b + k <= N - 1 + d
     c = symbol.coeffs
     dtype = float if symbol.is_real else complex
     band = np.zeros((d, N), dtype=dtype)
+    T = {k: _log_ratios(mt, k, N) for k in range(1, d + 1)}
 
-    for off in range(d):
-        m = np.arange(N - off)
-        n = m + off
-        acc = np.zeros(len(m), dtype=dtype)
+    for off in range(min(d, N)):
+        acc = np.zeros(N - off, dtype=dtype)
         for j in range(1, d - off + 1):
             w = np.conj(c[j - 1]) * c[j + off - 1]
             if w == 0.0:
                 continue
-            # A = log( m[m+j+off] / sqrt(m[m] m[n]) ), B its projection
-            # counterpart log( sqrt(m[m] m[n]) / m[m-j] )
-            A = 0.5 * (_delta_log(mt, m + j + off, m) + _delta_log(mt, m + j + off, n))
+            # rows m < N - off: A = log( m[m+j+off] / sqrt(m[m] m[m+off]) ),
+            # B its projection counterpart log( sqrt(m[m] m[m+off]) / m[m-j] )
+            A = 0.5 * (T[j + off][: N - off] + T[j][off:])
             term = np.exp(A)
-            if len(m) > j:
-                mm = m[j:]
-                B = 0.5 * (_delta_log(mt, mm, mm - j) + _delta_log(mt, n[j:], mm - j))
+            if N - off > j:
+                B = 0.5 * (T[j][: N - off - j] + T[j + off][: N - off - j])
                 term[j:] = np.exp(B) * np.expm1(A[j:] - B)
             acc += w * term
         band[d - 1 - off, off:] = acc

@@ -279,8 +279,8 @@ def singular_values(G, eig_tol=1e-10, doubling_rel_tol=1e-6, check_doubling=True
             )
         s2 = np.sqrt(np.clip(lam2, 0.0, None))
         half = N // 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.abs(s[:half] / s2[:half] - 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 == 0 drifts 0.0
+            rel = np.where(s[:half] == s2[:half], 0.0, np.abs(s[:half] / s2[:half] - 1.0))
         bad = np.nonzero(~(rel <= doubling_rel_tol))[0]
         if bad.size:
             i = int(bad[0])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,22 @@ def test_spectrum_run(tmp_path):
     # predicted column is 1/(n+1); the ratio drifts to 1 along the tail
     assert abs(float(rows[-1][3]) - 1.0) < 0.01
     assert any("doubling test: passed" in l for l in lines)
+
+
+def test_spectrum_of_the_zero_symbol(tmp_path, capsys):
+    # s_n = 0 passes the doubling test; the ratio column is 0/0, written
+    # as nan with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, SPECTRUM_STD0.replace("coeffs = 1.0", "coeffs = 0"),
+                        "spectrum", "s.csv")
+    assert code == 0
+    lines = out.read_text().splitlines()
+    rows = [l.split(",") for l in lines[1:] if not l.startswith("#")]
+    assert len(rows) == 60
+    assert all(r[1:] == ["0", "0", "nan"] for r in rows)
+    assert "# doubling test: passed" in lines
+    assert "Warning" not in capsys.readouterr().err
 
 
 def test_spectrum_deterministic_bytes(tmp_path):

@@ -188,9 +188,9 @@ def test_gram_scale_invariance(std0):
 
 @pytest.mark.parametrize("shift, ratio_entries", [(690, 0), (640, 112)])
 def test_gram_deep_tail_log_path(std0, shift, ratio_entries):
-    # moments below 1e-280 take the log-difference path of _delta_log:
-    # every entry at a shift of 690, all but the first 112 at 640, so
-    # that one call mixes both paths
+    # moments below 1e-280 take the log-difference slots of the log-ratio
+    # table: every entry at a shift of 690, all but the first 112 at 640,
+    # so that one table row mixes both kinds of slot
     phi = PolynomialSymbol([1.0, 0.5])
     G = polynomial_gram(std0, phi, 500)
     s = singular_values(G, check_doubling=False).values
@@ -200,6 +200,84 @@ def test_gram_deep_tail_log_path(std0, shift, ratio_entries):
     assert np.max(np.abs(Gd.band - G.band)) <= 1e-12 * s[0] ** 2
     sd = singular_values(Gd, check_doubling=False).values
     np.testing.assert_allclose(sd, s, rtol=1e-8)
+
+
+def _gather_delta_log(mt, i, j):
+    # log m[i] - log m[j] at gathered indices, with an all-safe shortcut:
+    # the form polynomial_gram's one log-ratio table replaced
+    v = mt.values
+    i = np.asarray(i)
+    j = np.asarray(j)
+    safe = (v[i] > 1e-280) & (v[j] > 1e-280)
+    if np.all(safe):
+        return np.log(v[i] / v[j])
+    lv = mt.log_values
+    out = lv[i] - lv[j]
+    if np.any(safe):
+        out = np.where(safe, np.log(np.where(safe, v[i], 1.0) / np.where(safe, v[j], 1.0)), out)
+    return out
+
+
+def _gather_gram_band(mt, symbol, N):
+    # reference assembly: four gathered log-differences per (offset, j) pair
+    d = symbol.degree
+    c = symbol.coeffs
+    dtype = float if symbol.is_real else complex
+    band = np.zeros((d, N), dtype=dtype)
+    for off in range(d):
+        m = np.arange(N - off)
+        n = m + off
+        acc = np.zeros(len(m), dtype=dtype)
+        for j in range(1, d - off + 1):
+            w = np.conj(c[j - 1]) * c[j + off - 1]
+            if w == 0.0:
+                continue
+            A = 0.5 * (_gather_delta_log(mt, m + j + off, m) + _gather_delta_log(mt, m + j + off, n))
+            term = np.exp(A)
+            if len(m) > j:
+                mm = m[j:]
+                B = 0.5 * (_gather_delta_log(mt, mm, mm - j) + _gather_delta_log(mt, n[j:], mm - j))
+                term[j:] = np.exp(B) * np.expm1(A[j:] - B)
+            acc += w * term
+        band[d - 1 - off, off:] = acc
+    return band
+
+
+def _geometric_truncation(d):
+    # phi of degree d whose phi' is 1/(1 - 0.9z) up to its z^(d-1) term
+    return PolynomialSymbol(0.9 ** np.arange(d) / np.arange(1, d + 1))
+
+
+@pytest.fixture(scope="module")
+def explog1q():
+    return compute_moments(RadialWeight.explog(1.0, 0.25), 320)
+
+
+@pytest.mark.parametrize("table", ["std0", "std25", "explog11", "explog1q", "std0_deep"])
+def test_gram_band_keeps_the_bits_of_the_gather_form(request, table, std0):
+    # the table slices must give the old gathered band bit for bit; the
+    # shifted table keeps 112 entries above 1e-280, so one table row
+    # holds ratio slots and log-difference slots
+    if table == "std0_deep":
+        mt = MomentTable(std0.weight, std0.log_values - 640, rel_tol=std0.rel_tol)
+    else:
+        mt = request.getfixturevalue(table)
+    rng = np.random.default_rng(27)
+    symbols = [_geometric_truncation(33), PolynomialSymbol([0.0, 0.0, 1.0])]
+    for d in (1, 2, 3, 4, 17):
+        re = rng.standard_normal(d)
+        symbols += [PolynomialSymbol(re), PolynomialSymbol(re + 1j * rng.standard_normal(d))]
+    cases = [(sym, N) for sym in symbols for N in (1, 2, 3, 7, 200)]
+    cases.append((_geometric_truncation(65), 16))
+    if table == "std0_deep":
+        # the gather reference takes 0.8 s at degree 297: run it once,
+        # on the table whose rows mix both kinds of slot
+        cases.append((_geometric_truncation(297), 16))
+    for sym, N in cases:
+        band = polynomial_gram(mt, sym, N).band
+        ref = _gather_gram_band(mt, sym, N)
+        assert band.dtype == ref.dtype
+        assert np.array_equal(band, ref), (table, sym.degree, N)
 
 
 def test_gram_insufficient_moments():

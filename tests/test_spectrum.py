@@ -346,6 +346,16 @@ def test_doubling_failure_reports_index(std0):
     assert spec.converged is True
 
 
+@pytest.mark.parametrize("coeffs", [[0.0], [1e-200]])
+def test_zero_section_passes_the_doubling_test(std0, coeffs):
+    # H_phibar = 0 (and a band that underflows to exact zeros) gives
+    # s_n = 0 on both sections; 0 == 0 drifts 0.0 instead of 0/0
+    spec = singular_values(polynomial_gram(std0, PolynomialSymbol(coeffs), 10))
+    assert np.array_equal(spec.values, np.zeros(10))
+    assert spec.converged is True
+    assert spec.source["doubling_drift"] == 0.0
+
+
 def test_doubling_checks_interlacing(monkeypatch):
     # the first half agrees, but lambda_1 drops from 1.0 to 0.5 when the
     # section doubles, which no leading block of a Hermitian matrix allows
