@@ -16,7 +16,6 @@ import time
 
 import numpy as np
 
-from .asymptotics import predict_standard
 from .hankel import (
     PolynomialSymbol,
     dense_gram_oracle,

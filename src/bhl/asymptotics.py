@@ -152,19 +152,23 @@ def hardy_norm(deriv, p, rel_tol=1e-6):
     )
 
 
+def _check_explog(what, alpha, beta):
+    """The explog weight's domain, 0 < alpha, beta < inf, naming the parameter outside it."""
+    for name, v in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 < v < np.inf:
+            raise WeightDomainError(f"{what} needs 0 < {name} < inf, got {name}={v}")
+
+
 def predict_standard(alpha):
     """s_n(H_zbar) ~ sqrt(alpha+1)/(n+1) for the standard weight."""
-    if not alpha > -1.0:
-        raise WeightDomainError(f"standard law needs alpha > -1, got {alpha}")
+    if not -1.0 < alpha < np.inf:
+        raise WeightDomainError(f"standard law needs -1 < alpha < inf, got alpha={alpha}")
     return AsymptoticLaw(np.sqrt(alpha + 1.0), 1.0, offset=1.0)
 
 
 def predict_explog(alpha, beta):
     """s_n(H_zbar) ~ gamma/n^((beta+2)/(2(beta+1))) for the explog weight."""
-    if not (alpha > 0.0 and beta > 0.0):
-        raise WeightDomainError(
-            f"explog law needs alpha, beta > 0, got alpha={alpha}, beta={beta}"
-        )
+    _check_explog("explog law", alpha, beta)
     e = (beta + 2.0) / (2.0 * (beta + 1.0))
     gamma = np.sqrt((alpha * beta) ** (1.0 / (1.0 + beta)) / (1.0 + beta))
     return AsymptoticLaw(gamma, e, offset=0.0)
@@ -191,12 +195,9 @@ def laplace_moment_prediction(alpha, beta, n):
     moment convention m[n] = 2 pi int r^(2n+1) omega dr, which is what
     compute_moments returns; relative accuracy improves like 1/t.
     """
-    if not (alpha > 0.0 and beta > 0.0):
-        raise WeightDomainError(
-            f"laplace prediction needs alpha, beta > 0, got {alpha}, {beta}"
-        )
-    if n < 1:
-        raise ValueError(f"laplace prediction needs n >= 1, got {n}")
+    _check_explog("laplace prediction", alpha, beta)
+    if not 1 <= n < np.inf:
+        raise ValueError(f"laplace prediction needs finite n >= 1, got {n}")
     x_n = (alpha * beta / (n + 1.0)) ** (1.0 / (1.0 + beta))
     t = alpha / x_n**beta
     E_n = (n + 1.0) * x_n + t

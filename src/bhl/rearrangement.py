@@ -28,10 +28,10 @@ field.  R(t) reads only the tiles that t crosses, cell by cell
 (LevelField).  R+ takes its bracket from bounds on R: each tile's whole
 mass binned by its min and by its max, at log-spaced edges _NARROW
 apart, bounds R from below and above at every edge.  Where the tiles
-that meet the bracket hold more than _BLOCK_ELEMS cells, regula falsi
-on R narrows it over the edges; R+ then inverts R exactly, piece by
+that meet the bracket hold more than _BLOCK_ELEMS cells, bisection
+over the edges narrows it; R+ then inverts R exactly, piece by
 quadratic piece, on the cells that meet it.  A trace needs every value
-and streams them.
+and streams them from fields of its own.
 
 Families are kept side by side (_Family): for each symbol and r_max,
 each level's field, the annulus of the r_max check, the sup and R+'s
@@ -584,12 +584,10 @@ class LevelField:
         (``_rbounds``), before R is evaluated at all: t_lo is the
         highest edge where R_lower >= x, t_hi the lowest where R_upper
         < x.  Where the tiles that meet it hold more than _BLOCK_ELEMS
-        cells, regula falsi on log R against log t (Illinois-modified:
-        an end kept twice has its log R - log x halved; bisection while
-        R = 0 at the top) narrows it over the edges between, evaluating
-        R there, until they hold at most that many or the bracket is one
-        edge step wide.  ``_invert`` then finds the root exactly on the
-        cells that meet it.
+        cells, bisection over the edges between (an open end probed
+        first) narrows it, evaluating R there, until they hold at most
+        that many or the bracket is one edge step wide.  ``_invert``
+        then finds the root exactly on the cells that meet it.
         """
         if not x > 0.0:
             raise ValueError(f"rplus needs x > 0, got {x}")
@@ -604,25 +602,12 @@ class LevelField:
         # unknown R above the top edge and below the bottom one
         h = int(np.searchsorted(upper, x, side="left")) - 1
         l = int(np.searchsorted(lower, x, side="left"))
-        g_lo = np.log(lower[l] / x) if l < n else 0.0
-        g_hi = np.log(upper[h] / x) if h >= 0 and upper[h] > 0.0 else -np.inf
-        kept = 0
         while l - h > 1 and (h < 0 or l == n or _TILE * (n_hi[l] - n_lo[h]) > _BLOCK_ELEMS):
-            if h < 0 or l == n:
-                j = 0 if h < 0 else n - 1
-            elif g_hi == -np.inf:
-                j = (h + l) // 2
+            j = 0 if h < 0 else n - 1 if l == n else (h + l) // 2
+            if R(edges[j]) >= x:
+                l = j
             else:
-                j = min(max(round(l - (l - h) * g_lo / (g_lo - g_hi)), h + 1), l - 1)
-            r = R(edges[j])
-            if r >= x:
-                l, g_lo = j, np.log(r / x)
-                g_hi *= 0.5 if kept < 0 else 1.0
-                kept = -1
-            else:
-                h, g_hi = j, np.log(r / x) if r > 0.0 else -np.inf
-                g_lo *= 0.5 if kept > 0 else 1.0
-                kept = 1
+                h = j
         if h < 0:
             return float(edges[0])
         if l == n:
@@ -852,8 +837,8 @@ def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
 
     h must be increasing and convex with h(0) = 0; this is spot-checked
     on a geometric sample, the caller owns the rest.  The trace needs
-    every value, so it streams each level's field, a kept one included;
-    it keeps no field and builds no tile index.
+    every value, so it builds each level's field itself and streams it;
+    it reads no kept field, keeps none and builds no tile index.
     """
     h0 = float(h(np.asarray(0.0)))
     T = max(bloch_norm(tau_prof, deriv, r_max=r_max), 1e-300)
@@ -866,12 +851,8 @@ def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
     mids = np.asarray(h(0.5 * (probe[:-1] + probe[1:])), dtype=float)
     if np.any(mids > 0.5 * (hp[:-1] + hp[1:]) + 1e-9 * max(1.0, float(hp[-1]))):
         raise ValueError("h fails midpoint convexity on the spot-check grid")
-    key = _family_key(deriv, r_max)
     val, err, level = _refined(
-        lambda lv: (_FAMILY.get(key, ("field", lv), tau_prof)
-                    or LevelField(tau_prof, deriv, r_max, lv)).trace(h),
-        rel_tol,
-        max_level,
+        lambda lv: LevelField(tau_prof, deriv, r_max, lv).trace(h), rel_tol, max_level
     )
     return MeasureResult(val, refine_error=err, r_max_delta=None, level=level)
 

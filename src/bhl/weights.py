@@ -485,10 +485,11 @@ def _log_kernel_norm_sq(mt, r, tail_tol):
             break
         n_block = min(4 * n_block, mt.n_max + 1)
 
+    required = _required_n_estimate(mt, r, tail_tol)
     raise InsufficientMomentsError(
         f"kernel series at r={r} does not converge within n_max={mt.n_max}; "
-        f"need roughly n_max={_required_n_estimate(mt, r, tail_tol)}",
-        required=_required_n_estimate(mt, r, tail_tol),
+        f"need roughly n_max={required}",
+        required=required,
     )
 
 

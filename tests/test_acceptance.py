@@ -7,6 +7,7 @@ a session cache because several criteria reuse the same families.
 """
 
 import ast
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +49,22 @@ def test_acceptance_imports_public_names_only():
                 if a.name.startswith("_") or any(m.startswith("_") for m in modules)
             ]
     assert not private, f"acceptance.py imports private names: {private}"
+
+
+def test_package_modules_read_every_name_they_import():
+    # an imported name a module never reads is dead weight; __init__.py
+    # imports to re-export, and a __future__ import is a compiler switch
+    unused = []
+    for path in sorted(Path(acceptance.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({(a.asname or a.name): node.lineno for a in node.names})
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert not unused, f"imported and never read: {unused}"

@@ -20,6 +20,7 @@ from bhl.errors import (
     DivergenceError,
     LawMismatchError,
     NonConvergedError,
+    WeightDomainError,
     WindowError,
 )
 from bhl.rearrangement import SymbolDerivative, _theta_cells
@@ -276,6 +277,21 @@ def test_predict_explog_frozen_values():
 def test_predict_explog_exponent_range(beta):
     e = predict_explog(1.0, beta).exponent
     assert 0.5 < e < 1.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_laws_reject_parameters_outside_the_weights_domains(bad):
+    # inf used to give gamma = inf or a nan prediction, and an infinite
+    # beta a bare ValueError from AsymptoticLaw
+    with pytest.raises(WeightDomainError, match="alpha="):
+        predict_standard(bad)
+    for alpha, beta, name in ((bad, 1.0, "alpha"), (1.0, bad, "beta")):
+        with pytest.raises(WeightDomainError, match=f"{name}="):
+            predict_explog(alpha, beta)
+        with pytest.raises(WeightDomainError, match=f"{name}="):
+            laplace_moment_prediction(alpha, beta, 10)
+    with pytest.raises(ValueError, match="n >= 1"):
+        laplace_moment_prediction(1.0, 1.0, bad)
 
 
 def test_predict_symbol_standard():

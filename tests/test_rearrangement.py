@@ -586,7 +586,8 @@ def test_rplus_and_trace_read_the_kept_family(monkeypatch):
     rp = rearrangement_plus(*_poly_family(), float(R), 0.99)
     # bloch_norm's sup grid and zooms only: 256 x 1,025 and 512 x 2,049 are kept
     assert [(m, n) for m, n in built if n == 4 * m + 1] == [], built
-    # the trace needs every value: it streams each level once, and keeps none
+    # the trace needs every value: it builds and streams each level's field
+    # itself, once, and keeps none
     tr = trace_integral(*_poly_family(), lambda x: np.asarray(x) ** 2, 0.99)
     assert [(m, n) for m, n in built if n == 4 * m + 1] == [(256, 1025), (512, 2049)], built
     _forget()
@@ -1027,7 +1028,8 @@ def _load_workloads():
 def test_rplus_evaluates_r_few_times_on_the_geometry_ops(monkeypatch):
     # the geometry benchmark's 60 radial R+ calls and its non-radial one
     # (seed 0, second pass): R(t) evaluations per LevelField.rplus call,
-    # 9.9 and 10 when the bracket was searched probe by probe
+    # 9.9 and 10 when the bracket was searched probe by probe, and 5 for
+    # the non-radial call when regula falsi narrowed it
     workloads = _load_workloads()
     ops = [op for op in workloads.build_ops("geometry", workloads.make_inputs("geometry", 0))
            if op.name.startswith(("radial", "non-radial"))]
@@ -1052,7 +1054,7 @@ def test_rplus_evaluates_r_few_times_on_the_geometry_ops(monkeypatch):
     for op in ops:
         op.fn()
     assert len(calls) == 61
-    assert np.mean(calls[:60]) <= 3.5 and calls[60] <= 6, calls
+    assert np.mean(calls[:60]) <= 3.5 and calls[60] <= 4, calls
 
 
 def test_rplus_of_a_constant_field_is_the_constant(dz):

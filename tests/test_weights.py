@@ -289,6 +289,23 @@ def test_kernel_insufficient_moments_reports_requirement():
     assert exc.value.required > 50
 
 
+def test_kernel_insufficient_moments_estimates_the_requirement_once(monkeypatch):
+    # the message and ``required`` share one estimate, a 60-step bisection
+    calls = []
+    real = weights._required_n_estimate
+
+    def counting(mt, r, tail_tol):
+        calls.append(r)
+        return real(mt, r, tail_tol)
+
+    monkeypatch.setattr(weights, "_required_n_estimate", counting)
+    mt = compute_moments(RadialWeight.standard(0.0), 50)
+    with pytest.raises(InsufficientMomentsError, match=r"need roughly n_max=24342$") as exc:
+        kernel_norm_sq(mt, 0.999)
+    assert exc.value.required == 24342
+    assert calls == [0.999]
+
+
 def test_tau_standard_closed_form(std0):
     for r in (0.0, 0.3, 0.7, 0.9):
         t = tau(RadialWeight.standard(0.0), std0, r)
