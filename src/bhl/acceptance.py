@@ -25,7 +25,6 @@ from .hankel import (
 from .rearrangement import (
     LevelField,
     SymbolDerivative,
-    bloch_norm,
     level_measure,
     rearrangement_plus,
 )
@@ -234,11 +233,10 @@ def criterion_8(cache):
     ns = np.arange(10, 1001)
     spec = _diag_spectrum(cache, 0.0, [1.0], 1100)
     s_n = spec.values[ns - 1]
-    T = bloch_norm(tau, dz, r_max=r_max)
     intervals = []
     for level in (3, 4):  # doubled quadrature resolution
         field = LevelField(tau, dz, r_max, level)
-        rp = np.array([field.rplus(float(x), T) for x in ns])
+        rp = np.array([field.rplus(float(x)) for x in ns])
         ratio = rp / s_n
         intervals.append((float(ratio.min()), float(ratio.max())))
     (lo1, hi1), (lo2, hi2) = intervals

@@ -175,7 +175,9 @@ def predict_explog(alpha, beta):
 
 
 def predict_symbol(base, deriv, p):
-    """Attach ||phi'||_{H^p} to a base law with exponent 1/p."""
+    """Attach ||phi'||_{H^p} to a base law with exponent 1/p, 1 <= p < inf."""
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"predict_symbol needs 1 <= p < inf, got p={p}")
     if abs(base.exponent - 1.0 / p) > 1e-12:
         raise LawMismatchError(
             f"base exponent {base.exponent} is not 1/p for p={p}"

@@ -27,17 +27,18 @@ index is a field's working memory whether or not a family keeps the
 field.  R(t) reads only the tiles that t crosses, cell by cell
 (LevelField).  R+ takes its bracket from bounds on R: each tile's whole
 mass binned by its min and by its max, at log-spaced edges _NARROW
-apart, bounds R from below and above at every edge.  Where the tiles
+apart down from the field's top (its largest node value, above which R
+is 0), bounds R from below and above at every edge.  Where the tiles
 that meet the bracket hold more than _BLOCK_ELEMS cells, bisection
 over the edges narrows it; R+ then inverts R exactly, piece by
 quadratic piece, on the cells that meet it.  A trace needs every value
 and streams them from fields of its own.
 
 Families are kept side by side (_Family): for each symbol and r_max,
-each level's field, the annulus of the r_max check, the sup and R+'s
-level choice, each reused only while one tau call on the radii it read
-gives the same bits, all within _HOLD_BYTES, the least recently used
-family dropped first.  So a sweep over t or repeated R+ calls build
+each level's field, the annulus of the r_max check and R+'s level
+choice, each reused only while one tau call on the radii it read gives
+the same bits, all within _HOLD_BYTES, the least recently used family
+dropped first.  So a sweep over t or repeated R+ calls build
 each level's index once, calls on other symbols in between keep it,
 and a repeated R+ call goes straight to its level.
 
@@ -96,9 +97,9 @@ _TILE = 32
 # 0) meets 4,803 cells, under _BLOCK_ELEMS
 _NARROW = 2.0**-6
 
-# the edges: t_max (1 + 1e-9), above which R+ is not resolved, then
-# t_max e^(-k _NARROW) for k = 0, 1, .. down to the first below t_max 1e-15
-_EDGES = 2 + int(np.ceil(np.log(1e15) / _NARROW))
+# the edges: t_max e^(-k _NARROW) for k = 0, 1, .. down to the first
+# below t_max 1e-15, t_max the field's largest node value
+_EDGES = 1 + int(np.ceil(np.log(1e15) / _NARROW))
 
 # the bounds on R are widened by this relative margin, far above the
 # rounding of R's and their own sums of at most a few thousand
@@ -299,11 +300,16 @@ def _field_rows(deriv, r, tau, theta):
 
     Yields (lo, f) with f the field on rows theta[lo : lo + len(f)],
     about _BLOCK_ELEMS values per chunk.  theta None stands for a
-    radial modulus, which is one row.
+    radial modulus, which is one row.  Every field and bloch_norm grid
+    is built here: a nan or inf in it raises WeightDomainError.
     """
     rows = _chunk_rows(len(r))
     for lo in range(0, 1 if theta is None else len(theta), rows):
-        yield lo, _tau_abs(deriv, r[None, :], tau, None if theta is None else theta[lo : lo + rows, None])
+        f = _tau_abs(deriv, r[None, :], tau, None if theta is None else theta[lo : lo + rows, None])
+        if not np.isfinite(f).all():
+            bad = r[~np.isfinite(f).all(axis=0)][0]
+            raise WeightDomainError(f"tau_prof |phi'| must be finite, got a nan or inf at r={bad}")
+        yield lo, f
 
 
 def _crossing_mass(f0, f1, d0, d1, du, t):
@@ -410,8 +416,7 @@ class LevelField:
         else:
             self._theta, self._wts = _theta_cells(deriv, r_max, level)
         self._wts.flags.writeable = False
-        self._lo = self._hi = None
-        self._bounds, self._bounds_at = None, None
+        self._lo = self._hi = self._bounds = None
 
     @property
     def nbytes(self):
@@ -440,6 +445,10 @@ class LevelField:
             lo.flags.writeable = hi.flags.writeable = False
             self._lo, self._hi = lo, hi
         return self
+
+    def top(self):
+        """The largest node value, the largest tile max: R is 0 from there on."""
+        return float(self._index()._hi.max())
 
     def _chunks(self):
         """(first row, tile mins, tile maxes) of row chunks of the tile
@@ -541,20 +550,19 @@ class LevelField:
             full.append(I)
         return self._row_sum(np.concatenate(full)), np.array([np.concatenate(p) for p in zip(*parts)])
 
-    def _rbounds(self, t_max):
-        """Bounds on R at the _EDGES edges of t_max, from the tile index.
+    def _rbounds(self):
+        """Bounds on R at the _EDGES edges, from the tile index, built once.
 
-        Returns a read-only (5, _EDGES) array: the edges e, from t_max
-        (1 + 1e-9) down; R_lower(e) <= R(e) <= R_upper(e), the weighted
-        whole mass of the tiles whose min, resp. max, is above e, widened
-        by _MARGIN; and the counts of those tiles.  Each tile's mass is
-        binned by the number of edges at or above its min and its max,
-        one row chunk of the index at a time.  Kept for the last t_max.
+        Returns a read-only (5, _EDGES) array: the edges e, from t_max =
+        ``top()`` down, where R and both bounds are 0; R_lower(e) <= R(e)
+        <= R_upper(e), the weighted whole mass of the tiles whose min,
+        resp. max, is above e, widened by _MARGIN; and the counts of
+        those tiles.  Each tile's mass is binned by the number of edges
+        at or above its min and its max, one row chunk of the index at a
+        time.
         """
-        if self._bounds_at != t_max:
-            edges = np.empty(_EDGES)
-            edges[0] = t_max * (1.0 + 1e-9)
-            edges[1:] = t_max * np.exp(-_NARROW * np.arange(_EDGES - 1))
+        if self._bounds is None:
+            edges = self.top() * np.exp(-_NARROW * np.arange(_EDGES))
             down = -edges
             bins = np.zeros((4, _EDGES + 1))
             for a, lo, hi in self._chunks():
@@ -568,17 +576,16 @@ class LevelField:
             bounds[1] *= 1.0 - _MARGIN
             bounds[2] *= 1.0 + _MARGIN
             bounds.flags.writeable = False
-            self._bounds, self._bounds_at = bounds, t_max
+            self._bounds = bounds
         return self._bounds
 
-    def rplus(self, x, t_max):
+    def rplus(self, x):
         """R+(x) = sup { t : R(t) >= x } on this level.
 
-        t_max is the sup of tau|phi'| (bloch_norm).  R is the mass of
-        the field's linear interpolant along u, the function that
-        ``measure`` evaluates.  R+ is t_max (1 + 1e-9) where R there is
-        still >= x, and 0 where R < x even at the lowest edge, below
-        t_max 1e-15, too deep below the sup to resolve.
+        R is the mass of the field's linear interpolant along u, the
+        function that ``measure`` evaluates, 0 from t_max = ``top()`` on.
+        R+ is 0 where R < x even at the lowest edge, below t_max 1e-15,
+        too deep below the top to resolve, and so on a zero field.
 
         The bracket comes from bounds on R at log-spaced edges
         (``_rbounds``), before R is evaluated at all: t_lo is the
@@ -591,25 +598,19 @@ class LevelField:
         """
         if not x > 0.0:
             raise ValueError(f"rplus needs x > 0, got {x}")
-        if not 0.0 <= t_max < np.inf:
-            raise ValueError(f"rplus needs 0 <= t_max < inf, got {t_max}")
-        if t_max == 0.0:
-            return 0.0
         R = self.measure
-        edges, lower, upper, n_lo, n_hi = self._rbounds(t_max)
+        edges, lower, upper, n_lo, n_hi = self._rbounds()
         n = len(edges)
-        # R(edges[l]) >= x > R(edges[h]); h = -1 and l = n stand for an
-        # unknown R above the top edge and below the bottom one
+        # R(edges[l]) >= x > R(edges[h]), h >= 0 as R_upper(edges[0]) is
+        # 0; l = n stands for an unknown R below the bottom edge
         h = int(np.searchsorted(upper, x, side="left")) - 1
         l = int(np.searchsorted(lower, x, side="left"))
-        while l - h > 1 and (h < 0 or l == n or _TILE * (n_hi[l] - n_lo[h]) > _BLOCK_ELEMS):
-            j = 0 if h < 0 else n - 1 if l == n else (h + l) // 2
+        while l - h > 1 and (l == n or _TILE * (n_hi[l] - n_lo[h]) > _BLOCK_ELEMS):
+            j = n - 1 if l == n else (h + l) // 2
             if R(edges[j]) >= x:
                 l = j
             else:
                 h = j
-        if h < 0:
-            return float(edges[0])
         if l == n:
             return 0.0
         return float(_first_below(R, self._invert(x, edges[l], edges[h]), x))
@@ -683,7 +684,7 @@ class _Family:
     """The kept families: what the calls on each symbol and r_max reuse.
 
     A family is keyed by its symbol and r_max, by value.  Each item (a
-    level's field, an annulus, the sup, an R+ level choice) is kept with
+    level's field, an annulus, an R+ level choice) is kept with
     the radii it read and tau on them, and is reused only while one tau
     call on those radii, concatenated, gives the same bits; tau must act
     elementwise, as a radial profile does.  A miss replaces only that
@@ -806,21 +807,21 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4):
     """R+(x) = sup { t : R(t) >= x }, inverted exactly on one mesh level.
 
     The mesh level L is the first one on which R(T/8) converges to
-    rel_tol, T the sup of tau|phi'|; LevelField.rplus then inverts R on
-    that one level.  The level fields and the choice of L (by T and
-    rel_tol, read from the radii of levels 0 .. L) are items of the
-    kept family (_Family), so a repeated call goes straight to a kept
-    level L.
+    rel_tol, T the top of the level-0 field, its largest node value;
+    LevelField.rplus then inverts R on that one level.  The level
+    fields and the choice of L (by T and rel_tol, read from the radii
+    of levels 0 .. L) are items of the kept family (_Family), so a
+    repeated call goes straight to a kept level L.
     """
     if not x > 0.0:
         raise ValueError(f"rearrangement_plus needs x > 0, got {x}")
-    T = bloch_norm(tau_prof, deriv, r_max=r_max)
+    T = _field(tau_prof, deriv, r_max, 0).top()
     if T == 0.0:
         return 0.0
     key, name = _family_key(deriv, r_max), ("rplus", T, rel_tol)
     level = _FAMILY.get(key, name, tau_prof)
     if level is not None:
-        return _field(tau_prof, deriv, r_max, level).rplus(x, T)
+        return _field(tau_prof, deriv, r_max, level).rplus(x)
     fields = []
 
     def measure(level):
@@ -829,19 +830,22 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4):
 
     level = _refined(measure, rel_tol, 5)[2]
     _FAMILY.keep(key, name, *(np.concatenate(a) for a in zip(*((f._r, f._tau) for f in fields))), level)
-    return fields[-1].rplus(x, T)
+    return fields[-1].rplus(x)
 
 
 def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
     """int h(tau |phi'|) dA/tau^2 over {|z| <= r_max}.
 
     h must be increasing and convex with h(0) = 0; this is spot-checked
-    on a geometric sample, the caller owns the rest.  The trace needs
-    every value, so it builds each level's field itself and streams it;
-    it reads no kept field, keeps none and builds no tile index.
+    on a geometric sample up to the top of the kept level-0 field, the
+    one tile index the trace reads; the caller owns the rest.  The trace
+    needs every value, so it builds each level's field itself and
+    streams it, and keeps none.
     """
+    if not max_level >= 1:  # before any field is read
+        raise ValueError(f"max_level must be at least 1, got {max_level}")
     h0 = float(h(np.asarray(0.0)))
-    T = max(bloch_norm(tau_prof, deriv, r_max=r_max), 1e-300)
+    T = max(_field(tau_prof, deriv, r_max, 0).top(), 1e-300)
     probe = T * np.logspace(-6, 0, 9)
     hp = np.asarray(h(probe), dtype=float)
     if abs(h0) > 1e-12 * max(1.0, float(hp[-1])):
@@ -862,32 +866,19 @@ def bloch_norm(tau_prof, deriv, r_max=None):
 
     The coarse grid uses the same angular grading as the integrators,
     then the running argmax is refined on shrinking windows.
-
-    The sup is an item of the kept family (_Family), read from the
-    coarse grid's and each zoom's radii: with the same tau bits there
-    the zooms run on the same points.
     """
     if r_max is None:
         r_max = min(tau_prof.r_hi, 1.0 - 1e-9)
     elif not 0.0 < r_max < 1.0:
         raise WeightDomainError(f"r_max must lie in (0, 1), got {r_max}")
-    key = _family_key(deriv, r_max)
-    sup = _FAMILY.get(key, "sup", tau_prof)
-    if sup is not None:
-        return sup
-    reads = []
     u_max = -np.log1p(-r_max)
-
-    def keep(sup):
-        return _FAMILY.keep(key, "sup", *(np.concatenate(a) for a in zip(*reads)), sup)
 
     def peak(u_arr, theta):
         """The grid's first maximum of tau|phi'|, as np.argmax picks it,
         and its (row, column)."""
         r = -np.expm1(-u_arr)
-        reads.append((r, np.asarray(tau_prof(r), dtype=float)))
         best, at = -np.inf, None
-        for lo, f in _field_rows(deriv, r, reads[-1][1], theta):
+        for lo, f in _field_rows(deriv, r, np.asarray(tau_prof(r), dtype=float), theta):
             k = int(np.argmax(f))
             # a later chunk wins only when strictly larger
             if f.flat[k] > best:
@@ -899,7 +890,7 @@ def bloch_norm(tau_prof, deriv, r_max=None):
     theta = None if deriv.is_radial else _theta_cells(deriv, r_max, 0)[0]
     best, (it, iu) = peak(u, theta)
     if best == 0.0:
-        return keep(0.0)
+        return 0.0
     cu = u[iu]
     ct = None if theta is None else theta[it]
     wu = u[1] - u[0]
@@ -913,7 +904,7 @@ def bloch_norm(tau_prof, deriv, r_max=None):
         wu /= 6.0
         if tt is not None:
             ct, wt = tt[it], wt / 6.0
-    return keep(best)
+    return best
 
 
 class Lattice:

@@ -341,18 +341,20 @@ def psi_functionals(spec, p, c, window):
 
 
 def schatten_norm(spec, p):
-    """(sum s_n^p)^(1/p) over the computed range.
+    """(sum s_n^p)^(1/p) over the computed range, 0 < p < inf.
 
-    Issues a RuntimeWarning when the last computed term still carries
-    more than 1e-6 of the sum: the truncated tail is then likely to
-    matter and the value is a lower bound, not an approximation.
+    The terms are scaled by s_0, so large p does not underflow.  Issues
+    a RuntimeWarning when the last computed term still carries more
+    than 1e-6 of the sum: the truncated tail is then likely to matter
+    and the value is a lower bound, not an approximation.
     """
-    if not p > 0.0:
-        raise ValueError(f"Schatten index must be positive, got {p}")
-    terms = spec.values**p
-    total = float(np.sum(terms))
-    if total == 0.0:
+    if not 0.0 < p < np.inf:
+        raise ValueError(f"Schatten index must satisfy 0 < p < inf, got p={p}")
+    s0 = float(spec.values[0]) if len(spec) else 0.0
+    if s0 == 0.0:
         return 0.0
+    terms = (spec.values / s0) ** p
+    total = float(np.sum(terms))
     if terms[-1] > 1e-6 * total:
         warnings.warn(
             f"Schatten p={p} tail not negligible: last term is "
@@ -360,4 +362,4 @@ def schatten_norm(spec, p):
             RuntimeWarning,
             stacklevel=2,
         )
-    return total ** (1.0 / p)
+    return s0 * total ** (1.0 / p)

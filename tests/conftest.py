@@ -24,9 +24,9 @@ def explog11():
 
 @pytest.fixture(autouse=True)
 def _clear_kept_family():
-    # the rearrangement layer keeps the fields, sup and R+ level of its
-    # last call family; a test that counts field builds must not depend
-    # on what an earlier test kept
+    # the rearrangement layer keeps the fields and R+ level of each
+    # symbol and r_max it was called on; a test that counts field builds
+    # must not depend on what an earlier test kept
     rearrangement._FAMILY.clear()
     yield
     rearrangement._FAMILY.clear()

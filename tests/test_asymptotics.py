@@ -306,6 +306,14 @@ def test_predict_symbol_exponent_mismatch():
         predict_symbol(predict_standard(0.0), d3, 2.0)
 
 
+@pytest.mark.parametrize("p", [0.0, -0.0])
+def test_predict_symbol_rejects_p_zero(p):
+    # a typed error naming p, before 1/p is formed
+    d3 = SymbolDerivative.polynomial([0.0, 0.0, 3.0])
+    with pytest.raises(ValueError, match="p="):
+        predict_symbol(predict_standard(0.0), d3, p)
+
+
 def test_predict_symbol_explog_factor_matches_circle_mean():
     p = 4.0 / 3.0
     law = predict_symbol(predict_explog(1.0, 1.0),

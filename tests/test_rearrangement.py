@@ -244,12 +244,11 @@ def test_max_level_below_one_is_rejected(tau0, max_level, monkeypatch):
     assert built == []
     with pytest.raises(ValueError, match="max_level"):
         trace_integral(tau0, deriv, lambda x: np.asarray(x) ** 2, 0.99, max_level=max_level)
-    # only bloch_norm's sup grid (256 x 2,049) and zooms ran, no level field
-    assert all(n in (2049, 17) for _, n in built), built
+    assert built == [], built
 
 
 def test_rearrangement_plus_of_the_zero_symbol_is_zero(tau0):
-    # bloch_norm's sup of a zero field is 0, and R+ of it is 0
+    # the sup and the level-0 top of a zero field are 0, and R+ of it is 0
     zero = SymbolDerivative.polynomial([0.0])
     assert bloch_norm(tau0, zero, r_max=0.99) == 0.0
     assert rearrangement_plus(tau0, zero, 1.0, 0.99) == 0.0
@@ -542,14 +541,13 @@ def test_rearrangement_plus_sweep_rebuilt_field_matches_held(tau0, case, monkeyp
 
 
 def test_rearrangement_plus_builds_each_level_once(tau0, monkeypatch):
-    # R+ bisects on the field its level choice built, not on a rebuild
+    # R+ bisects on the field its level choice built, not on a rebuild,
+    # and takes its top from level 0: level L has 256 * 2**L rows and
+    # 1024 * 2**L + 1 columns, and no other grid is built
     built = _record_field_builds(monkeypatch)
     deriv = SymbolDerivative.polynomial([1.0, 1.0])
     rearrangement_plus(tau0, deriv, 3.0, 0.99)
-    # level L has 256 * 2**L rows and 1024 * 2**L + 1 columns; bloch_norm's
-    # coarse grid is 256 x 2049 and its zooms 17 x 17
-    levels = [(m, n) for m, n in built if n == 4 * m + 1]
-    assert levels == [(256, 1025), (512, 2049)], levels
+    assert built == [(256, 1025), (512, 2049)], built
 
 
 def test_rearrangement_plus_keeps_its_family(monkeypatch):
@@ -563,8 +561,8 @@ def test_rearrangement_plus_keeps_its_family(monkeypatch):
     _forget()
     built = _record_field_builds(monkeypatch)
     kept = [rearrangement_plus(tau, ce, xs[0], 0.9)]
-    # levels 0 and 1 (385 x 1,025 and 769 x 2,049) besides bloch_norm's grids
-    assert [b for b in built if b in {(385, 1025), (769, 2049)}] == [(385, 1025), (769, 2049)]
+    # levels 0 and 1 (385 x 1,025 and 769 x 2,049) and nothing else
+    assert built == [(385, 1025), (769, 2049)], built
     assert _index_bytes() == 16 * (385 * 32 + 769 * 64)
     built.clear()
     kept += [rearrangement_plus(tau, ce, x, 0.9) for x in xs[1:]]
@@ -584,12 +582,12 @@ def test_rplus_and_trace_read_the_kept_family(monkeypatch):
     assert R.level == 1
     built = _record_field_builds(monkeypatch)
     rp = rearrangement_plus(*_poly_family(), float(R), 0.99)
-    # bloch_norm's sup grid and zooms only: 256 x 1,025 and 512 x 2,049 are kept
-    assert [(m, n) for m, n in built if n == 4 * m + 1] == [], built
-    # the trace needs every value: it builds and streams each level's field
-    # itself, once, and keeps none
+    # 256 x 1,025 and 512 x 2,049 are kept, and R+ builds nothing
+    assert built == [], built
+    # the trace reads the kept level-0 top; it needs every value, so it
+    # builds and streams each level's field itself, once, and keeps none
     tr = trace_integral(*_poly_family(), lambda x: np.asarray(x) ** 2, 0.99)
-    assert [(m, n) for m, n in built if n == 4 * m + 1] == [(256, 1025), (512, 2049)], built
+    assert built == [(256, 1025), (512, 2049)], built
     _forget()
     assert rearrangement_plus(*_poly_family(), float(R), 0.99) == rp
     assert trace_integral(*_poly_family(), lambda x: np.asarray(x) ** 2, 0.99) == tr
@@ -598,11 +596,10 @@ def test_rplus_and_trace_read_the_kept_family(monkeypatch):
 def test_rplus_calls_on_one_field_build_it_once(monkeypatch):
     tau, deriv = _poly_family()
     field = LevelField(tau, deriv, 0.99, 0)
-    T = bloch_norm(tau, deriv, r_max=0.99)
     built = _record_field_builds(monkeypatch)
-    rps = [field.rplus(x, T) for x in np.linspace(0.5, 5.0, 10)]
+    rps = [field.rplus(x) for x in np.linspace(0.5, 5.0, 10)]
     assert built == [(256, 1025)], built
-    fresh = [LevelField(tau, deriv, 0.99, 0).rplus(x, T) for x in np.linspace(0.5, 5.0, 10)]
+    fresh = [LevelField(tau, deriv, 0.99, 0).rplus(x) for x in np.linspace(0.5, 5.0, 10)]
     assert rps == fresh
 
 
@@ -614,8 +611,8 @@ def test_a_field_the_family_does_not_keep_reads_its_values_once(monkeypatch):
     T = bloch_norm(tau, deriv, r_max=0.99)
 
     def run(field):
-        return [field.rplus(0.5, T), field.measure(0.25 * T), field.rplus(3.0, T),
-                field.measure(T / 16.0), field.rplus(10.0, T)]
+        return [field.rplus(0.5), field.measure(0.25 * T), field.rplus(3.0),
+                field.measure(T / 16.0), field.rplus(10.0)]
 
     _forget()
     kept = rearrangement._field(tau, deriv, 0.99, 1)
@@ -667,7 +664,7 @@ def _family_calls(tau, deriv, r_max):
 def test_kept_family_gives_the_bits_of_a_fresh_one(case):
     # R(t) with all four fields, R+ (its level choice kept after the
     # first call), the trace and the sup, twice over on the kept family,
-    # against each call on an empty memo and no kept sup
+    # against each call on an empty memo
     calls = _family_calls(*_KEPT_CASES[case]())
     _forget()
     kept = [_bits(call()) for call in calls + calls]
@@ -705,36 +702,21 @@ def test_kept_family_is_validated_by_value(monkeypatch):
     r1 = LevelField(tau, deriv, r_max, 1)._r
     odd = _nudged(tau, r1[1001])
     assert not np.isin(r1[1001], LevelField(tau, deriv, r_max, 0)._r)
+    T = LevelField(odd, deriv, r_max, 0).top()
     built, probes = _record_field_builds(monkeypatch), _record_probes(monkeypatch)
     rp = rearrangement_plus(odd, deriv, 3.0, r_max)
-    T = bloch_norm(odd, deriv, r_max=r_max)
-    assert (512, 2049) in built and T / 8.0 in probes, (built, probes)
+    assert built == [(512, 2049)] and T / 8.0 in probes, (built, probes)
     _forget()
     assert rearrangement_plus(odd, deriv, 3.0, r_max) == rp
-    # one zoom radius off the coarse grid: the sup is recomputed (its
-    # coarse grid and its zooms built), the kept fields and R+ level are
-    # read
-    radii = _kept(deriv, r_max)["sup"][0]
-    zoom = _nudged(odd, np.setdiff1d(radii[2049:], radii[:2049])[-1])
-    built.clear()
-    probes.clear()
-    T = bloch_norm(zoom, deriv, r_max=r_max)
-    assert built == [(256, 2049)] + [(17, 17)] * 14, built
-    built.clear()
-    assert rearrangement_plus(zoom, deriv, 3.0, r_max) == rp
-    assert built == [] and T / 8.0 not in probes
-    _kept(deriv, r_max).pop("sup")
-    assert bloch_norm(zoom, deriv, r_max=r_max) == T
     # the outermost annulus radius, past r_max and so off every other
-    # item's radii: only the annulus is rebuilt, the level fields, the
-    # sup and the R+ level are read
-    level_measure(zoom, deriv, 0.5, r_max)
+    # item's radii: only the annulus is rebuilt, the level fields and
+    # the R+ level are read
+    level_measure(odd, deriv, 0.5, r_max)
     (ring, _, _), = [v for k, v in _kept(deriv, r_max).items() if k[0] == "annulus"]
-    edge = _nudged(zoom, ring[-1])
+    edge = _nudged(odd, ring[-1])
     built.clear()
     probes.clear()
     R = level_measure(edge, deriv, 0.5, r_max)
-    assert bloch_norm(edge, deriv, r_max=r_max) == T
     assert rearrangement_plus(edge, deriv, 3.0, r_max) == rp
     assert built == [(512, len(ring))] and T / 8.0 not in probes, (built, probes)
     _forget()
@@ -775,8 +757,8 @@ def test_a_lookup_builds_nothing(case, monkeypatch):
     monkeypatch.setattr(LevelField, "_setup", setup)
     probes = _record_probes(monkeypatch)
     level_measure(tau, deriv, 0.1, r_max)
-    T = bloch_norm(tau, deriv, r_max=r_max)
     rearrangement_plus(tau, deriv, 1.0, r_max)
+    T = rearrangement._field(tau, deriv, r_max, 0).top()
     assert cells == [] and fields == [], (cells, fields)
     assert T / 8.0 not in probes and _kept_bytes() == kept
 
@@ -786,7 +768,7 @@ def test_rearrangement_plus_peak_memory():
     # narrow; on the first 10-octave bracket nearly every cell meets it,
     # and the gathered copies would outgrow the field several times
     tau, deriv, x, r_max = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.9, 0.99
-    T = bloch_norm(tau, deriv, r_max=r_max)
+    T = LevelField(tau, deriv, r_max, 0).top()
     _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4, 5)
     field = LevelField(tau, deriv, r_max, level)
     field_bytes = 8 * len(field._wts) * len(field.dens)
@@ -797,7 +779,7 @@ def test_rearrangement_plus_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a fresh R+, its sup and level choice included, within the field's
+    # a fresh R+, its level choice included, within the field's
     # values plus a quarter of them (2.1 MiB on this 8.4 MB field); it
     # keeps tile indexes and holds values a chunk at a time
     assert peak <= 1.25 * field_bytes, (peak, field_bytes)
@@ -808,7 +790,7 @@ def test_rearrangement_plus_rebuilt_peak_memory(monkeypatch):
     # kept: it holds its tile index, and its tiled probes and the
     # gathering of the cells that meet the bracket read cache-sized chunks
     tau, deriv, x, r_max = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.9, 0.99
-    T = bloch_norm(tau, deriv, r_max=r_max)
+    T = LevelField(tau, deriv, r_max, 0).top()
     _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4, 5)
     field = LevelField(tau, deriv, r_max, level)
     field_bytes = len(field._wts) * len(field.dens) * 8
@@ -975,46 +957,43 @@ def test_tiled_measure_matches_whole_row_mask(tau0, case):
 @pytest.mark.parametrize("case", ["ce", "c=0.3", "radial"])
 def test_rplus_bounds_hold_at_every_edge(tau0, case):
     # R_lower <= R <= R_upper at each of the _EDGES edges, R as measure
-    # computes it, and the tile counts are those of the index
+    # computes it, and the tile counts are those of the index; the top
+    # edge is the largest node value, where R and both bounds are 0
     tau, deriv, r_max, level = _field_case(tau0, case)
     field = LevelField(tau, deriv, r_max, level)._index()
-    T = bloch_norm(tau, deriv, r_max=r_max)
-    edges, lower, upper, n_lo, n_hi = field._rbounds(T)
-    assert len(edges) == rearrangement._EDGES and edges[1] == T and edges[-1] <= 1e-15 * T
-    assert np.all(np.diff(edges) < 0.0) and edges[0] == T * (1.0 + 1e-9)
+    T = field.top()
+    f = np.concatenate([f for _, f in field.blocks()])
+    assert T == f.max() == field._hi.max()
+    edges, lower, upper, n_lo, n_hi = field._rbounds()
+    assert len(edges) == rearrangement._EDGES and edges[0] == T and edges[-1] <= 1e-15 * T
+    assert np.all(np.diff(edges) < 0.0)
     R = np.array([field.measure(e) for e in edges])
+    assert R[0] == lower[0] == upper[0] == 0.0
     assert np.all(lower <= R) and np.all(R <= upper)
     # the bounds are tight where the edge crosses few tiles
     assert lower[-1] > 0.0 and upper[-1] <= (1.0 + 1e-9) * lower[-1]
     assert [list(n_lo), list(n_hi)] == [[np.count_nonzero(a > e) for e in edges] for a in (field._lo, field._hi)]
-    assert field._rbounds(T) is field._rbounds(T) and not field._rbounds(T).flags.writeable
+    assert field._rbounds() is field._rbounds() and not field._rbounds().flags.writeable
     # the index and the bounds are counted in nbytes before they are built
     assert field.nbytes == LevelField(tau, deriv, r_max, level).nbytes
 
 
-def test_rplus_measures_an_end_edge_its_bounds_leave_open(tau0, dz):
-    # the top edge, t_max (1 + 1e-9), or the bottom one, t_max
-    # e^(-2211 / 64), put near node 300 so that its tile straddles it:
-    # for x between R_lower and R_upper there R is evaluated, and R+ is
-    # that edge, 0, or the first double where R < x
-    field = LevelField(tau0, dz, 1.0 - 1e-5, 0)
-    f = next(field.blocks())[1][0]  # one row, decreasing along u
-    for t_max, end in ((f[300], 0), (f[300] * np.exp(2211.0 / 64.0), -1)):
-        edges, lower, upper, _, _ = field._rbounds(t_max)
-        e = edges[end]
-        assert f[320] < e < f[288]
-        R = field.measure(e)
-        assert lower[end] < R < upper[end]
-        above = np.nextafter(R, np.inf)
-        if end == 0:
-            assert field.rplus(R, t_max) == e
-            xs = [above, 0.5 * (R + upper[0])]
-        else:
-            assert field.rplus(above, t_max) == 0.0
-            xs = [R, 0.5 * (R + lower[-1])]
-        for x in xs:
-            rp = field.rplus(x, t_max)
-            assert field.measure(rp) < x <= field.measure(np.nextafter(rp, 0.0)), (end, x, rp)
+def test_rplus_measures_an_end_edge_its_bounds_leave_open(tau0):
+    # the bottom edge, t_max e^(-2211 / 64), on a field whose values
+    # span more than 15 decades (phi' = z^40, rising from 0 at z = 0):
+    # a tile straddles it, and for x between R_lower and R_upper there R
+    # is evaluated, and R+ is 0 or the first double where R < x
+    field = LevelField(tau0, SymbolDerivative.polynomial([0.0] * 40 + [1.0]), 1.0 - 1e-5, 0)
+    f = next(field.blocks())[1][0]  # one row
+    edges, lower, upper, _, _ = field._rbounds()
+    e = edges[-1]
+    assert e == field.top() * np.exp(-2211.0 / 64.0) and f[0] == 0.0 < e
+    R = field.measure(e)
+    assert lower[-1] < R < upper[-1]
+    assert field.rplus(np.nextafter(R, np.inf)) == 0.0
+    for x in (R, 0.5 * (R + lower[-1])):
+        rp = field.rplus(x)
+        assert field.measure(rp) < x <= field.measure(np.nextafter(rp, 0.0)), (x, rp)
 
 
 def _load_workloads():
@@ -1043,9 +1022,9 @@ def test_rplus_evaluates_r_few_times_on_the_geometry_ops(monkeypatch):
         evals.append(t)
         return measure(self, t)
 
-    def counting_rplus(self, x, t_max):
+    def counting_rplus(self, x):
         start = len(evals)
-        out = rplus(self, x, t_max)
+        out = rplus(self, x)
         calls.append(len(evals) - start)
         return out
 
@@ -1065,9 +1044,9 @@ def test_rplus_of_a_constant_field_is_the_constant(dz):
     total = field.measure(0.1)
     assert total > 0.0 and field.measure(0.15) == 0.0
     for x in (1e-3 * total, 0.5 * total, (1.0 - 1e-9) * total):
-        assert field.rplus(x, 0.15) == 0.15
+        assert field.rplus(x) == 0.15
     # no t has R(t) above the whole mass
-    assert field.rplus((1.0 + 1e-9) * total, 0.15) == 0.0
+    assert field.rplus((1.0 + 1e-9) * total) == 0.0
 
 
 @pytest.mark.parametrize("case", ["ce", "c=0.3", "radial"])
@@ -1076,12 +1055,11 @@ def test_rplus_at_node_values(tau0, case):
     # ulps above it: t is one of the knots the exact search runs over
     tau, deriv, r_max, level = _field_case(tau0, case)
     field = LevelField(tau, deriv, r_max, level)
-    T = bloch_norm(tau, deriv, r_max=r_max)
     f = np.concatenate([f for _, f in field.blocks()])
     rng = np.random.default_rng(3)
     ts = f[rng.integers(0, f.shape[0], 12), rng.integers(1, f.shape[1] - 1, 12)]
     for t in ts:
-        rp = field.rplus(field.measure(t), T)
+        rp = field.rplus(field.measure(t))
         assert t <= rp <= t * (1.0 + 1e-13), (t, rp)
 
 
@@ -1095,7 +1073,7 @@ def test_invert_with_node_valued_bracket_ends(t):
     field = LevelField(tau, dz, r_max, 1)
     f = next(field.blocks())[1][0]  # one row, decreasing along u
     x = field.measure(t)
-    rp = field.rplus(x, bloch_norm(tau, dz, r_max=r_max))
+    rp = field.rplus(x)
     k = np.flatnonzero(f > rp)[-1]
     t_lo, t_hi = f[k + 40], f[k]
     assert field.measure(t_lo) >= x > field.measure(t_hi)
@@ -1155,16 +1133,15 @@ def test_rplus_on_a_level_2_field_streams_it_once(monkeypatch):
     # all, to build the tile index, and then only the tiles they cross
     tau, deriv = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6])
     field = LevelField(tau, deriv, 0.9, 2)
-    T = bloch_norm(tau, deriv, r_max=0.9)
     built = _record_field_builds(monkeypatch)
-    got = [field.rplus(x, T) for x in (0.3, 3.0, 30.0)]
+    got = [field.rplus(x) for x in (0.3, 3.0, 30.0)]
     assert built == [(1024, 4097)], built
     assert [v.hex() for v in got] == ["0x1.79bb4e7e8bbefp+0", "0x1.e1af7335212a7p-2", "0x0.0p+0"]
 
 
-def test_bloch_norm_reuses_its_sup_only_for_the_same_tau_reads(tau0, monkeypatch):
+def test_bloch_norm_zooms_read_tau_off_the_coarse_grid(tau0):
     # a tau equal to tau0 on the 2,049-point coarse grid but 1% larger
-    # at every zoom radius off it must get its own sup
+    # at every zoom radius off it gets its own sup, the reference's
     deriv, r_max = SymbolDerivative.polynomial([1.0, 0.6]), 0.99
     grid = -np.expm1(-np.linspace(0.0, -np.log1p(-r_max), 2049))
     T0 = bloch_norm(tau0, deriv, r_max=r_max)
@@ -1172,11 +1149,6 @@ def test_bloch_norm_reuses_its_sup_only_for_the_same_tau_reads(tau0, monkeypatch
     np.testing.assert_array_equal(bumped(grid), tau0(grid))
     T1 = bloch_norm(bumped, deriv, r_max=r_max)
     assert T1 == _bloch_norm_reference(bumped, deriv, r_max) and T1 > T0
-    # a profile equal by value at every radius read builds no grid again
-    built = _record_field_builds(monkeypatch)
-    same = TauProfile.user_supplied(lambda r: tau0(r) * np.where(np.isin(r, grid), 1.0, 1.01))
-    assert bloch_norm(same, deriv, r_max=r_max) == T1 and built == []
-    assert bloch_norm(tau0, deriv, r_max=r_max) == T0 and built
 
 
 @pytest.mark.parametrize("case", list(_FIELD_CASES))
@@ -1187,18 +1159,38 @@ def test_bloch_norm_matches_whole_grid_reference_bit_for_bit(tau0, case):
 
 
 @pytest.mark.parametrize("coeffs", [[1.0, 0.6], [1.0, 0.3 + 0.4j, -0.2j], [0.5, 1.0, 0.25, 0.1]])
-def test_bloch_norm_reads_its_sup_from_the_kept_family(tau0, coeffs, monkeypatch):
-    # the sup is a kept item: after the family's level fields and another
-    # family's calls bloch_norm builds no grid, with the bits of a fresh one
+def test_bloch_norm_keeps_no_sup(tau0, coeffs, monkeypatch):
+    # after the family's R(t), R+, trace and sup the family holds no sup,
+    # and bloch_norm builds its coarse grid and zooms on every call, with
+    # the bits of the whole-grid reference
     deriv = SymbolDerivative.polynomial(coeffs)
-    _forget()
     fresh = bloch_norm(tau0, deriv, r_max=0.99)
     assert fresh == _bloch_norm_reference(tau0, deriv, 0.99)
     level_measure(tau0, deriv, 0.5 * fresh, 0.99)
-    bloch_norm(tau0, SymbolDerivative.polynomial([1.0, 0.1]), r_max=0.99)
+    rearrangement_plus(tau0, deriv, 3.0, 0.99)
+    trace_integral(tau0, deriv, lambda v: np.asarray(v) ** 2, 0.99)
+    names = [name for items in rearrangement._FAMILY.families.values() for name in items]
+    assert "sup" not in names and ("rplus", LevelField(tau0, deriv, 0.99, 0).top(), 1e-4) in names, names
     built = _record_field_builds(monkeypatch)
     assert bloch_norm(tau0, deriv, r_max=0.99) == fresh
-    assert built == [], built
+    assert built == [(256, 2049)] + [(17, 17)] * 14, built
+
+
+@pytest.mark.parametrize("case", list(_KEPT_CASES))
+def test_rplus_and_trace_never_call_bloch_norm(case, monkeypatch):
+    # both read their top off the level-0 field: with bloch_norm made to
+    # raise they give the bits of calls where it could run
+    tau, deriv, r_max = _KEPT_CASES[case]()
+    h = lambda v: np.asarray(v) ** 2
+    want = [rearrangement_plus(tau, deriv, 3.0, r_max), _bits(trace_integral(tau, deriv, h, r_max))]
+    _forget()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bloch_norm called")
+
+    monkeypatch.setattr(rearrangement, "bloch_norm", refuse)
+    assert [rearrangement_plus(tau, deriv, 3.0, r_max), _bits(trace_integral(tau, deriv, h, r_max))] == want
+    assert want[0] > 0.0 and want[1][0] > 0.0
 
 
 def test_ce_abs_grid_fallback_matches_reference():
@@ -1234,18 +1226,31 @@ def test_level_field_streams_in_cache_sized_chunks():
 def test_level_field_rplus_edges(tau0, dz):
     field = LevelField(tau0, dz, 0.99, 1)
     with pytest.raises(ValueError):
-        field.rplus(0.0, SP)
-    assert field.rplus(1.0, 0.0) == 0.0  # a zero symbol: R+ is 0, no endless search
-    # a t_max below the sup: R >= x already at the top of the bracket
-    assert field.rplus(0.5, 1.0) == 1.0 + 1e-9
-    assert field.rplus(1e30, SP) == 0.0  # no t has R(t) that large
+        field.rplus(0.0)
+    zero = LevelField(tau0, SymbolDerivative.polynomial([0.0, 0.0]), 0.99, 1)
+    assert zero.top() == 0.0 and zero.rplus(1.0) == 0.0  # R+ is 0, no endless search
+    assert field.rplus(1e30) == 0.0  # no t has R(t) that large
 
 
-@pytest.mark.parametrize("t_max", [np.nan, np.inf, -1.0])
-def test_level_field_rplus_rejects_bad_t_max(t_max):
-    field = LevelField(TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.99, 0)
-    with pytest.raises(ValueError, match="t_max"):
-        field.rplus(1.0, t_max)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_field_raises_weight_domain_error(bad):
+    # tau is bad only for |r - 0.3333| < 2e-3, between the points that the
+    # profile's growth check samples: each public call, and R+ on a
+    # level field, raises the typed error naming tau_prof instead of a
+    # nan, an untyped crash or an endless search for the top
+    tau = TauProfile.standard(0.0)
+    odd = TauProfile.user_supplied(
+        lambda r: np.where(np.abs(np.asarray(r, float) - 0.3333) < 2e-3, bad, tau(r)))
+    deriv, r_max = SymbolDerivative.polynomial([1.0, 0.6]), 0.99
+    for call in (
+        lambda: level_measure(odd, deriv, 0.5, r_max),
+        lambda: rearrangement_plus(odd, deriv, 1.0, r_max),
+        lambda: trace_integral(odd, deriv, lambda v: np.asarray(v) ** 2, r_max),
+        lambda: bloch_norm(odd, deriv, r_max=r_max),
+        lambda: LevelField(odd, deriv, r_max, 0).rplus(1.0),
+    ):
+        with pytest.raises(WeightDomainError, match=r"tau_prof .* at r=0\.33"):
+            call()
 
 
 def test_trace_integral_closed_forms(tau0, dz):

@@ -472,8 +472,13 @@ def test_schatten_small_cases():
         assert schatten_norm(SingularSpectrum([3.0]), 7.0) == 3.0
         h = SingularSpectrum(1.0 / np.arange(1, 101.0))
         assert abs(schatten_norm(h, 1.0) - np.sum(1.0 / np.arange(1, 101.0))) < 1e-12
+    # the terms are scaled by s_0: at p = 1e6 the norm is s_0, not an
+    # underflowed 0; p = inf is a sup, not a sum
+    assert schatten_norm(SingularSpectrum([0.5, 0.25, 0.1]), 1e6) == 0.5
     with pytest.raises(ValueError):
         schatten_norm(h, 0.0)
+    with pytest.raises(ValueError, match="p=inf"):
+        schatten_norm(h, np.inf)
 
 
 def test_schatten_tail_warning():
