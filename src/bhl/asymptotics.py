@@ -46,13 +46,23 @@ _CIRCLE_MAX_NODES = 1 << 16
 
 
 class AsymptoticLaw:
-    """s_n ~ gamma * symbol_factor / (n + offset)^exponent."""
+    """s_n ~ gamma * symbol_factor / (n + offset)^exponent.
+
+    gamma and symbol_factor are finite and >= 0, and the offset finite
+    and > -1, so that every prediction, n >= 1, is finite and >= 0.
+    """
 
     def __init__(self, gamma, exponent, symbol_factor=1.0, offset=0.0):
-        if gamma < 0.0:
-            raise ValueError(f"law constant must be >= 0, got {gamma}")
+        if not 0.0 <= gamma < np.inf:
+            raise ValueError(f"law needs 0 <= gamma < inf, got gamma={gamma}")
         if not exponent > 0.0:
             raise ValueError(f"law exponent must be > 0, got {exponent}")
+        if not 0.0 <= symbol_factor < np.inf:
+            raise ValueError(
+                f"law needs 0 <= symbol_factor < inf, got symbol_factor={symbol_factor}"
+            )
+        if not -1.0 < offset < np.inf:
+            raise ValueError(f"law needs -1 < offset < inf, got offset={offset}")
         self.gamma = float(gamma)
         self.exponent = float(exponent)
         self.symbol_factor = float(symbol_factor)
@@ -117,11 +127,14 @@ def hardy_norm(deriv, p, rel_tol=1e-6):
     For a polynomial phi' this is the self-refining circle rule of the
     module docstring: a few hundred nodes when phi' has no zero on or
     near the circle, at most 2^16, where the fixed phase makes it the
-    2^16-point midpoint rule.  ``rel_tol`` governs only the Cauchy-type
-    family.  p = inf raises: H^inf is a sup, not a circle mean.
+    2^16-point midpoint rule.  ``rel_tol``, 0 < rel_tol < 1, governs
+    only the Cauchy-type family.  p = inf raises: H^inf is a sup, not a
+    circle mean.
     """
     if not 1.0 <= p < np.inf:
         raise ValueError(f"hardy_norm needs 1 <= p < inf, got p={p}")
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"hardy_norm needs 0 < rel_tol < 1, got rel_tol={rel_tol}")
     if deriv.kind == "poly":
         return _circle_norm(deriv, p)
     if p == 1.0 and deriv.gamma <= 1.0:

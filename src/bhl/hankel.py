@@ -88,7 +88,6 @@ class BandedGram:
         self.band = band
         self.symbol = symbol
         self.mt = mt
-        self.is_real = not np.iscomplexobj(band)
 
     @property
     def size(self):

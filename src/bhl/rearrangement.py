@@ -374,6 +374,8 @@ class LevelField:
     def __init__(self, tau_prof, deriv, r_max, level):
         if not 0.0 < r_max < 1.0:
             raise WeightDomainError(f"r_max must lie in (0, 1), got {r_max}")
+        if isinstance(level, bool) or not isinstance(level, (int, np.integer)) or level < 0:
+            raise ValueError(f"level must be a nonnegative integer, got level={level!r}")
         u = np.linspace(0.0, -np.log1p(-r_max), 1024 * 2**level + 1)
         self._setup(tau_prof, deriv, u, r_max, level)
 
@@ -752,11 +754,13 @@ def _field(tau_prof, deriv, r_max, level, r_push=None):
     return field
 
 
-def _refined(fn, rel_tol, max_level):
-    if not max_level >= 1:
-        raise ValueError(f"max_level must be at least 1, got {max_level}")
+# the dyadic mesh refinement of R, R+ and the trace stops at this level
+_MAX_LEVEL = 5
+
+
+def _refined(fn, rel_tol):
     prev = fn(0)
-    for level in range(1, max_level + 1):
+    for level in range(1, _MAX_LEVEL + 1):
         cur = fn(level)
         scale = max(abs(cur), abs(prev))
         err = abs(cur - prev) / scale if scale > 0.0 else 0.0
@@ -765,17 +769,18 @@ def _refined(fn, rel_tol, max_level):
         prev = cur
     raise NonConvergedError(
         f"dyadic refinement did not reach rel tol {rel_tol:.1e} within "
-        f"{max_level} levels (last delta {err:.3e})"
+        f"{_MAX_LEVEL} levels (last delta {err:.3e})"
     )
 
 
-def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, max_level=5, check_r_max=True):
+def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, check_r_max=True):
     """R(t) = integral of dA/tau^2 over {tau|phi'| > t, |z| <= r_max}.
 
     Returns a MeasureResult float whose ``refine_error`` is the last
-    dyadic-refinement delta and whose ``r_max_delta`` reports how much
-    the value grows when r_max is pushed to r_push, halfway to 1 and
-    capped at the tau profile's own reach: the dA/tau^2 mass of
+    dyadic-refinement delta (below 0 < rel_tol < 1 by mesh level
+    _MAX_LEVEL, or NonConvergedError) and whose ``r_max_delta`` reports
+    how much the value grows when r_max is pushed to r_push, halfway to
+    1 and capped at the tau profile's own reach: the dA/tau^2 mass of
     {tau|phi'| > t} on the annulus r_max < |z| <= r_push, integrated on
     the converged level's u step (0.0 where r_push = r_max or where the
     set stays inside r_max).  The caller owns the truncation decision.
@@ -785,10 +790,10 @@ def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, max_level=5, check_r_
     """
     if not t > 0.0:
         raise ValueError(f"level t must be positive, got {t}")
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"level_measure needs 0 < rel_tol < 1, got rel_tol={rel_tol}")
 
-    val, err, level = _refined(
-        lambda lv: _field(tau_prof, deriv, r_max, lv).measure(t), rel_tol, max_level
-    )
+    val, err, level = _refined(lambda lv: _field(tau_prof, deriv, r_max, lv).measure(t), rel_tol)
     delta = None
     if check_r_max:
         r_push = _r_push(tau_prof, r_max)
@@ -806,8 +811,8 @@ def _r_push(tau_prof, r_max):
 def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4):
     """R+(x) = sup { t : R(t) >= x }, inverted exactly on one mesh level.
 
-    The mesh level L is the first one on which R(T/8) converges to
-    rel_tol, T the top of the level-0 field, its largest node value;
+    The mesh level L is the one level_measure converges on for R(T/8)
+    to rel_tol, 0 < rel_tol < 1, T the top of the level-0 field, its largest node value;
     LevelField.rplus then inverts R on that one level.  The level
     fields and the choice of L (by T and rel_tol, read from the radii
     of levels 0 .. L) are items of the kept family (_Family), so a
@@ -815,35 +820,32 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4):
     """
     if not x > 0.0:
         raise ValueError(f"rearrangement_plus needs x > 0, got {x}")
+    if not 0.0 < rel_tol < 1.0:  # before the level-0 field is built
+        raise ValueError(f"rearrangement_plus needs 0 < rel_tol < 1, got rel_tol={rel_tol}")
     T = _field(tau_prof, deriv, r_max, 0).top()
     if T == 0.0:
         return 0.0
     key, name = _family_key(deriv, r_max), ("rplus", T, rel_tol)
     level = _FAMILY.get(key, name, tau_prof)
-    if level is not None:
-        return _field(tau_prof, deriv, r_max, level).rplus(x)
-    fields = []
-
-    def measure(level):
-        fields.append(_field(tau_prof, deriv, r_max, level))
-        return fields[-1].measure(T / 8.0)
-
-    level = _refined(measure, rel_tol, 5)[2]
-    _FAMILY.keep(key, name, *(np.concatenate(a) for a in zip(*((f._r, f._tau) for f in fields))), level)
-    return fields[-1].rplus(x)
+    if level is None:
+        level = level_measure(tau_prof, deriv, T / 8.0, r_max, rel_tol, check_r_max=False).level
+        fields = (_field(tau_prof, deriv, r_max, lv) for lv in range(level + 1))
+        r, tau = (np.concatenate(a) for a in zip(*((f._r, f._tau) for f in fields)))
+        _FAMILY.keep(key, name, r, tau, level)
+    return _field(tau_prof, deriv, r_max, level).rplus(x)
 
 
-def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
+def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4):
     """int h(tau |phi'|) dA/tau^2 over {|z| <= r_max}.
 
     h must be increasing and convex with h(0) = 0; this is spot-checked
     on a geometric sample up to the top of the kept level-0 field, the
     one tile index the trace reads; the caller owns the rest.  The trace
     needs every value, so it builds each level's field itself and
-    streams it, and keeps none.
+    streams it, and keeps none, refining as level_measure does.
     """
-    if not max_level >= 1:  # before any field is read
-        raise ValueError(f"max_level must be at least 1, got {max_level}")
+    if not 0.0 < rel_tol < 1.0:  # before the level-0 field is read
+        raise ValueError(f"trace_integral needs 0 < rel_tol < 1, got rel_tol={rel_tol}")
     h0 = float(h(np.asarray(0.0)))
     T = max(_field(tau_prof, deriv, r_max, 0).top(), 1e-300)
     probe = T * np.logspace(-6, 0, 9)
@@ -855,9 +857,7 @@ def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4, max_level=5):
     mids = np.asarray(h(0.5 * (probe[:-1] + probe[1:])), dtype=float)
     if np.any(mids > 0.5 * (hp[:-1] + hp[1:]) + 1e-9 * max(1.0, float(hp[-1]))):
         raise ValueError("h fails midpoint convexity on the spot-check grid")
-    val, err, level = _refined(
-        lambda lv: LevelField(tau_prof, deriv, r_max, lv).trace(h), rel_tol, max_level
-    )
+    val, err, level = _refined(lambda lv: LevelField(tau_prof, deriv, r_max, lv).trace(h), rel_tol)
     return MeasureResult(val, refine_error=err, r_max_delta=None, level=level)
 
 

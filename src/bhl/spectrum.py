@@ -20,6 +20,11 @@ import numpy as np
 from .errors import DoublingTestError, EigenResidualError, WindowError
 from .hankel import polynomial_gram
 
+# the eigen certificate: every certified eigenpair has
+# ||G v - lambda v|| <= _EIG_TOL * ||G||, and the PSD and interlacing
+# checks allow the same slack
+_EIG_TOL = 1e-10
+
 
 class SingularSpectrum:
     """Nonincreasing, nonnegative singular values with provenance.
@@ -154,7 +159,7 @@ def _band_eigvalsh(band):
     return w
 
 
-def symmetric_eigenvalues(G, tol=1e-10):
+def symmetric_eigenvalues(G):
     """All eigenvalues of a Hermitian BandedGram, sorted descending.
 
     A band with an inf or nan raises ValueError, on either path below.
@@ -166,10 +171,10 @@ def symmetric_eigenvalues(G, tol=1e-10):
     (``_band_eigvalsh``).  Five of them, spread over the sorted order,
     are certified by banded inverse iteration: G - sigma I is factored
     once at sigma = lambda plus a few ulps of ||G||, three solves from a
-    fixed-seed start give v, and ||G v - lambda v|| <= tol * ||G|| must
-    hold for the returned lambda.  For Hermitian G that places a true
-    eigenvalue within the residual of it, so neither a LAPACK breakdown
-    nor a wrong eigenvalue can pass unnoticed.
+    fixed-seed start give v, and ||G v - lambda v|| <= _EIG_TOL * ||G||
+    must hold for the returned lambda.  For Hermitian G that places a
+    true eigenvalue within the residual of it, so neither a LAPACK
+    breakdown nor a wrong eigenvalue can pass unnoticed.
 
     Returns an ``Eigenvalues`` array carrying the worst relative
     residual and the bandwidth used.
@@ -202,34 +207,37 @@ def symmetric_eigenvalues(G, tol=1e-10):
                 v, _ = gbtrs(lu, b, b, v, piv)
                 v = v / np.linalg.norm(v)
             res = float(np.linalg.norm(_band_matvec(band, v) - lam[i] * v))
-            if not res <= tol * scale:
+            if not res <= _EIG_TOL * scale:
                 raise EigenResidualError(
-                    f"eigenpair residual {res:.3e} exceeds {tol:.1e} * ||G|| "
+                    f"eigenpair residual {res:.3e} exceeds {_EIG_TOL:.1e} * ||G|| "
                     f"at sorted index {i} (lambda = {lam[i]:.6e})"
                 )
             worst = max(worst, res / scale)
     return Eigenvalues(lam, worst, b)
 
 
-def _doubled_eigenvalues(G, eig_tol, out):
+def _doubled_eigenvalues(G, out):
     """Thread body: eigenvalues of the size-2N section, or the error it
     raised, which the calling thread re-raises."""
     try:
-        out["lam"] = symmetric_eigenvalues(polynomial_gram(G.mt, G.symbol, 2 * G.size), eig_tol)
+        out["lam"] = symmetric_eigenvalues(polynomial_gram(G.mt, G.symbol, 2 * G.size))
     except BaseException as exc:
         out["error"] = exc
 
 
-def singular_values(G, eig_tol=1e-10, doubling_rel_tol=1e-6, check_doubling=True):
+def singular_values(G, doubling_rel_tol=1e-6, check_doubling=True):
     """s_n = sqrt(lambda_n(G)) descending, doubling-tested by default.
 
     The size-2N section is assembled from the same moment table and
     symbol.  G_N is its leading block, so Cauchy interlacing
-    lambda_k(G_N) <= lambda_k(G_2N) must hold within eig_tol * ||G_N||
+    lambda_k(G_N) <= lambda_k(G_2N) must hold within _EIG_TOL * ||G_N||
     for every k < N, and the first N/2 singular values must match
-    within doubling_rel_tol; DoublingTestError reports the first
-    offender of either.  ``source`` records the worst eigen-residual,
-    the largest doubling drift and the bandwidth used.
+    within doubling_rel_tol, 0 < doubling_rel_tol < inf (a ValueError
+    otherwise, before any work); DoublingTestError reports the first
+    offender of either.  G_N must be PSD within the same
+    _EIG_TOL * ||G_N||.  ``source`` records the certificate's _EIG_TOL,
+    the worst eigen-residual, the largest doubling drift and the
+    bandwidth used.
 
     The size-2N section is assembled and solved on a second thread,
     started and joined within the call, while this one solves and
@@ -240,20 +248,22 @@ def singular_values(G, eig_tol=1e-10, doubling_rel_tol=1e-6, check_doubling=True
     size-N section wins over one of the size-2N section, as if the two
     ran in turn; ``check_doubling=False`` starts no thread.
     """
+    if not 0.0 < doubling_rel_tol < np.inf:  # before the 2N thread starts
+        raise ValueError(
+            f"singular_values needs 0 < doubling_rel_tol < inf, got {doubling_rel_tol}"
+        )
     doubled = {}
     worker = None
     if check_doubling:
-        worker = threading.Thread(
-            target=_doubled_eigenvalues, args=(G, eig_tol, doubled), daemon=True
-        )
+        worker = threading.Thread(target=_doubled_eigenvalues, args=(G, doubled), daemon=True)
         worker.start()
     try:
-        lam = symmetric_eigenvalues(G, eig_tol)
+        lam = symmetric_eigenvalues(G)
         scale = float(np.max(np.abs(lam))) if len(lam) else 0.0
-        if len(lam) and lam[-1] < -eig_tol * scale:
+        if len(lam) and lam[-1] < -_EIG_TOL * scale:
             raise EigenResidualError(
                 f"Gram section is not PSD within tolerance: min eigenvalue "
-                f"{lam[-1]:.3e} vs -{eig_tol:.1e} * {scale:.3e}"
+                f"{lam[-1]:.3e} vs -{_EIG_TOL:.1e} * {scale:.3e}"
             )
     finally:
         if worker is not None:
@@ -268,12 +278,12 @@ def singular_values(G, eig_tol=1e-10, doubling_rel_tol=1e-6, check_doubling=True
             raise doubled.pop("error")
         N = G.size
         lam2 = doubled["lam"]
-        bad = np.nonzero(lam > lam2[:N] + eig_tol * scale)[0]
+        bad = np.nonzero(lam > lam2[:N] + _EIG_TOL * scale)[0]
         if bad.size:
             k = int(bad[0])
             raise DoublingTestError(
                 f"eigenvalue {k} of section N={N} exceeds that of 2N={2 * N} "
-                f"by {lam[k] - lam2[k]:.3e} > {eig_tol:.1e} * {scale:.3e}, "
+                f"by {lam[k] - lam2[k]:.3e} > {_EIG_TOL:.1e} * {scale:.3e}, "
                 f"breaking Cauchy interlacing",
                 index=k,
             )
@@ -297,7 +307,7 @@ def singular_values(G, eig_tol=1e-10, doubling_rel_tol=1e-6, check_doubling=True
         "weight": repr(G.mt.weight),
         "symbol": repr(G.symbol),
         "N": G.size,
-        "eig_tol": eig_tol,
+        "eig_tol": _EIG_TOL,
         "doubling_rel_tol": doubling_rel_tol if check_doubling else None,
         "moment_rel_tol": G.mt.rel_tol,
         "eig_residual": residual,
@@ -315,7 +325,7 @@ def counting(spec, s):
 
 
 def psi_functionals(spec, p, c, window):
-    """Window statistics of psi(s) * n(s) for psi(t) = c * t^p.
+    """Window statistics of psi(s) * n(s) for psi(t) = c * t^p, 0 < p, c < inf.
 
     n(s) is piecewise constant with jumps exactly at the s_n, and psi is
     increasing, so sampling psi(s_n) * n(s_n) at the jump points inside
@@ -323,8 +333,10 @@ def psi_functionals(spec, p, c, window):
     (max, min) over those samples; these are window statistics standing
     in for the s -> 0+ limsup/liminf, never limit claims.
     """
-    if not p > 0.0:
-        raise ValueError(f"psi exponent must be positive, got {p}")
+    if not 0.0 < p < np.inf:
+        raise ValueError(f"psi needs 0 < p < inf, got p={p}")
+    if not 0.0 < c < np.inf:
+        raise ValueError(f"psi needs 0 < c < inf, got c={c}")
     s_lo, s_hi = window
     if not (0.0 < s_lo < s_hi):
         raise WindowError(f"window must satisfy 0 < s_lo < s_hi, got {window}")

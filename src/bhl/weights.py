@@ -453,13 +453,18 @@ def compute_moments(w, n_max, rel_tol=1e-12):
     return MomentTable(w, log_values, rel_tol, source)
 
 
-def _log_kernel_norm_sq(mt, r, tail_tol):
+# the kernel series stops once its certified tail is below this share
+# of the partial sum
+_TAIL_TOL = 1e-12
+
+
+def _log_kernel_norm_sq(mt, r):
     """log ||K_r||^2 with a certified geometric tail bound.
 
     Term ratios rho_n = r^2 m[n]/m[n+1] decrease in n (log-convexity),
     so once the running ratio is below 1 the remaining tail is at most
     terms[k] * rho[k]/(1 - rho[k]).  Sums run peak-shifted; terms more
-    than 80 e-folds below the peak cannot move the total past tail_tol.
+    than 80 e-folds below the peak cannot move the total past _TAIL_TOL.
     The prefix grows geometrically so small radii never scan a table
     sized for the boundary.
     """
@@ -477,7 +482,7 @@ def _log_kernel_norm_sq(mt, r, tail_tol):
         rho = shifted[1:] / shifted[:-1]
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = np.where(rho < 1.0, shifted[:-1] * rho / (1.0 - rho), np.inf)
-        ok = np.nonzero(bound <= tail_tol * partial[:-1])[0]
+        ok = np.nonzero(bound <= _TAIL_TOL * partial[:-1])[0]
         if ok.size:
             k = int(ok[0])
             return lt[ip] + np.log(partial[k])
@@ -485,7 +490,7 @@ def _log_kernel_norm_sq(mt, r, tail_tol):
             break
         n_block = min(4 * n_block, mt.n_max + 1)
 
-    required = _required_n_estimate(mt, r, tail_tol)
+    required = _required_n_estimate(mt, r)
     raise InsufficientMomentsError(
         f"kernel series at r={r} does not converge within n_max={mt.n_max}; "
         f"need roughly n_max={required}",
@@ -493,7 +498,7 @@ def _log_kernel_norm_sq(mt, r, tail_tol):
     )
 
 
-def _required_n_estimate(mt, r, tail_tol):
+def _required_n_estimate(mt, r):
     # how far the table must extend for the tail bound to trigger at
     # radius r.  Model: g(n) = log m[n] - log m[n+1] decays like a power
     # of n, fitted from the table; the peak term sits where g = 2*log(1/r)
@@ -506,7 +511,7 @@ def _required_n_estimate(mt, r, tail_tol):
     k1 = max(1, k2 // 2)
     p = float(np.clip(np.log(g[k1] / g[k2]) / np.log(k2 / k1), 0.05, 4.0))
     start = max(float(k2), k2 * (g[k2] / L) ** (1.0 / p))
-    budget = np.log(1.0 / tail_tol) + 5.0
+    budget = np.log(1.0 / _TAIL_TOL) + 5.0
 
     def g_model(s):
         return g[k2] * (s / k2) ** (-p)
@@ -530,12 +535,12 @@ def _required_n_estimate(mt, r, tail_tol):
     return int(np.ceil(1.1 * hi)) + 1
 
 
-def kernel_norm_sq(mt, r, tail_tol=1e-12):
+def kernel_norm_sq(mt, r):
     """||K_r||^2 = sum_n r^(2n)/m[n], truncated by a geometric tail bound.
 
     Stops at the first n where the term ratio has dropped below 1 and
     the geometric tail estimate term * rho/(1-rho) is below
-    tail_tol * partial_sum.  Exhausting the table raises
+    _TAIL_TOL * partial_sum.  Exhausting the table raises
     InsufficientMomentsError carrying an n_max estimate; there is no
     silent truncation.  For rapidly decaying weights very close to the
     boundary the sum can exceed double range; use tau(), which combines
@@ -545,17 +550,17 @@ def kernel_norm_sq(mt, r, tail_tol=1e-12):
         raise WeightDomainError(f"kernel norm needs 0 <= r < 1, got {r}")
     if r == 0.0:
         return float(np.exp(-mt.log_values[0]))
-    return float(np.exp(_log_kernel_norm_sq(mt, r, tail_tol)))
+    return float(np.exp(_log_kernel_norm_sq(mt, r)))
 
 
-def tau(w, mt, r, tail_tol=1e-12):
+def tau(w, mt, r):
     """tau(r) = (w(r) * ||K_r||^2)^(-1/2), combined in log space."""
     if r == 0.0:
         log_k = -mt.log_values[0]
     else:
         if not (0.0 < r < 1.0):
             raise WeightDomainError(f"tau needs 0 <= r < 1, got {r}")
-        log_k = _log_kernel_norm_sq(mt, r, tail_tol)
+        log_k = _log_kernel_norm_sq(mt, r)
     log_dens = float(w.log_density(np.asarray(r)))
     if not np.isfinite(log_dens):
         raise WeightDomainError(f"weight density vanishes or blows up at r={r}")
@@ -587,7 +592,9 @@ class TauProfile:
 
     @classmethod
     def user_supplied(cls, fn, r_hi=1.0 - 1e-12):
-        """Wrap an explicit radial callable; no weight needed."""
+        """Wrap an explicit radial callable, to be read on 0 <= r <= r_hi < 1; no weight needed."""
+        if not 0.0 < r_hi < 1.0:
+            raise WeightDomainError(f"tau profile needs 0 < r_hi < 1, got r_hi={r_hi}")
         return cls(lambda r: np.asarray(fn(r), dtype=float), "UserSupplied", r_hi)
 
     @classmethod
@@ -632,7 +639,7 @@ _TAU_GRID_STEP = 0.005
 _TAU_VALIDATE_TOL = 1e-6
 
 
-def tau_profile(w, mt, tail_tol=1e-12):
+def tau_profile(w, mt):
     """Memoized tau with cubic-spline (not-a-knot) evaluation between grid nodes.
 
     Caches log ||K_r||^2 against u = log(1/(1-r)) on a uniform u-grid out
@@ -652,7 +659,7 @@ def tau_profile(w, mt, tail_tol=1e-12):
     log_k = [-mt.log_values[0]]
     for ri in r_grid[1:]:
         try:
-            log_k.append(_log_kernel_norm_sq(mt, ri, tail_tol))
+            log_k.append(_log_kernel_norm_sq(mt, ri))
         except InsufficientMomentsError:
             break
     u, r_grid = u[: len(log_k)], r_grid[: len(log_k)]
@@ -674,7 +681,7 @@ def tau_profile(w, mt, tail_tol=1e-12):
 
     rng = np.random.default_rng(0)
     sample = rng.uniform(0.0, r_hi, 100)
-    direct = np.array([tau(w, mt, ri, tail_tol) for ri in sample])
+    direct = np.array([tau(w, mt, ri) for ri in sample])
     rel = np.abs(prof(sample) / direct - 1.0)
     if np.max(rel) > _TAU_VALIDATE_TOL:
         raise QuadratureError(

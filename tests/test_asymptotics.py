@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bhl import asymptotics
 from bhl.asymptotics import (
     AsymptoticLaw,
     _ce_circle_norm,
@@ -77,6 +78,17 @@ def test_hardy_norm_ce_h1_slow_convergence():
         hardy_norm(SymbolDerivative.ce_family(1.5), 1.0)
     v = hardy_norm(SymbolDerivative.ce_family(1.5), 1.0, rel_tol=5e-3)
     assert np.isfinite(v) and v > 1.0
+
+
+@pytest.mark.parametrize("rel_tol", [np.nan, 0.0, -1.0, 1.0])
+def test_hardy_norm_rejects_rel_tol_outside_unit_interval(rel_tol, monkeypatch):
+    # nan ran all 48 radius doublings before it raised NonConvergedError
+    circles = []
+    monkeypatch.setattr(asymptotics, "_ce_circle_norm", lambda *args: circles.append(args))
+    for deriv in (SymbolDerivative.ce_family(1.5), SymbolDerivative.polynomial([1.0, 0.5])):
+        with pytest.raises(ValueError, match="rel_tol="):
+            hardy_norm(deriv, 1.0, rel_tol=rel_tol)
+    assert circles == []
 
 
 def test_hardy_norm_rejects_bad_p():
@@ -252,6 +264,15 @@ def test_law_validation_and_evaluation():
         AsymptoticLaw(gamma=-1.0, exponent=1.0)
     with pytest.raises(ValueError):
         AsymptoticLaw(gamma=1.0, exponent=0.0)
+    # each predicted a nan, inf or negative s_n, or divided by 0 at n = 5
+    for field, bad in (("gamma", np.nan), ("gamma", np.inf), ("symbol_factor", -1.0),
+                       ("symbol_factor", np.nan), ("symbol_factor", np.inf),
+                       ("offset", -5.0), ("offset", -1.0), ("offset", np.nan),
+                       ("offset", np.inf)):
+        with pytest.raises(ValueError, match=f"{field}="):
+            AsymptoticLaw(**{"gamma": 1.0, "exponent": 1.0, field: bad})
+    edge = AsymptoticLaw(gamma=0.0, exponent=1.0, symbol_factor=0.0, offset=-0.5)
+    assert edge(1) == 0.0
     law = predict_standard(0.0)
     assert law(999) == 0.001  # the shift places s_n at gamma/(n+1)
     with pytest.raises(ValueError):

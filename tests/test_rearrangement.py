@@ -230,21 +230,37 @@ def test_r_max_outside_unit_interval_is_rejected(tau0, dz, r_max):
                 call()
 
 
-def test_level_measure_non_convergence_reported(tau0, dz):
+def test_level_measure_non_convergence_reported(tau0, dz, monkeypatch):
+    monkeypatch.setattr(rearrangement, "_MAX_LEVEL", 1)
     with pytest.raises(NonConvergedError):
-        level_measure(tau0, dz, 0.5, 0.999, rel_tol=1e-12, max_level=1)
+        level_measure(tau0, dz, 0.5, 0.999, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("max_level", [0, -1])
-def test_max_level_below_one_is_rejected(tau0, max_level, monkeypatch):
+@pytest.mark.parametrize("rel_tol", [np.nan, 0.0, -1.0, 1.0])
+def test_refined_calls_reject_rel_tol_outside_unit_interval(tau0, rel_tol, monkeypatch):
+    # one ValueError naming rel_tol, raised before any field is built or kept
     built = _record_field_builds(monkeypatch)
     deriv = SymbolDerivative.polynomial([1.0, 0.6])
-    with pytest.raises(ValueError, match="max_level"):
-        level_measure(tau0, deriv, 0.5, 0.99, max_level=max_level)
-    assert built == []
-    with pytest.raises(ValueError, match="max_level"):
-        trace_integral(tau0, deriv, lambda x: np.asarray(x) ** 2, 0.99, max_level=max_level)
-    assert built == [], built
+    for call in (
+        lambda: level_measure(tau0, deriv, 0.5, 0.99, rel_tol=rel_tol),
+        lambda: rearrangement_plus(tau0, deriv, 1.0, 0.99, rel_tol=rel_tol),
+        lambda: trace_integral(tau0, deriv, lambda x: np.asarray(x) ** 2, 0.99, rel_tol=rel_tol),
+    ):
+        with pytest.raises(ValueError, match="rel_tol"):
+            call()
+        assert built == [] and not rearrangement._FAMILY.families, built
+
+
+@pytest.mark.parametrize("level", [-1, 2.5, True])
+def test_level_field_rejects_a_level_that_is_not_a_nonnegative_integer(tau0, dz, level):
+    with pytest.raises(ValueError, match="level="):
+        LevelField(tau0, dz, 0.99, level)
+
+
+def test_level_field_takes_a_numpy_integer_level(tau0):
+    deriv = SymbolDerivative.polynomial([1.0, 0.6])
+    a, b = LevelField(tau0, deriv, 0.99, np.int64(1)), LevelField(tau0, deriv, 0.99, 1)
+    assert (a.measure(0.5), a.rplus(2.0), a.top()) == (b.measure(0.5), b.rplus(2.0), b.top())
 
 
 def test_rearrangement_plus_of_the_zero_symbol_is_zero(tau0):
@@ -402,12 +418,13 @@ def test_level_measure_streams_a_field_over_the_memo_budget(monkeypatch):
     assert kept + LevelField(tau, ce, 0.99, 2).nbytes <= rearrangement._HOLD_BYTES
     # with a budget that holds levels 0 and 1 only, level 2 is not kept
     monkeypatch.setattr(rearrangement, "_HOLD_BYTES", kept)
+    monkeypatch.setattr(rearrangement, "_MAX_LEVEL", 2)
     field = LevelField(tau, ce, 0.99, 2)
     index_bytes = 16 * len(field._wts) * len(field._cell)
     tracemalloc.start()
     try:
         with pytest.raises(NonConvergedError):
-            level_measure(tau, ce, 0.01, 0.99, rel_tol=1e-12, max_level=2, check_r_max=False)
+            level_measure(tau, ce, 0.01, 0.99, rel_tol=1e-12, check_r_max=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -463,9 +480,7 @@ def test_rearrangement_plus_inverts_measure(tau0, dz):
 def _rplus_probe_by_probe(tau_prof, deriv, x, r_max, iters):
     """rearrangement_plus as a plain bisection that measures R(t) at every probe."""
     T = bloch_norm(tau_prof, deriv, r_max=r_max)
-    _, _, level = _refined(
-        lambda lv: LevelField(tau_prof, deriv, r_max, lv).measure(T / 8.0), 1e-4, 5
-    )
+    _, _, level = _refined(lambda lv: LevelField(tau_prof, deriv, r_max, lv).measure(T / 8.0), 1e-4)
     field = LevelField(tau_prof, deriv, r_max, level)
     t_lo, t_hi = T * 2.0**-10, T * (1.0 + 1e-9)
     assert field.measure(t_hi) < x
@@ -735,6 +750,37 @@ def _record_calls(monkeypatch, name):
     return calls
 
 
+@pytest.mark.parametrize("case", ["radial", "poly", "ce"])
+def test_rearrangement_plus_takes_its_level_from_level_measure(case, monkeypatch):
+    # a new family: one level_measure call at T/8, T the level-0 top, and
+    # no refinement of R+'s own; a repeated call reads the kept level
+    tau, deriv, r_max = _KEPT_CASES[case]()
+    T = LevelField(tau, deriv, r_max, 0).top()
+    _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4)
+    want = LevelField(tau, deriv, r_max, level).rplus(2.0)
+    calls, inside = [], []
+    real_measure, real_refined = rearrangement.level_measure, rearrangement._refined
+
+    def measure(*args, **kwargs):
+        calls.append((args[2:], kwargs))
+        inside.append(True)
+        try:
+            return real_measure(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def refined(fn, rel_tol):
+        assert inside, "R+ refined a level outside level_measure"
+        return real_refined(fn, rel_tol)
+
+    monkeypatch.setattr(rearrangement, "level_measure", measure)
+    monkeypatch.setattr(rearrangement, "_refined", refined)
+    assert rearrangement_plus(tau, deriv, 2.0, r_max) == want
+    assert calls == [((T / 8.0, r_max, 1e-4), {"check_r_max": False})], calls
+    assert rearrangement_plus(tau, deriv, 2.0, r_max) == want
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("case", ["poly", "ce"])
 def test_a_lookup_builds_nothing(case, monkeypatch):
     # a call on the kept family builds no angular cells and no level
@@ -769,7 +815,7 @@ def test_rearrangement_plus_peak_memory():
     # and the gathered copies would outgrow the field several times
     tau, deriv, x, r_max = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.9, 0.99
     T = LevelField(tau, deriv, r_max, 0).top()
-    _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4, 5)
+    _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4)
     field = LevelField(tau, deriv, r_max, level)
     field_bytes = 8 * len(field._wts) * len(field.dens)
     _forget()
@@ -791,7 +837,7 @@ def test_rearrangement_plus_rebuilt_peak_memory(monkeypatch):
     # gathering of the cells that meet the bracket read cache-sized chunks
     tau, deriv, x, r_max = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.9, 0.99
     T = LevelField(tau, deriv, r_max, 0).top()
-    _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4, 5)
+    _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4)
     field = LevelField(tau, deriv, r_max, level)
     field_bytes = len(field._wts) * len(field.dens) * 8
     monkeypatch.setattr(rearrangement, "_HOLD_BYTES", 0)

@@ -34,7 +34,6 @@ from bhl.weights import RadialWeight, compute_moments
 def fake_gram(band):
     """Synthetic banded section: enough attribute surface for the solver."""
     g = types.SimpleNamespace(band=np.asarray(band, dtype=float))
-    g.is_real = True
     g.size = g.band.shape[1]
     g.bandwidth = g.band.shape[0] - 1
     g.symbol = None
@@ -143,11 +142,11 @@ def test_lapack_failure_is_an_eigen_residual_error(monkeypatch):
 
 def _singular_values_in_turn(G, eig_tol=1e-10, doubling_rel_tol=1e-6):
     """Reference: the doubling-tested spectrum with the sections solved in turn."""
-    lam = symmetric_eigenvalues(G, eig_tol)
+    lam = symmetric_eigenvalues(G)
     scale = float(np.max(np.abs(lam)))
     assert lam[-1] >= -eig_tol * scale
     N = G.size
-    lam2 = symmetric_eigenvalues(polynomial_gram(G.mt, G.symbol, 2 * N), eig_tol)
+    lam2 = symmetric_eigenvalues(polynomial_gram(G.mt, G.symbol, 2 * N))
     bad = np.nonzero(lam > lam2[:N] + eig_tol * scale)[0]
     if bad.size:
         raise DoublingTestError("interlacing", index=int(bad[0]))
@@ -276,6 +275,18 @@ def test_no_thread_outlives_a_call(std0, monkeypatch):
                 failing[k % 4]()
         assert threading.active_count() == len(before)
     assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+def test_doubling_rel_tol_is_checked_before_any_work(std0, tol, monkeypatch):
+    # nan and -1.0 failed every drift, inf passed every drift
+    G = polynomial_gram(std0, PolynomialSymbol([1.0, 0.5]), 40)
+    solved = []
+    monkeypatch.setattr(spectrum, "symmetric_eigenvalues", lambda G: solved.append(G))
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="doubling_rel_tol"):
+        singular_values(G, doubling_rel_tol=tol)
+    assert solved == [] and threading.active_count() == before
 
 
 def _spectrum_in_child(G, conn):
@@ -455,6 +466,12 @@ def test_psi_window_errors():
         psi_functionals(spec, 1.0, 1.0, (1e-6, 1e-5))  # empty
     with pytest.raises(ValueError):
         psi_functionals(spec, -1.0, 1.0, (0.1, 1.0))
+    # c <= 0 gave (-0.75, -1.0), c = nan (nan, nan) and p = inf (1.0, 0.0)
+    spec = SingularSpectrum([1.0, 0.5, 0.25])
+    for p, c, name in ((np.inf, 1.0, "p"), (np.nan, 1.0, "p"), (1.0, -1.0, "c"),
+                       (1.0, 0.0, "c"), (1.0, np.nan, "c"), (1.0, np.inf, "c")):
+        with pytest.raises(ValueError, match=f"{name}="):
+            psi_functionals(spec, p, c, (0.2, 1.0))
 
 
 def test_schatten_trace_identity(std0):

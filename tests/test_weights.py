@@ -294,9 +294,9 @@ def test_kernel_insufficient_moments_estimates_the_requirement_once(monkeypatch)
     calls = []
     real = weights._required_n_estimate
 
-    def counting(mt, r, tail_tol):
+    def counting(mt, r):
         calls.append(r)
-        return real(mt, r, tail_tol)
+        return real(mt, r)
 
     monkeypatch.setattr(weights, "_required_n_estimate", counting)
     mt = compute_moments(RadialWeight.standard(0.0), 50)
@@ -354,9 +354,9 @@ def test_tau_profile_sums_each_grid_node_once(std0, monkeypatch):
     radii = []
     real = weights._log_kernel_norm_sq
 
-    def counting(mt, r, tail_tol):
+    def counting(mt, r):
         radii.append(r)
-        return real(mt, r, tail_tol)
+        return real(mt, r)
 
     monkeypatch.setattr(weights, "_log_kernel_norm_sq", counting)
     prof = tau_profile(RadialWeight.standard(0.0), std0)
@@ -387,6 +387,15 @@ def test_user_profile_domain_enforced():
     assert prof.provenance == "UserSupplied"
     with pytest.raises(WeightDomainError):
         prof(1.0)
+
+
+@pytest.mark.parametrize("r_hi", [2.0, 1.0, np.nan, 0.0, -0.5])
+def test_user_profile_rejects_r_hi_outside_unit_interval(r_hi):
+    # r_hi = 2 let fn = 1 - r read tau(1.5) = -0.5, and nan blamed the profile
+    read = []
+    with pytest.raises(WeightDomainError, match="r_hi="):
+        TauProfile.user_supplied(lambda r: read.append(r) or 1.0 - np.asarray(r), r_hi)
+    assert read == []
 
 
 def test_closed_form_tau_profiles(std0):
