@@ -39,7 +39,6 @@ _SCHEMA = {
     "symbol": {"coeffs", "ce_gamma"},
     "truncation": {"n"},
     "quadrature": {"rel_tol"},
-    "window": {"lo", "hi"},
     "rearrange": {"r_max", "t_lo", "t_hi", "points"},
     "output": {"path"},
     "verify": {"suite"},

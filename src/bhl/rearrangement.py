@@ -36,11 +36,12 @@ and streams them from fields of its own.
 
 Families are kept side by side (_Family): for each symbol and r_max,
 each level's field, the annulus of the r_max check and R+'s level
-choice, each reused only while one tau call on the radii it read gives
-the same bits, all within _HOLD_BYTES, the least recently used family
-dropped first.  So a sweep over t or repeated R+ calls build
-each level's index once, calls on other symbols in between keep it,
-and a repeated R+ call goes straight to its level.
+choice (checked on its level's radii, which hold all it read), each
+reused only while one tau call on its radii gives the same bits, all
+within _HOLD_BYTES, the least recently used family dropped first.  So
+a sweep over t or repeated R+ calls build each level's index once,
+calls on other symbols in between keep it, and a repeated R+ call goes
+straight to its level.
 
 The (tau, delta)-lattice is closed-form: its centers are the points of
 rings delta*tau apart, and build_lattice verifies its covering and
@@ -255,7 +256,10 @@ class MeasureResult(float):
 
 
 def _theta_cells(deriv, r_max, level):
-    """Angular nodes and weights so that sum w_j I(theta_j) ~ int I dtheta."""
+    """Angular nodes and weights so that sum w_j I(theta_j) ~ int I dtheta
+    (one node of weight 2 pi for a radial modulus)."""
+    if deriv.is_radial:
+        return np.array([0.0]), np.array([2.0 * np.pi])
     if deriv.kind == "poly":
         M = max(256, 32 * len(deriv.coeffs)) * 2**level
         return 2.0 * np.pi * np.arange(M) / M, np.full(M, 2.0 * np.pi / M)
@@ -286,9 +290,9 @@ def _chunk_rows(columns):
 
 
 def _tau_abs(deriv, r, tau, theta):
-    """tau|phi'| at r e^(i theta), broadcast together (theta None: a radial
-    modulus); elementwise, so a grid and a gather of its nodes agree."""
-    if theta is None:
+    """tau|phi'| at r e^(i theta), broadcast together (a radial modulus
+    reads r only); elementwise, so a grid and a gather of its nodes agree."""
+    if deriv.is_radial:
         return tau * deriv.radial_abs(r)
     f = deriv.abs_grid(r, theta)
     f *= tau
@@ -299,13 +303,13 @@ def _field_rows(deriv, r, tau, theta):
     """tau|phi'| on an outer(theta, r) polar grid, in chunks of rows.
 
     Yields (lo, f) with f the field on rows theta[lo : lo + len(f)],
-    about _BLOCK_ELEMS values per chunk.  theta None stands for a
-    radial modulus, which is one row.  Every field and bloch_norm grid
-    is built here: a nan or inf in it raises WeightDomainError.
+    about _BLOCK_ELEMS values per chunk; a radial modulus reads no theta
+    and is one row per chunk.  Every field and bloch_norm grid is built
+    here: a nan or inf in it raises WeightDomainError.
     """
     rows = _chunk_rows(len(r))
-    for lo in range(0, 1 if theta is None else len(theta), rows):
-        f = _tau_abs(deriv, r[None, :], tau, None if theta is None else theta[lo : lo + rows, None])
+    for lo in range(0, len(theta), rows):
+        f = _tau_abs(deriv, r[None, :], tau, theta[lo : lo + rows, None])
         if not np.isfinite(f).all():
             bad = r[~np.isfinite(f).all(axis=0)][0]
             raise WeightDomainError(f"tau_prof |phi'| must be finite, got a nan or inf at r={bad}")
@@ -327,7 +331,10 @@ def _crossing_mass(f0, f1, d0, d1, du, t):
 def _first_below(R, t, x):
     """The first double at which R < x, for R nonincreasing, from a guess
     t: steps from t, doubling, up while R >= x or down while R < x, then
-    halves back between the last two steps."""
+    halves back between the last two steps.  A non-finite t is refused:
+    its spacing is nan, and the steps would never end."""
+    if not np.isfinite(t):
+        raise ValueError(f"_first_below needs a finite start, got t={t}")
     step = np.spacing(t)
     lo, hi = (None, t) if R(t) < x else (t, None)
     while lo is None:
@@ -352,8 +359,8 @@ class LevelField:
     """tau|phi'| on the polar grid of one dyadic mesh level.
 
     ``dens`` is dA/tau^2 per du dtheta along the u axis; a radial
-    modulus is one row of weight 2 pi.  The field keeps none of its
-    values: ``blocks()`` builds (weights, field) pairs of cache-sized
+    modulus is one angular node of weight 2 pi.  The field keeps none of
+    its values: ``blocks()`` builds (weights, field) pairs of cache-sized
     chunks of angular rows (_BLOCK_ELEMS values each), one at a time.
 
     Each row's u cells are indexed in tiles of _TILE cells: per row and
@@ -365,7 +372,7 @@ class LevelField:
     pass the first time ``measure``, ``rplus`` or ``_rbounds`` needs it,
     whether or not a family keeps the field: the index is the field's
     working memory.  The crossed tiles are recomputed by the grid's
-    elementwise arithmetic.
+    elementwise arithmetic, one array of them per chunk of the index.
 
     A field depends on its symbol, r_max and level and on tau at its
     radii ``_r`` only, which is what the kept families (_Family) check.
@@ -413,10 +420,7 @@ class LevelField:
         self._cell.reshape(-1)[: nodes - 1] = 0.5 * self.du * (self.dens[:-1] + self.dens[1:])
         self._tile_mass = self._cell.sum(axis=1)
         self._deriv = deriv
-        if deriv.is_radial:
-            self._theta, self._wts = None, np.array([2.0 * np.pi])
-        else:
-            self._theta, self._wts = _theta_cells(deriv, r_max, level)
+        self._theta, self._wts = _theta_cells(deriv, r_max, level)
         self._wts.flags.writeable = False
         self._lo = self._hi = self._bounds = None
 
@@ -473,50 +477,37 @@ class LevelField:
         return total
 
     def _crossed(self, a, lo, hi, t_lo, t_hi):
-        """A chunk's per-row mass of its tiles above t_hi, the rows of its
-        tiles neither above t_hi nor at or below t_lo (a nan tile is one),
-        and runs of their (rows, tiles, u nodes, values), _TILE + 1 nodes
-        each, the values computed on those nodes, about _BLOCK_ELEMS
-        values per run (one empty run for none)."""
+        """A chunk's per-row mass of its tiles above t_hi, and its tiles
+        neither above t_hi nor at or below t_lo (a nan tile is one): their
+        rows, tiles and u nodes (_TILE + 1 each) and the values computed
+        on those nodes, one (k, _TILE + 1) array for the chunk."""
         above = lo > t_hi
         # a row's sum runs over its own tiles only, in the same order in
         # any chunk, so the chunking moves no bit
         I = np.where(above, self._tile_mass, 0.0).sum(axis=1)
         off = hi <= t_lo
         off |= above
-        ii, jj = (~off).nonzero()
-        step = _chunk_rows(_TILE + 1)
-
-        def run(i, j):
-            nodes = self._nodes[j]
-            theta = None if self._theta is None else self._theta[a + i][:, None]
-            return i, j, nodes, _tau_abs(self._deriv, self._r[nodes], self._tau[nodes], theta)
-
-        return I, ii, (run(ii[b : b + step], jj[b : b + step]) for b in range(0, max(len(ii), 1), step))
-
-    def _tile_measure(self, a, lo, hi, t):
-        """Per-row integral of dens over {field > t} along u, on one chunk.
-
-        Tiles above t count their whole mass; in the tiles t crosses
-        each cell counts whole, by its linear crossing, or not at all.
-        """
-        I, ii, runs = self._crossed(a, lo, hi, t, t)
-        if ii.size:
-            parts = []
-            for i, j, nodes, g in runs:
-                gt = g > t
-                part = ((gt[:, :-1] & gt[:, 1:]) * self._cell[j]).sum(axis=1)
-                xi, xc = (gt[:, :-1] ^ gt[:, 1:]).nonzero()
-                n = nodes[xi, xc]
-                cut = _crossing_mass(g[xi, xc], g[xi, xc + 1], self.dens[n], self.dens[n + 1], self.du, t)
-                part += np.bincount(xi, cut, minlength=len(i))
-                parts.append(part)
-            I += np.bincount(ii, np.concatenate(parts), minlength=len(I))
-        return I
+        i, j = (~off).nonzero()
+        nodes = self._nodes[j]
+        g = _tau_abs(self._deriv, self._r[nodes], self._tau[nodes], self._theta[a + i][:, None])
+        return I, i, j, nodes, g
 
     def measure(self, t):
-        """R(t) on this level: the dA/tau^2 mass of {tau|phi'| > t}."""
-        return self._row_sum(np.concatenate([self._tile_measure(*c, t) for c in self._chunks()]))
+        """R(t) on this level: the dA/tau^2 mass of {tau|phi'| > t}, per row
+        the whole mass of the tiles above t and, in the tiles t crosses,
+        each cell whole, by its linear crossing, or not at all."""
+        per_row = []
+        for c in self._chunks():
+            I, i, j, nodes, g = self._crossed(*c, t, t)
+            gt = g > t
+            part = ((gt[:, :-1] & gt[:, 1:]) * self._cell[j]).sum(axis=1)
+            xi, xc = (gt[:, :-1] ^ gt[:, 1:]).nonzero()
+            n = nodes[xi, xc]
+            cut = _crossing_mass(g[xi, xc], g[xi, xc + 1], self.dens[n], self.dens[n + 1], self.du, t)
+            part += np.bincount(xi, cut, minlength=len(i))
+            I += np.bincount(i, part, minlength=len(I))
+            per_row.append(I)
+        return self._row_sum(np.concatenate(per_row))
 
     def trace(self, h):
         """int h(tau|phi'|) dA/tau^2 on this level, over every value, streamed."""
@@ -535,21 +526,18 @@ class LevelField:
         """
         full, parts = [], []
         for a, lo, hi in self._chunks():
-            I, ii, runs = self._crossed(a, lo, hi, t_lo, t_hi)
-            whole = []
-            for i, j, nodes, g in runs:
-                low = np.minimum(g[:, :-1], g[:, 1:])
-                high = np.maximum(g[:, :-1], g[:, 1:])
-                whole.append(((low >= t_hi) * self._cell[j]).sum(axis=1))
-                # a padded cell repeats the last node: flat, empty, never gathered
-                meets = (low < t_hi) & (high > t_lo) & (nodes[:, 1:] > nodes[:, :-1])
-                ci, cc = meets.nonzero()
-                n = nodes[ci, cc]
-                w = self._wts[a + i[ci]]
-                parts.append([g[ci, cc], g[ci, cc + 1], self.dens[n], self.dens[n + 1],
-                              w, w * self._cell[j[ci], cc], low[ci, cc], high[ci, cc]])
-            I += np.bincount(ii, np.concatenate(whole), minlength=len(I))
+            I, i, j, nodes, g = self._crossed(a, lo, hi, t_lo, t_hi)
+            low = np.minimum(g[:, :-1], g[:, 1:])
+            high = np.maximum(g[:, :-1], g[:, 1:])
+            I += np.bincount(i, ((low >= t_hi) * self._cell[j]).sum(axis=1), minlength=len(I))
             full.append(I)
+            # a padded cell repeats the last node: flat, empty, never gathered
+            meets = (low < t_hi) & (high > t_lo) & (nodes[:, 1:] > nodes[:, :-1])
+            ci, cc = meets.nonzero()
+            n = nodes[ci, cc]
+            w = self._wts[a + i[ci]]
+            parts.append([g[ci, cc], g[ci, cc + 1], self.dens[n], self.dens[n + 1],
+                          w, w * self._cell[j[ci], cc], low[ci, cc], high[ci, cc]])
         return self._row_sum(np.concatenate(full)), np.array([np.concatenate(p) for p in zip(*parts)])
 
     def _rbounds(self):
@@ -662,18 +650,23 @@ class LevelField:
             cells = cells[:, ~whole & (cells[7] > t_lo)]  # and empty from t_lo on
         # each cell left crosses the whole piece [t_lo, t_hi): with a its
         # node above, s = (f_a - t)/(f_a - f_b) of it lies above t, and
-        # its mass is du/2 (2 d_a s + (d_b - d_a) s^2)
+        # its mass is du/2 (2 d_a s + (d_b - d_a) s^2).  The quadratic is
+        # taken in t p, p the power of two that brings t_hi into [1/2, 1)
+        # (a subnormal t_hi no higher than 1/2), so that q^2 and b^2 stay
+        # finite on a field far below 1; p scales every term of a normal
+        # t_hi exactly, and t is the bits of the unscaled form
+        p = np.ldexp(1.0, min(-int(np.frexp(t_hi)[1]), 1021))
         up = cells[1] > cells[0]
         da, db = np.where(up, cells[3], cells[2]), np.where(up, cells[2], cells[3])
         w = cells[4]
-        q = 1.0 / (cells[7] - cells[6])
-        s0 = (cells[7] - t_lo) * q
+        q = 1.0 / (cells[7] * p - cells[6] * p)
+        s0 = (cells[7] * p - t_lo * p) * q
         c0 = full + 0.5 * du * float(w @ ((2.0 * da + (db - da) * s0) * s0)) - x
         b = du * float(w @ (q * (da + (db - da) * s0)))
         a = 0.5 * du * float(w @ ((db - da) * q * q))
         # the smaller root of c0 - b h + a h^2, in its cancellation-free form
         den = b + np.sqrt(max(b * b - 4.0 * a * c0, 0.0))
-        t = t_lo if c0 <= 0.0 else (t_hi if den <= 0.0 else min(t_lo + 2.0 * c0 / den, t_hi))
+        t = t_lo if c0 <= 0.0 else (t_hi if den <= 0.0 else min((t_lo * p + 2.0 * c0 / den) / p, t_hi))
 
         def piece(t):
             # R >= x at t_lo and R < x at t_hi, whatever the cells' sums give
@@ -686,14 +679,14 @@ class _Family:
     """The kept families: what the calls on each symbol and r_max reuse.
 
     A family is keyed by its symbol and r_max, by value.  Each item (a
-    level's field, an annulus, an R+ level choice) is kept with
-    the radii it read and tau on them, and is reused only while one tau
-    call on those radii, concatenated, gives the same bits; tau must act
-    elementwise, as a radial profile does.  A miss replaces only that
-    item.  Families are kept side by side within _HOLD_BYTES (``nbytes``,
-    a running total: a field counts its nbytes, index included, another
-    item its radii and tau): a keep drops the least recently used other
-    families until the item fits, if it can.
+    level's field, an annulus, an R+ level choice) is kept with radii that
+    hold all it read (for an R+ level choice, its level's) and tau on them,
+    and is reused only while one tau call on those radii gives the same
+    bits; tau must act elementwise, as a radial profile does.  A miss
+    replaces only that item.  Families are kept side by side within
+    _HOLD_BYTES (``nbytes``, a running total: a field counts its nbytes,
+    index included, another item its radii and tau): a keep drops the least
+    recently used other families until the item fits, if it can.
     """
 
     def __init__(self):
@@ -759,13 +752,18 @@ _MAX_LEVEL = 5
 
 
 def _refined(fn, rel_tol):
-    prev = fn(0)
-    for level in range(1, _MAX_LEVEL + 1):
+    """fn(level) at the first level from 1 where it moves by less than
+    rel_tol relative to the level before; a nan or inf level value
+    raises NonConvergedError, as no later level can agree with it."""
+    for level in range(_MAX_LEVEL + 1):
         cur = fn(level)
-        scale = max(abs(cur), abs(prev))
-        err = abs(cur - prev) / scale if scale > 0.0 else 0.0
-        if err < rel_tol:
-            return cur, err, level
+        if not np.isfinite(cur):
+            raise NonConvergedError(f"dyadic refinement got {cur} at mesh level {level}")
+        if level:
+            scale = max(abs(cur), abs(prev))
+            err = abs(cur - prev) / scale if scale > 0.0 else 0.0
+            if err < rel_tol:
+                return cur, err, level
         prev = cur
     raise NonConvergedError(
         f"dyadic refinement did not reach rel tol {rel_tol:.1e} within "
@@ -812,37 +810,45 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4):
     """R+(x) = sup { t : R(t) >= x }, inverted exactly on one mesh level.
 
     The mesh level L is the one level_measure converges on for R(T/8)
-    to rel_tol, 0 < rel_tol < 1, T the top of the level-0 field, its largest node value;
-    LevelField.rplus then inverts R on that one level.  The level
-    fields and the choice of L (by T and rel_tol, read from the radii
-    of levels 0 .. L) are items of the kept family (_Family), so a
-    repeated call goes straight to a kept level L.
+    to rel_tol, 0 < rel_tol < 1, T the top of the level-0 field, its
+    largest node value; LevelField.rplus then inverts R on that one
+    level.  The level fields and the choice of L (keyed by rel_tol and
+    checked on level L's radii) are items of the kept family (_Family),
+    so a repeated call reads tau twice on level L's radii, neither the
+    level-0 field nor T, and goes straight to level L.  A T below the
+    smallest normal double raises WeightDomainError.
     """
     if not x > 0.0:
         raise ValueError(f"rearrangement_plus needs x > 0, got {x}")
     if not 0.0 < rel_tol < 1.0:  # before the level-0 field is built
         raise ValueError(f"rearrangement_plus needs 0 < rel_tol < 1, got rel_tol={rel_tol}")
+    key, name = _family_key(deriv, r_max), ("rplus", rel_tol)
+    level = _FAMILY.get(key, name, tau_prof)
+    if level is not None:
+        return _field(tau_prof, deriv, r_max, level).rplus(x)
     T = _field(tau_prof, deriv, r_max, 0).top()
     if T == 0.0:
         return 0.0
-    key, name = _family_key(deriv, r_max), ("rplus", T, rel_tol)
-    level = _FAMILY.get(key, name, tau_prof)
-    if level is None:
-        level = level_measure(tau_prof, deriv, T / 8.0, r_max, rel_tol, check_r_max=False).level
-        fields = (_field(tau_prof, deriv, r_max, lv) for lv in range(level + 1))
-        r, tau = (np.concatenate(a) for a in zip(*((f._r, f._tau) for f in fields)))
-        _FAMILY.keep(key, name, r, tau, level)
-    return _field(tau_prof, deriv, r_max, level).rplus(x)
+    if T < np.finfo(float).tiny:
+        raise WeightDomainError(f"R+ needs the top of tau|phi'| to be a normal double, got top={T}")
+    level = level_measure(tau_prof, deriv, T / 8.0, r_max, rel_tol, check_r_max=False).level
+    field = _field(tau_prof, deriv, r_max, level)
+    # level L's radii hold those of levels 0 .. L, all the choice read: the u
+    # grids nest bit for bit (node i is i * (u_max / div), div times 2**(L - l))
+    _FAMILY.keep(key, name, field._r, field._tau, level)
+    return field.rplus(x)
 
 
 def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4):
     """int h(tau |phi'|) dA/tau^2 over {|z| <= r_max}.
 
-    h must be increasing and convex with h(0) = 0; this is spot-checked
-    on a geometric sample up to the top of the kept level-0 field, the
-    one tile index the trace reads; the caller owns the rest.  The trace
-    needs every value, so it builds each level's field itself and
-    streams it, and keeps none, refining as level_measure does.
+    h must be finite, increasing and convex with h(0) = 0; this is
+    spot-checked on a geometric sample up to the top of the kept level-0
+    field, the one tile index the trace reads (a ValueError naming h);
+    the caller owns the rest.  The trace needs every value, so it builds
+    each level's field itself and streams it, and keeps none, refining
+    as level_measure does; a nan or inf level value raises
+    NonConvergedError.
     """
     if not 0.0 < rel_tol < 1.0:  # before the level-0 field is read
         raise ValueError(f"trace_integral needs 0 < rel_tol < 1, got rel_tol={rel_tol}")
@@ -850,11 +856,13 @@ def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4):
     T = max(_field(tau_prof, deriv, r_max, 0).top(), 1e-300)
     probe = T * np.logspace(-6, 0, 9)
     hp = np.asarray(h(probe), dtype=float)
+    mids = np.asarray(h(0.5 * (probe[:-1] + probe[1:])), dtype=float)
+    if not np.isfinite(np.r_[h0, hp, mids]).all():
+        raise ValueError("h must be finite on [0, sup tau|phi'|], got a nan or inf on the spot-check grid")
     if abs(h0) > 1e-12 * max(1.0, float(hp[-1])):
         raise ValueError(f"h(0) must be 0, got {h0}")
     if np.any(np.diff(hp) < -1e-12 * max(1.0, float(np.max(np.abs(hp))))):
         raise ValueError("h must be nondecreasing on (0, sup tau|phi'|]")
-    mids = np.asarray(h(0.5 * (probe[:-1] + probe[1:])), dtype=float)
     if np.any(mids > 0.5 * (hp[:-1] + hp[1:]) + 1e-9 * max(1.0, float(hp[-1]))):
         raise ValueError("h fails midpoint convexity on the spot-check grid")
     val, err, level = _refined(lambda lv: LevelField(tau_prof, deriv, r_max, lv).trace(h), rel_tol)
@@ -887,23 +895,20 @@ def bloch_norm(tau_prof, deriv, r_max=None):
         return best, at
 
     u = np.linspace(0.0, u_max, 2049)
-    theta = None if deriv.is_radial else _theta_cells(deriv, r_max, 0)[0]
+    theta = _theta_cells(deriv, r_max, 0)[0]
     best, (it, iu) = peak(u, theta)
     if best == 0.0:
         return 0.0
-    cu = u[iu]
-    ct = None if theta is None else theta[it]
-    wu = u[1] - u[0]
-    wt = None if theta is None else np.pi / len(theta)
+    cu, ct = u[iu], theta[it]
+    wu, wt = u[1] - u[0], np.pi / len(theta)
     for _ in range(14):
         uu = np.clip(np.linspace(cu - wu, cu + wu, 17), 0.0, u_max)
-        tt = None if theta is None else np.linspace(ct - wt, ct + wt, 17)
+        tt = np.linspace(ct - wt, ct + wt, 17)
         fz, (it, iu) = peak(uu, tt)
         best = max(best, fz)
-        cu = uu[iu]
+        cu, ct = uu[iu], tt[it]
         wu /= 6.0
-        if tt is not None:
-            ct, wt = tt[it], wt / 6.0
+        wt /= 6.0
     return best
 
 

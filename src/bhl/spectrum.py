@@ -246,7 +246,9 @@ def singular_values(G, doubling_rel_tol=1e-6, check_doubling=True):
     call costs what the two sections cost in turn, plus one thread
     start.  The values are the same bits either way.  An error of the
     size-N section wins over one of the size-2N section, as if the two
-    ran in turn; ``check_doubling=False`` starts no thread.
+    ran in turn, except that a moment table too short for the size-2N
+    section raises InsufficientMomentsError before either starts;
+    ``check_doubling=False`` starts no thread.
     """
     if not 0.0 < doubling_rel_tol < np.inf:  # before the 2N thread starts
         raise ValueError(
@@ -255,6 +257,9 @@ def singular_values(G, doubling_rel_tol=1e-6, check_doubling=True):
     doubled = {}
     worker = None
     if check_doubling:
+        # the size-2N section reads moments up to 2N - 1 + d: a short
+        # table is refused here, not after the size-N solve
+        G.mt.require(2 * G.size - 1 + G.symbol.degree)
         worker = threading.Thread(target=_doubled_eigenvalues, args=(G, doubled), daemon=True)
         worker.start()
     try:

@@ -98,6 +98,14 @@ def test_config_unknown_section(tmp_path):
     assert code == 2
 
 
+def test_window_section_is_refused(tmp_path, capsys):
+    # no command reads [window] lo, hi: a config that set them ran and
+    # ignored them
+    code, out = run(tmp_path, MOMENTS_STD0 + "\n[window]\nlo = 10\nhi = 100\n", "moments", "m.csv")
+    assert code == 2 and not out.exists()
+    assert "[window]: unknown section" in capsys.readouterr().err
+
+
 def test_config_missing_truncation(tmp_path):
     code, _ = run(tmp_path, "[weight]\nkind = standard\nalpha = 0.0\n", "moments")
     assert code == 2

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import importlib.util
+import signal
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -809,6 +811,109 @@ def test_a_lookup_builds_nothing(case, monkeypatch):
     assert T / 8.0 not in probes and _kept_bytes() == kept
 
 
+@pytest.mark.parametrize("r_max", [0.1, 0.5, 0.9, 0.99, 1.0 - 1e-5, 1.0 - 1e-9, 0.3141592653589793])
+def test_dyadic_u_grids_nest_bit_for_bit(r_max):
+    # level L's radii hold every radius of levels 0 .. L, which is what
+    # lets R+'s kept level choice be checked on level L's radii alone
+    tau, dz = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0])
+    radii = [LevelField(tau, dz, r_max, level)._r for level in range(6)]
+    for L in range(6):
+        for level in range(L + 1):
+            assert radii[L][:: 2 ** (L - level)].tobytes() == radii[level].tobytes(), (L, level)
+
+
+@pytest.mark.parametrize("case", ["radial", "poly"])
+def test_a_kept_rearrangement_plus_reads_tau_twice_on_its_level(case):
+    # a repeated call checks its level choice and its field on level L's
+    # radii, one tau call each, and reads neither the level-0 field nor
+    # its top; it read [1,025, 3,074, 2,049] radii with the level choice
+    # keyed by that top and checked on levels 0 .. L concatenated
+    base, deriv, r_max = _KEPT_CASES[case]()
+    reads = []
+    tau = TauProfile.user_supplied(lambda r: (reads.append(np.array(r)), base(r))[1], r_hi=base.r_hi)
+    want = rearrangement_plus(tau, deriv, 3.0, r_max)
+    (r, _, level), = [v for k, v in _kept(deriv, r_max).items() if k[0] == "rplus"]
+    r0 = LevelField(base, deriv, r_max, 0)._r
+    assert level >= 1 and r.tobytes() == LevelField(base, deriv, r_max, level)._r.tobytes()
+    reads.clear()
+    assert rearrangement_plus(tau, deriv, 3.0, r_max) == want
+    assert len(reads) == 2 and all(v.tobytes() == r.tobytes() for v in reads), [len(v) for v in reads]
+    assert not any(v.tobytes() == r0.tobytes() for v in reads)
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Raise TimeoutError in the block if it runs longer than ``seconds``."""
+    def timeout(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-300])
+def test_rplus_of_a_field_far_below_one_is_scaled(c):
+    # below a top of about 1e-160, 1/(f_a - f_b) squared to inf in the
+    # last piece's quadratic, its root was nan, and the search from it
+    # stepped by spacing(nan) forever
+    tau = TauProfile.standard(0.0)
+    one = rearrangement_plus(tau, SymbolDerivative.polynomial([1.0]), 1.0, 0.99)
+    assert one == 0.8862269721144737
+    with _alarm(2):
+        got = rearrangement_plus(tau, SymbolDerivative.polynomial([c]), 1.0, 0.99)
+    assert abs(got / (c * one) - 1.0) <= 1e-12, (got, c * one)
+
+
+def test_rplus_refuses_a_subnormal_top():
+    # a top below the smallest normal double put R(T/8) at t = 0; the
+    # field's own R+ still inverts R, to the first double below x
+    tau, deriv = TauProfile.standard(0.0), SymbolDerivative.polynomial([1e-320])
+    with _alarm(2), pytest.raises(WeightDomainError, match="top=1.77"):
+        rearrangement_plus(tau, deriv, 1.0, 0.99)
+    field = LevelField(tau, deriv, 0.99, 1)
+    with _alarm(2):
+        rp = field.rplus(1.0)
+    assert 0.0 < rp < field.top() and field.measure(rp) < 1.0 <= field.measure(np.nextafter(rp, 0.0))
+
+
+@pytest.mark.parametrize("start", [np.nan, np.inf, -np.inf])
+def test_first_below_refuses_a_non_finite_start(start):
+    with _alarm(2), pytest.raises(ValueError, match="finite start"):
+        rearrangement._first_below(lambda t: 0.0 if t > 1.0 else 2.0, start, 1.0)
+
+
+_NOT_FINITE_H = {
+    "nan": lambda v: np.full(np.shape(v), np.nan),
+    "inf-above-1": lambda v: np.where(np.asarray(v) > 1.0, np.inf, np.asarray(v) ** 2),
+}
+
+
+@pytest.mark.parametrize("h", list(_NOT_FINITE_H))
+def test_trace_refuses_an_h_that_is_not_finite_on_its_spot_check(h):
+    # both returned nan as converged, with refine_error 0.0 at level 1
+    tau, deriv = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.5])
+    with pytest.raises(ValueError, match="h must be finite"):
+        trace_integral(tau, deriv, _NOT_FINITE_H[h], 0.99)
+
+
+def test_trace_of_a_value_that_is_not_finite_does_not_converge():
+    # finite on the spot check, nan on the fields: no level agrees with a nan
+    tau, deriv = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.5])
+    h = lambda v: np.asarray(v) ** 2 if np.size(v) < 100 else np.full(np.shape(v), np.nan)
+    with pytest.raises(NonConvergedError, match="nan at mesh level 0"):
+        trace_integral(tau, deriv, h, 0.99)
+    with pytest.raises(NonConvergedError, match="inf at mesh level 2"):
+        _refined(lambda level: np.inf if level == 2 else 1.0 + level, 1e-4)
+    got = trace_integral(tau, deriv, lambda v: np.asarray(v) ** 2, 0.99)
+    want = ("0x1.ba67f472fce90p+1", 2.3258651525377277e-06, 1)
+    assert (float(got).hex(), got.refine_error, got.level) == want
+
+
 def test_rearrangement_plus_peak_memory():
     # the cells that meet the bracket are gathered only once it is
     # narrow; on the first 10-octave bracket nearly every cell meets it,
@@ -874,13 +979,12 @@ def _measure_recording_crossed(field, t):
     real = field._crossed
 
     def crossed(a, lo, hi, t_lo, t_hi):
-        I, ii, runs = real(a, lo, hi, t_lo, t_hi)
-        runs = list(runs)
-        for i, _, n, g in runs:
-            rows.append(np.broadcast_to(a + i[:, None], n.shape).ravel())
-            nodes.append(n.ravel())
-            values.append(g.ravel())
-        return I, ii, iter(runs)
+        out = real(a, lo, hi, t_lo, t_hi)
+        _, i, _, n, g = out
+        rows.append(np.broadcast_to(a + i[:, None], n.shape).ravel())
+        nodes.append(n.ravel())
+        values.append(g.ravel())
+        return out
 
     field._crossed = crossed
     try:
@@ -1216,7 +1320,7 @@ def test_bloch_norm_keeps_no_sup(tau0, coeffs, monkeypatch):
     rearrangement_plus(tau0, deriv, 3.0, 0.99)
     trace_integral(tau0, deriv, lambda v: np.asarray(v) ** 2, 0.99)
     names = [name for items in rearrangement._FAMILY.families.values() for name in items]
-    assert "sup" not in names and ("rplus", LevelField(tau0, deriv, 0.99, 0).top(), 1e-4) in names, names
+    assert "sup" not in names and ("rplus", 1e-4) in names, names
     built = _record_field_builds(monkeypatch)
     assert bloch_norm(tau0, deriv, r_max=0.99) == fresh
     assert built == [(256, 2049)] + [(17, 17)] * 14, built

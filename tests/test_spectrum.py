@@ -36,8 +36,10 @@ def fake_gram(band):
     g = types.SimpleNamespace(band=np.asarray(band, dtype=float))
     g.size = g.band.shape[1]
     g.bandwidth = g.band.shape[0] - 1
-    g.symbol = None
-    g.mt = types.SimpleNamespace(weight=None, rel_tol=0.0)
+    # a table long enough for any section, and a symbol of the degree
+    # that a band of this width has
+    g.symbol = types.SimpleNamespace(degree=g.bandwidth + 1)
+    g.mt = types.SimpleNamespace(weight=None, rel_tol=0.0, require=lambda n: None)
     return g
 
 
@@ -286,6 +288,22 @@ def test_doubling_rel_tol_is_checked_before_any_work(std0, tol, monkeypatch):
     before = threading.active_count()
     with pytest.raises(ValueError, match="doubling_rel_tol"):
         singular_values(G, doubling_rel_tol=tol)
+    assert solved == [] and threading.active_count() == before
+
+
+def test_a_table_short_for_the_size_2n_section_is_refused_before_any_solve(monkeypatch):
+    # phi' = 1 + 0.3z with a table to 2N: the size-2N section reads
+    # moments up to 2N - 1 + 2 = 2,401, and its thread raised only after
+    # the size-N solve
+    N = 1200
+    G = polynomial_gram(compute_moments(RadialWeight.standard(0.0), 2 * N), PolynomialSymbol([1.0, 0.15]), N)
+    solved = []
+    band_eigvalsh = spectrum._band_eigvalsh
+    monkeypatch.setattr(spectrum, "_band_eigvalsh", lambda band: solved.append(band) or band_eigvalsh(band))
+    before = threading.active_count()
+    with pytest.raises(InsufficientMomentsError) as exc:
+        singular_values(G)
+    assert exc.value.required == 2 * N + 1
     assert solved == [] and threading.active_count() == before
 
 
