@@ -48,7 +48,7 @@ class CriterionResult:
         return f"CriterionResult({self.line()!r})"
 
 
-def _get_moments(cache, kind, n_max, alpha=None, beta=None, rel_tol=1e-12):
+def _get_moments(cache, kind, n_max, alpha=None, beta=None):
     key = (kind, alpha, beta)
     mt = cache.get(key)
     if mt is None or len(mt.values) < n_max + 1:
@@ -56,7 +56,7 @@ def _get_moments(cache, kind, n_max, alpha=None, beta=None, rel_tol=1e-12):
             w = RadialWeight.standard(alpha)
         else:
             w = RadialWeight.explog(alpha, beta)
-        mt = compute_moments(w, n_max, rel_tol=rel_tol)
+        mt = compute_moments(w, n_max)
         cache[key] = mt
     return mt
 

@@ -14,11 +14,18 @@ a few hundred nodes when phi' has no zero on or near the circle.  A
 zero on the circle makes convergence algebraic, and the rule runs to
 its cap of 2^16 nodes, whose node set the fixed phase makes that of the
 2^16-point midpoint rule, so the value is that rule's up to the order
-of summation.  The Cauchy-type family is evaluated on radii
-r_j = 1 - 2^{-j} until the means stabilize; they diverge for every
-p > 1 (the boundary modulus ~ 1/(theta log^gamma(1/theta)) is not
-p-integrable), which is detected by sustained growth, and the p = 1,
-gamma <= 1 case is rejected outright.
+of summation.
+
+The Cauchy-type family's boundary modulus ~ 1/(theta log^gamma(1/theta))
+is p-integrable only for p = 1 and gamma > 1, so every other (p, gamma)
+raises DivergenceError by this closed form, before any circle is
+evaluated.  At p = 1 the means are taken on the radii r_j = 1 - 2^{-j}.
+The boundary integral's tail past theta = 2^{-j} decays like
+j^{1-gamma}, so the mean at r_j is short of the norm by about
+j * change / (gamma - 1), change the relative step from r_{j-1}; the
+rule returns the first mean where that estimate is at most
+_CE_REL_TOL, and raises NonConvergedError when none of the
+_MAX_DOUBLINGS radii reaches it (gamma <= 3 in practice).
 """
 
 from __future__ import annotations
@@ -34,8 +41,10 @@ from .errors import (
 )
 from .rearrangement import _theta_cells
 
-# radii 1 - 2^-j tried by hardy_norm for the Cauchy-type family
+# radii 1 - 2^-j tried by hardy_norm for the Cauchy-type family, and
+# the relative tail estimate it stops at
 _MAX_DOUBLINGS = 48
+_CE_REL_TOL = 1e-6
 
 # the polynomial circle rule: first level at least _CIRCLE_MIN_NODES and
 # 8 (d + 1) nodes (exact for |phi'|^2), stop at _CIRCLE_REL_TOL relative
@@ -70,7 +79,7 @@ class AsymptoticLaw:
 
     def __call__(self, n):
         n = np.asarray(n)
-        if np.any(n < 1):
+        if not np.all(n >= 1):  # nan fails n >= 1
             raise ValueError("law evaluation needs n >= 1")
         out = self.gamma * self.symbol_factor / (n + self.offset) ** self.exponent
         return float(out) if out.ndim == 0 else out
@@ -121,47 +130,40 @@ def _ce_circle_norm(deriv, r, p):
     return scale * float(wts @ (vals / scale) ** p / (2.0 * np.pi)) ** (1.0 / p)
 
 
-def hardy_norm(deriv, p, rel_tol=1e-6):
+def hardy_norm(deriv, p):
     """||phi'||_{H^p} = (sup_r circle mean of |phi'|^p)^(1/p), 1 <= p < inf.
 
     For a polynomial phi' this is the self-refining circle rule of the
     module docstring: a few hundred nodes when phi' has no zero on or
     near the circle, at most 2^16, where the fixed phase makes it the
-    2^16-point midpoint rule.  ``rel_tol``, 0 < rel_tol < 1, governs
-    only the Cauchy-type family.  p = inf raises: H^inf is a sup, not a
-    circle mean.
+    2^16-point midpoint rule.  For the Cauchy-type family it is the
+    radius rule of the module docstring: DivergenceError unless p = 1
+    and gamma > 1, then the first mean whose tail estimate is at most
+    _CE_REL_TOL = 1e-6 relative, or NonConvergedError.  p = inf raises:
+    H^inf is a sup, not a circle mean.
     """
     if not 1.0 <= p < np.inf:
         raise ValueError(f"hardy_norm needs 1 <= p < inf, got p={p}")
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"hardy_norm needs 0 < rel_tol < 1, got rel_tol={rel_tol}")
     if deriv.kind == "poly":
         return _circle_norm(deriv, p)
-    if p == 1.0 and deriv.gamma <= 1.0:
+    if p > 1.0 or deriv.gamma <= 1.0:
         raise DivergenceError(
-            f"ce symbol with gamma={deriv.gamma} <= 1 is not in H^1"
+            f"ce symbol with gamma={deriv.gamma} is not in H^{p}: "
+            f"it is in H^p only for p = 1 and gamma > 1"
         )
-    # circle means are nondecreasing in r, so the norms only grow with j;
-    # divergence shows up as a sustained growth factor over a window of
-    # doublings, convergence as shrinking increments
-    norms = []
-    last_change = np.inf
+    prev, tail = None, np.inf
     for j in range(1, _MAX_DOUBLINGS + 1):
         r_j = -np.expm1(j * np.log(0.5))  # 1 - 2^-j without rounding to 1
-        norm = _ce_circle_norm(deriv, r_j, p)
-        norms.append(norm)
-        if len(norms) > 1:
-            last_change = abs(norm - norms[-2]) / abs(norm)
-            if last_change <= rel_tol:
+        norm = _ce_circle_norm(deriv, r_j, 1.0)
+        if prev is not None:
+            tail = j * abs(norm - prev) / norm / (deriv.gamma - 1.0)
+            if tail <= _CE_REL_TOL:
                 return norm
-        if norm > 1e12 or (len(norms) >= 7 and norm > 2.0 * norms[-7]):
-            raise DivergenceError(
-                f"H^{p} circle means grow without bound for the ce symbol "
-                f"(gamma={deriv.gamma}): {norm:.3e} at radius 1-2^-{j}"
-            )
+        prev = norm
     raise NonConvergedError(
-        f"H^{p} circle means still moving after {_MAX_DOUBLINGS} radius "
-        f"doublings (last relative change {last_change:.2e})"
+        f"H^1 circle means of the ce symbol (gamma={deriv.gamma}) still "
+        f"{tail:.2e} short by their tail estimate after {_MAX_DOUBLINGS} "
+        f"radius doublings"
     )
 
 

@@ -129,6 +129,8 @@ def hz_squared_sequence(mt, n_max):
     m_w(n)^2 = m[n+1]/m[n] - m[n]/m[n-1] for n >= 1 and m[1]/m[0] at
     n = 0: the diagonal of the phi = z Gram section on e_0..e_{n_max}.
     """
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
+        raise ValueError(f"n_max must be an integer, got n_max={n_max!r}")
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -150,6 +152,8 @@ def polynomial_gram(mt, symbol, N):
     over its rows per j, with a fixed summation order, so output is
     deterministic.
     """
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+        raise ValueError(f"N must be an integer, got N={N!r}")
     N = int(N)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -240,6 +244,8 @@ def dense_gram_oracle(w, symbol, N):
     integrands point by point, in O(n_r (n_theta log n_theta + N^2))
     instead of O(n_r n_theta N^2).
     """
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+        raise ValueError(f"N must be an integer, got N={N!r}")
     N = int(N)
     if N < 1 or N > 64:
         raise WeightDomainError(f"oracle is for small sections, N in [1, 64]; got {N}")

@@ -13,7 +13,8 @@ Superlevel sets are resolved per angle: along each radial slice the
 crossing of tau|phi'| through the level t is located by linear
 interpolation and the boundary cell is split, which keeps the
 indicator integral second-order accurate.  Meshes refine dyadically
-until successive estimates agree to a relative tolerance.
+until successive estimates agree to _REFINE_TOL = 1e-4 relative, by
+mesh level _MAX_LEVEL = 5.
 
 The Cauchy-type family phi'(z) = 1/((1-z) log^gamma(e/(1-z))) puts all
 its mass in a spike of angular width ~ (1-r) around theta = 0, so its
@@ -747,13 +748,16 @@ def _field(tau_prof, deriv, r_max, level, r_push=None):
     return field
 
 
-# the dyadic mesh refinement of R, R+ and the trace stops at this level
+# the dyadic mesh refinement of R, R+ and the trace stops at the first
+# level that moves by less than _REFINE_TOL relative; none by _MAX_LEVEL
+# raises NonConvergedError
 _MAX_LEVEL = 5
+_REFINE_TOL = 1e-4
 
 
-def _refined(fn, rel_tol):
+def _refined(fn):
     """fn(level) at the first level from 1 where it moves by less than
-    rel_tol relative to the level before; a nan or inf level value
+    _REFINE_TOL relative to the level before; a nan or inf level value
     raises NonConvergedError, as no later level can agree with it."""
     for level in range(_MAX_LEVEL + 1):
         cur = fn(level)
@@ -762,20 +766,20 @@ def _refined(fn, rel_tol):
         if level:
             scale = max(abs(cur), abs(prev))
             err = abs(cur - prev) / scale if scale > 0.0 else 0.0
-            if err < rel_tol:
+            if err < _REFINE_TOL:
                 return cur, err, level
         prev = cur
     raise NonConvergedError(
-        f"dyadic refinement did not reach rel tol {rel_tol:.1e} within "
+        f"dyadic refinement did not reach rel tol {_REFINE_TOL:.1e} within "
         f"{_MAX_LEVEL} levels (last delta {err:.3e})"
     )
 
 
-def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, check_r_max=True):
+def level_measure(tau_prof, deriv, t, r_max, check_r_max=True):
     """R(t) = integral of dA/tau^2 over {tau|phi'| > t, |z| <= r_max}.
 
     Returns a MeasureResult float whose ``refine_error`` is the last
-    dyadic-refinement delta (below 0 < rel_tol < 1 by mesh level
+    dyadic-refinement delta (below _REFINE_TOL = 1e-4 by mesh level
     _MAX_LEVEL, or NonConvergedError) and whose ``r_max_delta`` reports
     how much the value grows when r_max is pushed to r_push, halfway to
     1 and capped at the tau profile's own reach: the dA/tau^2 mass of
@@ -788,10 +792,8 @@ def level_measure(tau_prof, deriv, t, r_max, rel_tol=1e-4, check_r_max=True):
     """
     if not t > 0.0:
         raise ValueError(f"level t must be positive, got {t}")
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"level_measure needs 0 < rel_tol < 1, got rel_tol={rel_tol}")
 
-    val, err, level = _refined(lambda lv: _field(tau_prof, deriv, r_max, lv).measure(t), rel_tol)
+    val, err, level = _refined(lambda lv: _field(tau_prof, deriv, r_max, lv).measure(t))
     delta = None
     if check_r_max:
         r_push = _r_push(tau_prof, r_max)
@@ -806,23 +808,21 @@ def _r_push(tau_prof, r_max):
     return min(0.5 * (1.0 + r_max), tau_prof.r_hi)
 
 
-def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4):
+def rearrangement_plus(tau_prof, deriv, x, r_max):
     """R+(x) = sup { t : R(t) >= x }, inverted exactly on one mesh level.
 
-    The mesh level L is the one level_measure converges on for R(T/8)
-    to rel_tol, 0 < rel_tol < 1, T the top of the level-0 field, its
-    largest node value; LevelField.rplus then inverts R on that one
-    level.  The level fields and the choice of L (keyed by rel_tol and
-    checked on level L's radii) are items of the kept family (_Family),
-    so a repeated call reads tau twice on level L's radii, neither the
-    level-0 field nor T, and goes straight to level L.  A T below the
-    smallest normal double raises WeightDomainError.
+    The mesh level L is the one level_measure converges on for R(T/8),
+    T the top of the level-0 field, its largest node value;
+    LevelField.rplus then inverts R on that one level.  The level
+    fields and the choice of L (checked on level L's radii) are items
+    of the kept family (_Family), so a repeated call reads tau twice on
+    level L's radii, neither the level-0 field nor T, and goes straight
+    to level L.  A T below the smallest normal double raises
+    WeightDomainError.
     """
     if not x > 0.0:
         raise ValueError(f"rearrangement_plus needs x > 0, got {x}")
-    if not 0.0 < rel_tol < 1.0:  # before the level-0 field is built
-        raise ValueError(f"rearrangement_plus needs 0 < rel_tol < 1, got rel_tol={rel_tol}")
-    key, name = _family_key(deriv, r_max), ("rplus", rel_tol)
+    key, name = _family_key(deriv, r_max), ("rplus",)
     level = _FAMILY.get(key, name, tau_prof)
     if level is not None:
         return _field(tau_prof, deriv, r_max, level).rplus(x)
@@ -831,7 +831,7 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4):
         return 0.0
     if T < np.finfo(float).tiny:
         raise WeightDomainError(f"R+ needs the top of tau|phi'| to be a normal double, got top={T}")
-    level = level_measure(tau_prof, deriv, T / 8.0, r_max, rel_tol, check_r_max=False).level
+    level = level_measure(tau_prof, deriv, T / 8.0, r_max, check_r_max=False).level
     field = _field(tau_prof, deriv, r_max, level)
     # level L's radii hold those of levels 0 .. L, all the choice read: the u
     # grids nest bit for bit (node i is i * (u_max / div), div times 2**(L - l))
@@ -839,7 +839,7 @@ def rearrangement_plus(tau_prof, deriv, x, r_max, rel_tol=1e-4):
     return field.rplus(x)
 
 
-def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4):
+def trace_integral(tau_prof, deriv, h, r_max):
     """int h(tau |phi'|) dA/tau^2 over {|z| <= r_max}.
 
     h must be finite, increasing and convex with h(0) = 0; this is
@@ -847,11 +847,9 @@ def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4):
     field, the one tile index the trace reads (a ValueError naming h);
     the caller owns the rest.  The trace needs every value, so it builds
     each level's field itself and streams it, and keeps none, refining
-    as level_measure does; a nan or inf level value raises
-    NonConvergedError.
+    to _REFINE_TOL as level_measure does; a nan or inf level value
+    raises NonConvergedError.
     """
-    if not 0.0 < rel_tol < 1.0:  # before the level-0 field is read
-        raise ValueError(f"trace_integral needs 0 < rel_tol < 1, got rel_tol={rel_tol}")
     h0 = float(h(np.asarray(0.0)))
     T = max(_field(tau_prof, deriv, r_max, 0).top(), 1e-300)
     probe = T * np.logspace(-6, 0, 9)
@@ -865,7 +863,7 @@ def trace_integral(tau_prof, deriv, h, r_max, rel_tol=1e-4):
         raise ValueError("h must be nondecreasing on (0, sup tau|phi'|]")
     if np.any(mids > 0.5 * (hp[:-1] + hp[1:]) + 1e-9 * max(1.0, float(hp[-1]))):
         raise ValueError("h fails midpoint convexity on the spot-check grid")
-    val, err, level = _refined(lambda lv: LevelField(tau_prof, deriv, r_max, lv).trace(h), rel_tol)
+    val, err, level = _refined(lambda lv: LevelField(tau_prof, deriv, r_max, lv).trace(h))
     return MeasureResult(val, refine_error=err, r_max_delta=None, level=level)
 
 

@@ -4,9 +4,10 @@ Singular values come from s_n^2 = lambda_n(H_phibar* H_phibar), so the
 spectral work happens on the banded Gram sections.  Truncation is
 policed by a doubling test: a spectrum is accepted only when the first
 N/2 singular values of the size-N section agree with the size-2N
-section to a relative tolerance, since no finite-section convergence
-rate is available a priori.  The size-N section is the leading block
-of the size-2N one, so every eigenvalue must also interlace.
+section to _DOUBLING_TOL = 1e-6 relative, since no finite-section
+convergence rate is available a priori.  The size-N section is the
+leading block of the size-2N one, so every eigenvalue must also
+interlace.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from .hankel import polynomial_gram
 # ||G v - lambda v|| <= _EIG_TOL * ||G||, and the PSD and interlacing
 # checks allow the same slack
 _EIG_TOL = 1e-10
+
+# the doubling test: the first N/2 singular values of the size-N and
+# size-2N sections agree to this relative tolerance
+_DOUBLING_TOL = 1e-6
 
 
 class SingularSpectrum:
@@ -225,19 +230,18 @@ def _doubled_eigenvalues(G, out):
         out["error"] = exc
 
 
-def singular_values(G, doubling_rel_tol=1e-6, check_doubling=True):
+def singular_values(G, check_doubling=True):
     """s_n = sqrt(lambda_n(G)) descending, doubling-tested by default.
 
     The size-2N section is assembled from the same moment table and
     symbol.  G_N is its leading block, so Cauchy interlacing
     lambda_k(G_N) <= lambda_k(G_2N) must hold within _EIG_TOL * ||G_N||
     for every k < N, and the first N/2 singular values must match
-    within doubling_rel_tol, 0 < doubling_rel_tol < inf (a ValueError
-    otherwise, before any work); DoublingTestError reports the first
-    offender of either.  G_N must be PSD within the same
+    within _DOUBLING_TOL = 1e-6 relative; DoublingTestError reports the
+    first offender of either.  G_N must be PSD within the same
     _EIG_TOL * ||G_N||.  ``source`` records the certificate's _EIG_TOL,
-    the worst eigen-residual, the largest doubling drift and the
-    bandwidth used.
+    the worst eigen-residual, _DOUBLING_TOL, the largest doubling drift
+    and the bandwidth used.
 
     The size-2N section is assembled and solved on a second thread,
     started and joined within the call, while this one solves and
@@ -250,10 +254,6 @@ def singular_values(G, doubling_rel_tol=1e-6, check_doubling=True):
     section raises InsufficientMomentsError before either starts;
     ``check_doubling=False`` starts no thread.
     """
-    if not 0.0 < doubling_rel_tol < np.inf:  # before the 2N thread starts
-        raise ValueError(
-            f"singular_values needs 0 < doubling_rel_tol < inf, got {doubling_rel_tol}"
-        )
     doubled = {}
     worker = None
     if check_doubling:
@@ -296,12 +296,12 @@ def singular_values(G, doubling_rel_tol=1e-6, check_doubling=True):
         half = N // 2
         with np.errstate(divide="ignore", invalid="ignore"):  # 0 == 0 drifts 0.0
             rel = np.where(s[:half] == s2[:half], 0.0, np.abs(s[:half] / s2[:half] - 1.0))
-        bad = np.nonzero(~(rel <= doubling_rel_tol))[0]
+        bad = np.nonzero(~(rel <= _DOUBLING_TOL))[0]
         if bad.size:
             i = int(bad[0])
             raise DoublingTestError(
                 f"singular value {i} moved by rel {rel[i]:.3e} between "
-                f"sections N={N} and 2N={2 * N} (tol {doubling_rel_tol:.1e})",
+                f"sections N={N} and 2N={2 * N} (tol {_DOUBLING_TOL:.1e})",
                 index=i,
             )
         residual = max(residual, lam2.residual)
@@ -313,7 +313,7 @@ def singular_values(G, doubling_rel_tol=1e-6, check_doubling=True):
         "symbol": repr(G.symbol),
         "N": G.size,
         "eig_tol": _EIG_TOL,
-        "doubling_rel_tol": doubling_rel_tol if check_doubling else None,
+        "doubling_rel_tol": _DOUBLING_TOL if check_doubling else None,
         "moment_rel_tol": G.mt.rel_tol,
         "eig_residual": residual,
         "doubling_drift": drift,

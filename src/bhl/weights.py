@@ -407,6 +407,8 @@ def compute_moments(w, n_max, rel_tol=1e-12):
     cross-checks it at sampled indices.  Custom weights run per-index
     quadrature.  ``MomentTable.source`` records the route and the check.
     """
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
+        raise ValueError(f"n_max must be an integer, got n_max={n_max!r}")
     n_max = int(n_max)
     if n_max < 1:
         raise WeightDomainError(f"n_max must be >= 1, got {n_max}")

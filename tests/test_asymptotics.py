@@ -73,20 +73,71 @@ def test_hardy_norm_ce_analytic_divergence():
 
 def test_hardy_norm_ce_h1_slow_convergence():
     # gamma=1.5, p=1 does converge, but like 1/sqrt(j) per radius
-    # doubling: the default tolerance is out of reach and must say so
+    # doubling: the tolerance is out of reach and must say so
     with pytest.raises(NonConvergedError):
         hardy_norm(SymbolDerivative.ce_family(1.5), 1.0)
-    v = hardy_norm(SymbolDerivative.ce_family(1.5), 1.0, rel_tol=5e-3)
-    assert np.isfinite(v) and v > 1.0
+
+
+def _ce_boundary_norm(gamma):
+    """||phi'||_{H^1} of the Cauchy-type family as its boundary integral,
+    (1/pi) int_0^pi |phi'(e^{i theta})| d theta, at 20 digits.
+
+    In x = log(1/theta) the integrand decays like x^-gamma, which
+    tanh-sinh resolves; w = 1 - e^{i theta} is taken as
+    2 sin^2(theta/2) - i sin(theta), which does not cancel.
+    """
+    with mpmath.workdps(20):
+        def f(x):
+            t = mpmath.exp(-x)
+            w = mpmath.mpc(2 * mpmath.sin(t / 2) ** 2, -mpmath.sin(t))
+            return t / (abs(w) * abs(1 - mpmath.log(w)) ** gamma)
+
+        return float(mpmath.quad(f, [-mpmath.log(mpmath.pi), 0, 10, 100, 1000, mpmath.inf]) / mpmath.pi)
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0, 4.0, 5.0, 8.0])
+def test_hardy_norm_ce_h1_is_the_boundary_integral_or_refused(gamma):
+    # gamma = 3, 4, 5 and 8 raised DivergenceError at radius 1 - 2^-7;
+    # the tail rule returns within 1e-6 or does not converge
+    if gamma <= 3.0:
+        with pytest.raises(NonConvergedError):
+            hardy_norm(SymbolDerivative.ce_family(gamma), 1.0)
+    else:
+        v, ref = hardy_norm(SymbolDerivative.ce_family(gamma), 1.0), _ce_boundary_norm(gamma)
+        assert abs(v - ref) <= 1e-6 * ref, (v, ref)
+
+
+def test_ce_boundary_norm_reference():
+    # the 30-digit values of the same integral; the old rel_tol=5e-3
+    # route returned 1.2428 for gamma = 1.5, 13% low
+    for gamma, want in ((1.5, 1.42997993602937), (3.0, 3.00830260137665),
+                        (4.0, 7.63265094497681), (8.0, 534.744161704479)):
+        assert abs(_ce_boundary_norm(gamma) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("gamma", [0.9, 1.0, 1.5, 8.0])
+@pytest.mark.parametrize("p", [1.0, 1.0001, 2.0, 1e3])
+def test_hardy_norm_ce_divergence_is_closed_form(gamma, p, monkeypatch):
+    # DivergenceError exactly off p = 1, gamma > 1, before any circle
+    circles = []
+    monkeypatch.setattr(asymptotics, "_ce_circle_norm", lambda *args: circles.append(args) or 1.0)
+    deriv = SymbolDerivative("ce", gamma=gamma)
+    if p == 1.0 and gamma > 1.0:
+        hardy_norm(deriv, p)  # constant means: converged at j = 2
+        assert len(circles) == 2
+    else:
+        with pytest.raises(DivergenceError, match=f"gamma={gamma}"):
+            hardy_norm(deriv, p)
+        assert circles == []
 
 
 @pytest.mark.parametrize("rel_tol", [np.nan, 0.0, -1.0, 1.0])
 def test_hardy_norm_rejects_rel_tol_outside_unit_interval(rel_tol, monkeypatch):
-    # nan ran all 48 radius doublings before it raised NonConvergedError
+    # rel_tol is no longer a keyword: any value is refused before any circle
     circles = []
     monkeypatch.setattr(asymptotics, "_ce_circle_norm", lambda *args: circles.append(args))
     for deriv in (SymbolDerivative.ce_family(1.5), SymbolDerivative.polynomial([1.0, 0.5])):
-        with pytest.raises(ValueError, match="rel_tol="):
+        with pytest.raises(TypeError, match="rel_tol"):
             hardy_norm(deriv, 1.0, rel_tol=rel_tol)
     assert circles == []
 
@@ -223,8 +274,8 @@ def test_hardy_norm_large_p_is_finite():
 
 
 def test_hardy_norm_ce_large_p_raises_without_warning():
-    # the circle means are scaled by their max before the p-th power, so
-    # p = 1e3 reaches the divergence check instead of overflowing
+    # p > 1 is refused by the closed form before any circle, so p = 1e3
+    # raises no overflow warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError):
@@ -275,8 +326,10 @@ def test_law_validation_and_evaluation():
     assert edge(1) == 0.0
     law = predict_standard(0.0)
     assert law(999) == 0.001  # the shift places s_n at gamma/(n+1)
-    with pytest.raises(ValueError):
-        law(0)
+    # nan passed the n >= 1 check and predicted a nan s_n
+    for bad in (0, np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(ValueError, match="n >= 1"):
+            law(bad)
     np.testing.assert_allclose(law(np.array([1, 9])), [0.5, 0.1])
 
 

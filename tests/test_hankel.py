@@ -433,3 +433,27 @@ def test_gram_against_oracle_at_its_cap(request, fixture, weight):
     G = polynomial_gram(request.getfixturevalue(fixture), phi, 64).to_dense()
     Go, err = dense_gram_oracle(weight(), phi, 64)
     assert np.abs(G - Go).max() < max(1e-10, 5 * err)
+
+
+_SIZED = {  # each call's size parameter, and the call as an array
+    "polynomial_gram": ("N", lambda mt, n: polynomial_gram(mt, PolynomialSymbol([1.0, 0.5]), n).to_dense()),
+    "compute_moments": ("n_max", lambda mt, n: compute_moments(RadialWeight.standard(0.0), n).values),
+    "hz_squared_sequence": ("n_max", lambda mt, n: hz_squared_sequence(mt, n)),
+    "dense_gram_oracle": ("N", lambda mt, n: dense_gram_oracle(RadialWeight.standard(0.0), PolynomialSymbol([1.0, 0.5]), n)[0]),
+}
+
+
+@pytest.mark.parametrize("size", [2.5, True, np.nan])
+@pytest.mark.parametrize("fn", sorted(_SIZED))
+def test_a_size_that_is_not_an_integer_is_refused(std0, fn, size):
+    # 2.5 built a size-2 section and True a size-1 one; 10.7 moments gave
+    # n_max 10, 3.9 squared values gave 4 and a 3.5 oracle a 3x3 matrix
+    name, call = _SIZED[fn]
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {name}="):
+        call(std0, size)
+
+
+@pytest.mark.parametrize("fn", sorted(_SIZED))
+def test_a_numpy_integer_size_is_a_size(std0, fn):
+    _, call = _SIZED[fn]
+    np.testing.assert_array_equal(call(std0, np.int64(3)), call(std0, 3))

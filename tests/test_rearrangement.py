@@ -234,13 +234,15 @@ def test_r_max_outside_unit_interval_is_rejected(tau0, dz, r_max):
 
 def test_level_measure_non_convergence_reported(tau0, dz, monkeypatch):
     monkeypatch.setattr(rearrangement, "_MAX_LEVEL", 1)
+    monkeypatch.setattr(rearrangement, "_REFINE_TOL", 1e-12)
     with pytest.raises(NonConvergedError):
-        level_measure(tau0, dz, 0.5, 0.999, rel_tol=1e-12)
+        level_measure(tau0, dz, 0.5, 0.999)
 
 
 @pytest.mark.parametrize("rel_tol", [np.nan, 0.0, -1.0, 1.0])
 def test_refined_calls_reject_rel_tol_outside_unit_interval(tau0, rel_tol, monkeypatch):
-    # one ValueError naming rel_tol, raised before any field is built or kept
+    # rel_tol is no longer a keyword: any value is refused before any
+    # field is built or kept
     built = _record_field_builds(monkeypatch)
     deriv = SymbolDerivative.polynomial([1.0, 0.6])
     for call in (
@@ -248,7 +250,7 @@ def test_refined_calls_reject_rel_tol_outside_unit_interval(tau0, rel_tol, monke
         lambda: rearrangement_plus(tau0, deriv, 1.0, 0.99, rel_tol=rel_tol),
         lambda: trace_integral(tau0, deriv, lambda x: np.asarray(x) ** 2, 0.99, rel_tol=rel_tol),
     ):
-        with pytest.raises(ValueError, match="rel_tol"):
+        with pytest.raises(TypeError, match="rel_tol"):
             call()
         assert built == [] and not rearrangement._FAMILY.families, built
 
@@ -421,12 +423,13 @@ def test_level_measure_streams_a_field_over_the_memo_budget(monkeypatch):
     # with a budget that holds levels 0 and 1 only, level 2 is not kept
     monkeypatch.setattr(rearrangement, "_HOLD_BYTES", kept)
     monkeypatch.setattr(rearrangement, "_MAX_LEVEL", 2)
+    monkeypatch.setattr(rearrangement, "_REFINE_TOL", 1e-12)
     field = LevelField(tau, ce, 0.99, 2)
     index_bytes = 16 * len(field._wts) * len(field._cell)
     tracemalloc.start()
     try:
         with pytest.raises(NonConvergedError):
-            level_measure(tau, ce, 0.01, 0.99, rel_tol=1e-12, check_r_max=False)
+            level_measure(tau, ce, 0.01, 0.99, check_r_max=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -482,7 +485,7 @@ def test_rearrangement_plus_inverts_measure(tau0, dz):
 def _rplus_probe_by_probe(tau_prof, deriv, x, r_max, iters):
     """rearrangement_plus as a plain bisection that measures R(t) at every probe."""
     T = bloch_norm(tau_prof, deriv, r_max=r_max)
-    _, _, level = _refined(lambda lv: LevelField(tau_prof, deriv, r_max, lv).measure(T / 8.0), 1e-4)
+    _, _, level = _refined(lambda lv: LevelField(tau_prof, deriv, r_max, lv).measure(T / 8.0))
     field = LevelField(tau_prof, deriv, r_max, level)
     t_lo, t_hi = T * 2.0**-10, T * (1.0 + 1e-9)
     assert field.measure(t_hi) < x
@@ -758,7 +761,7 @@ def test_rearrangement_plus_takes_its_level_from_level_measure(case, monkeypatch
     # no refinement of R+'s own; a repeated call reads the kept level
     tau, deriv, r_max = _KEPT_CASES[case]()
     T = LevelField(tau, deriv, r_max, 0).top()
-    _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4)
+    _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0))
     want = LevelField(tau, deriv, r_max, level).rplus(2.0)
     calls, inside = [], []
     real_measure, real_refined = rearrangement.level_measure, rearrangement._refined
@@ -771,14 +774,14 @@ def test_rearrangement_plus_takes_its_level_from_level_measure(case, monkeypatch
         finally:
             inside.pop()
 
-    def refined(fn, rel_tol):
+    def refined(fn):
         assert inside, "R+ refined a level outside level_measure"
-        return real_refined(fn, rel_tol)
+        return real_refined(fn)
 
     monkeypatch.setattr(rearrangement, "level_measure", measure)
     monkeypatch.setattr(rearrangement, "_refined", refined)
     assert rearrangement_plus(tau, deriv, 2.0, r_max) == want
-    assert calls == [((T / 8.0, r_max, 1e-4), {"check_r_max": False})], calls
+    assert calls == [((T / 8.0, r_max), {"check_r_max": False})], calls
     assert rearrangement_plus(tau, deriv, 2.0, r_max) == want
     assert len(calls) == 1
 
@@ -908,7 +911,7 @@ def test_trace_of_a_value_that_is_not_finite_does_not_converge():
     with pytest.raises(NonConvergedError, match="nan at mesh level 0"):
         trace_integral(tau, deriv, h, 0.99)
     with pytest.raises(NonConvergedError, match="inf at mesh level 2"):
-        _refined(lambda level: np.inf if level == 2 else 1.0 + level, 1e-4)
+        _refined(lambda level: np.inf if level == 2 else 1.0 + level)
     got = trace_integral(tau, deriv, lambda v: np.asarray(v) ** 2, 0.99)
     want = ("0x1.ba67f472fce90p+1", 2.3258651525377277e-06, 1)
     assert (float(got).hex(), got.refine_error, got.level) == want
@@ -920,7 +923,7 @@ def test_rearrangement_plus_peak_memory():
     # and the gathered copies would outgrow the field several times
     tau, deriv, x, r_max = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.9, 0.99
     T = LevelField(tau, deriv, r_max, 0).top()
-    _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4)
+    _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0))
     field = LevelField(tau, deriv, r_max, level)
     field_bytes = 8 * len(field._wts) * len(field.dens)
     _forget()
@@ -942,7 +945,7 @@ def test_rearrangement_plus_rebuilt_peak_memory(monkeypatch):
     # gathering of the cells that meet the bracket read cache-sized chunks
     tau, deriv, x, r_max = TauProfile.standard(0.0), SymbolDerivative.polynomial([1.0, 0.6]), 0.9, 0.99
     T = LevelField(tau, deriv, r_max, 0).top()
-    _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0), 1e-4)
+    _, _, level = _refined(lambda lv: LevelField(tau, deriv, r_max, lv).measure(T / 8.0))
     field = LevelField(tau, deriv, r_max, level)
     field_bytes = len(field._wts) * len(field.dens) * 8
     monkeypatch.setattr(rearrangement, "_HOLD_BYTES", 0)
@@ -1320,7 +1323,7 @@ def test_bloch_norm_keeps_no_sup(tau0, coeffs, monkeypatch):
     rearrangement_plus(tau0, deriv, 3.0, 0.99)
     trace_integral(tau0, deriv, lambda v: np.asarray(v) ** 2, 0.99)
     names = [name for items in rearrangement._FAMILY.families.values() for name in items]
-    assert "sup" not in names and ("rplus", 1e-4) in names, names
+    assert "sup" not in names and ("rplus",) in names, names
     built = _record_field_builds(monkeypatch)
     assert bloch_norm(tau0, deriv, r_max=0.99) == fresh
     assert built == [(256, 2049)] + [(17, 17)] * 14, built

@@ -259,6 +259,13 @@ def test_size_2n_errors_are_raised_as_before(std0, monkeypatch):
         singular_values(fake_gram([[0.0, 1.0], [2.0, 2.0]]))
 
 
+def _with_doubling_tol(monkeypatch, tol, G):
+    """singular_values(G) with _DOUBLING_TOL set to tol for the call only."""
+    with monkeypatch.context() as m:
+        m.setattr(spectrum, "_DOUBLING_TOL", tol)
+        return singular_values(G)
+
+
 def test_no_thread_outlives_a_call(std0, monkeypatch):
     before = threading.enumerate()
     G = polynomial_gram(std0, PolynomialSymbol([1.0, 0.5]), 200)
@@ -267,7 +274,7 @@ def test_no_thread_outlives_a_call(std0, monkeypatch):
     failing = (
         lambda: singular_values(fake_gram([[1.0, -1.0, 2.0]])),  # size N indefinite
         lambda: singular_values(short),  # size 2N needs more moments
-        lambda: singular_values(G, doubling_rel_tol=1e-18),  # the doubling test fails
+        lambda: _with_doubling_tol(monkeypatch, 1e-18, G),  # the doubling test fails
     )
     for k in range(20):
         if k % 4 == 3:
@@ -281,12 +288,13 @@ def test_no_thread_outlives_a_call(std0, monkeypatch):
 
 @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
 def test_doubling_rel_tol_is_checked_before_any_work(std0, tol, monkeypatch):
-    # nan and -1.0 failed every drift, inf passed every drift
+    # doubling_rel_tol is no longer a keyword: any value is refused
+    # before any solve or thread start
     G = polynomial_gram(std0, PolynomialSymbol([1.0, 0.5]), 40)
     solved = []
     monkeypatch.setattr(spectrum, "symmetric_eigenvalues", lambda G: solved.append(G))
     before = threading.active_count()
-    with pytest.raises(ValueError, match="doubling_rel_tol"):
+    with pytest.raises(TypeError, match="doubling_rel_tol"):
         singular_values(G, doubling_rel_tol=tol)
     assert solved == [] and threading.active_count() == before
 
@@ -366,10 +374,10 @@ def test_spectrum_phi_z_alpha0(std0):
     assert spec.source["N"] == 2000
 
 
-def test_doubling_failure_reports_index(std0):
+def test_doubling_failure_reports_index(std0, monkeypatch):
     G = polynomial_gram(std0, PolynomialSymbol([1.0, 1.0]), 24)
     with pytest.raises(DoublingTestError) as exc:
-        singular_values(G, doubling_rel_tol=1e-18)
+        _with_doubling_tol(monkeypatch, 1e-18, G)
     assert exc.value.index is not None and exc.value.index >= 0
     spec = singular_values(G)  # honest tolerance passes
     assert spec.converged is True
